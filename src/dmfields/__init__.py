@@ -27,7 +27,6 @@ from .core import (
     AtomicMeasure,
     CurveField,
     PolyCurve,
-    curve_length,
     dist,
     field_divergence,
     field_mass,

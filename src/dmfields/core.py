@@ -237,11 +237,6 @@ class AtomicMeasure:
 # operations
 
 
-def curve_length(c: PolyCurve) -> float:
-    """Euclidean arclength of the curve (weight plays no role)."""
-    return c.length()
-
-
 def field_mass(f: CurveField) -> float:
     """Curve-sum total variation: sum of |weight| * length over curves."""
     return sum(abs(c.weight) * c.length() for c in f)

@@ -15,7 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateGeometry,
@@ -30,7 +34,9 @@ from .regions import (
     PolyRegion,
     _point_seg_dist,
     _seg_intersections,
+    boundary_dist_many,
     box_region,
+    hit_candidates,
 )
 
 
@@ -70,17 +76,36 @@ class PolygonalDomain:
     def contains(self, p: Point) -> bool:
         return any(part.contains(p) for part in self.parts)
 
+    def contains_many(self, P: np.ndarray) -> np.ndarray:
+        """`contains` over the rows of a (P, 2) array."""
+        out = np.zeros(len(P), dtype=bool)
+        for part in self.parts:
+            out |= part.contains_many(P)
+        return out
+
     def on_boundary(self, p: Point, tol: float = EPS) -> bool:
         return any(part.on_boundary(p, tol) for part in self.parts)
 
-    def boundary_edges(self) -> list[tuple[Point, Point]]:
-        out = []
-        for part in self.parts:
-            out.extend(part.boundary_edges())
-        return out
+    @cached_property
+    def _edges(self) -> tuple[tuple[Point, Point], ...]:
+        return sum((part.boundary_edges() for part in self.parts), ())
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """All parts' edges as read-only (E, 4) rows."""
+        arr = np.concatenate([part.edge_array for part in self.parts])
+        arr.flags.writeable = False
+        return arr
+
+    def boundary_edges(self) -> tuple[tuple[Point, Point], ...]:
+        return self._edges
 
     def boundary_dist(self, p: Point) -> float:
-        return min(_point_seg_dist(p, a, b) for a, b in self.boundary_edges())
+        return min(_point_seg_dist(p, a, b) for a, b in self._edges)
+
+    def boundary_dist_many(self, P: np.ndarray) -> np.ndarray:
+        """`boundary_dist` over the rows of a (P, 2) array."""
+        return boundary_dist_many(P, self.edge_array, self._edges)
 
     def bbox(self) -> tuple[float, float, float, float]:
         boxes = [part.bbox() for part in self.parts]
@@ -95,6 +120,30 @@ class PolygonalDomain:
         return PolygonalDomain(self.parts, eps, delta)
 
 
+_SAMPLES = (0.03, 0.25, 0.5, 0.75, 0.97)
+
+
+def _edge_blocks(
+    d: PolygonalDomain, a: Point, b: Point, L: float, p: Point, q: Point
+) -> bool:
+    """Whether boundary edge (p,q) keeps the segment (a,b) of length L
+    out of the domain: a crossing inside it, a touch at an endpoint off
+    the boundary, or a collinear overlap."""
+    try:
+        ts = _seg_intersections(a, b, p, q)
+    except DegenerateGeometry:
+        return True
+    for t in ts:
+        s = t * L
+        if s > 1e-9 and L - s > 1e-9:
+            return True
+        if s <= 1e-9 and not d.on_boundary(a, 1e-9):
+            return True
+        if L - s <= 1e-9 and not d.on_boundary(b, 1e-9):
+            return True
+    return False
+
+
 def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     """Whether the open segment (a,b) stays in the open domain; the
     endpoints themselves may sit on the boundary. Collinear overlap with
@@ -102,23 +151,31 @@ def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     if a == b:
         return False
     L = dist(a, b)
-    try:
-        for p, q in d.boundary_edges():
-            for t in _seg_intersections(a, b, p, q):
-                s = t * L
-                if s > 1e-9 and L - s > 1e-9:
-                    return False
-                if s <= 1e-9 and not d.on_boundary(a, 1e-9):
-                    return False
-                if L - s <= 1e-9 and not d.on_boundary(b, 1e-9):
-                    return False
-    except DegenerateGeometry:
+    if any(_edge_blocks(d, a, b, L, p, q) for p, q in d.boundary_edges()):
         return False
-    for t in (0.03, 0.25, 0.5, 0.75, 0.97):
+    for t in _SAMPLES:
         pt = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
         if not d.contains(pt):
             return False
     return True
+
+
+def segments_in_domain(
+    d: PolygonalDomain, A: np.ndarray, B: np.ndarray
+) -> np.ndarray:
+    """`segment_in_domain` over the rows of two (S, 2) arrays: the sample
+    points go through the batched `contains`, and `_edge_blocks` runs
+    only on the segment/edge pairs `hit_candidates` keeps."""
+    ok = (A != B).any(axis=1)
+    for t in _SAMPLES:
+        ok &= d.contains_many(A + t * (B - A))
+    edges = d.boundary_edges()
+    for s, e in zip(*hit_candidates(A, B, d.edge_array)):
+        if ok[s]:
+            a, b = tuple(A[s].tolist()), tuple(B[s].tolist())
+            if _edge_blocks(d, a, b, dist(a, b), *edges[e]):
+                ok[s] = False
+    return ok
 
 
 def polyline_in_domain(d: PolygonalDomain, pts: Sequence[Point]) -> bool:
@@ -131,64 +188,69 @@ def _polyline_len(pts: Sequence[Point]) -> float:
 
 class RoutingGraph:
     """8-connected grid over the open domain. Immutable after build;
-    shortest-path queries are pure."""
+    shortest-path queries are pure.
+
+    The build runs on the batched ring kernel: every bbox grid point is
+    classified at once, every node's clearance is measured at once, and
+    the grid edges that come closer to the boundary than their length
+    are checked by one `segments_in_domain` batch. The nodes are indexed
+    by a KD-tree for nearest-node and radius queries."""
 
     def __init__(self, d: PolygonalDomain, h: float):
         self.domain = d
         self.h = h
         x0, y0, x1, y1 = d.bbox()
-        nodes: list[Point] = []
-        index: dict[tuple[int, int], int] = {}
         ni = max(1, int(round((x1 - x0) / h)))
         nj = max(1, int(round((y1 - y0) / h)))
-        for i in range(ni + 1):
-            for j in range(nj + 1):
-                p = (x0 + i * h, y0 + j * h)
-                if d.contains(p):
-                    index[(i, j)] = len(nodes)
-                    nodes.append(p)
-        self.nodes = nodes
-        self.clearance = [d.boundary_dist(p) for p in nodes]
-        adj: list[list[tuple[int, float]]] = [[] for _ in nodes]
+        # grid points in (i, j) lexicographic order, p = (x0 + i h, y0 + j h)
+        gi, gj = np.divmod(np.arange((ni + 1) * (nj + 1)), nj + 1)
+        grid = np.stack([x0 + gi * h, y0 + gj * h], axis=1)
+        ids = np.flatnonzero(d.contains_many(grid))
+        pts = grid[ids]
+        self.nodes: list[Point] = [tuple(p) for p in pts.tolist()]
+        self.clearance: list[float] = d.boundary_dist_many(pts).tolist()
+        n = len(ids)
+        # padded with -1 beyond i = ni and j = nj, which also catches j = -1
+        index = np.full((ni + 2, nj + 2), -1)
+        gi, gj = gi[ids], gj[ids]
+        index[gi, gj] = np.arange(n)
         steps = [(1, 0), (0, 1), (1, 1), (1, -1)]
+        nbr = np.stack([index[gi + di, gj + dj] for di, dj in steps], axis=1)
         diag = h * math.sqrt(2.0)
-        for (i, j), u in index.items():
-            for di, dj in steps:
-                v = index.get((i + di, j + dj))
-                if v is None:
-                    continue
-                w = h if di == 0 or dj == 0 else diag
-                # a short edge between nodes with enough clearance cannot
-                # meet the boundary; only near-boundary edges get checked
-                if min(self.clearance[u], self.clearance[v]) < w and not (
-                    segment_in_domain(d, self.nodes[u], self.nodes[v])
-                ):
-                    continue
-                adj[u].append((v, w))
-                adj[v].append((u, w))
+        weights = (h, h, diag, diag)
+        # a short edge between nodes with enough clearance cannot meet the
+        # boundary; only near-boundary edges get checked
+        keep = nbr >= 0
+        clear = np.asarray(self.clearance)
+        u, k = np.nonzero(keep)
+        v = nbr[u, k]
+        near = np.minimum(clear[u], clear[v]) < np.asarray(weights)[k]
+        u, k, v = u[near], k[near], v[near]
+        keep[u, k] = segments_in_domain(d, pts[u], pts[v])
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for a, (row, kept) in enumerate(zip(nbr.tolist(), keep.tolist())):
+            for b, w, ok in zip(row, weights, kept):
+                if ok:
+                    adj[a].append((b, w))
+                    adj[b].append((a, w))
         self.adj = adj
-        comp = [-1] * len(nodes)
+        comp = [-1] * n
         c = 0
-        for s in range(len(nodes)):
+        for s in range(n):
             if comp[s] != -1:
                 continue
             stack = [s]
             comp[s] = c
             while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if comp[v] == -1:
-                        comp[v] = c
-                        stack.append(v)
+                a = stack.pop()
+                for b, _ in adj[a]:
+                    if comp[b] == -1:
+                        comp[b] = c
+                        stack.append(b)
             c += 1
         self.comp = comp
         self.n_components = c
-        try:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(nodes) if nodes else None
-        except Exception:
-            self._tree = None
+        self._tree = cKDTree(pts)
         # reflex corners of the boundary (interior angle > pi), used as
         # route waypoints near notches
         self.reflex: list[tuple[Point, Point]] = []  # (vertex, inward dir)
@@ -216,14 +278,9 @@ class RoutingGraph:
         segment through the domain."""
         if not self.nodes:
             raise Disconnected("empty routing graph")
-        if self._tree is not None:
-            kk = min(k, len(self.nodes))
-            dists, idxs = self._tree.query(p, kk)
-            cand = [int(i) for i in ([idxs] if kk == 1 else idxs)]
-        else:
-            cand = sorted(
-                range(len(self.nodes)), key=lambda i: dist(p, self.nodes[i])
-            )[:k]
+        kk = min(k, len(self.nodes))
+        _, idxs = self._tree.query(p, kk)
+        cand = [int(i) for i in ([idxs] if kk == 1 else idxs)]
         for i in cand:
             if dist(p, self.nodes[i]) <= EPS:
                 return i
@@ -410,42 +467,53 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     """Greedy interior net: scan uncovered grid nodes in lexicographic
     order; for each, pick the clearance-maximizing node of the same
     component within delta that has clearance >= delta/2. The result
-    covers every interior grid node and touches every component."""
+    covers every interior grid node and touches every component.
+
+    The nodes within delta of a scan point or a pick come from the
+    graph's KD-tree, queried with a radius slack; `dist` decides for
+    every node whose numpy distance sits near delta."""
     if d.declared_delta is not None and delta > d.declared_delta + EPS:
         raise ValueError("delta exceeds the declared constant")
     g = routing_graph(d, h)
     if not g.nodes:
         raise InfeasibleDelta("no interior grid nodes")
+    pts = g._tree.data
+    clear = np.asarray(g.clearance)
+    comp = np.asarray(g.comp)
+    deep = clear >= delta / 2
+
+    def within_delta(c: int) -> np.ndarray:
+        idx = g._tree.query_ball_point(pts[c], delta * (1.0 + 1e-9))
+        idx = np.asarray(idx, dtype=int)
+        r = np.hypot(*(pts[idx] - pts[c]).T)
+        inside = r <= delta
+        for m in np.flatnonzero(np.abs(r - delta) <= 1e-9 * delta):
+            inside[m] = dist(g.nodes[idx[m]], g.nodes[c]) <= delta
+        return idx[inside]
+
     order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
-    uncovered = set(order)
+    covered = np.zeros(len(g.nodes), dtype=bool)
     chosen: list[Point] = []
-    while uncovered:
-        u = next(i for i in order if i in uncovered)
-        cands = [
-            i
-            for i in range(len(g.nodes))
-            if g.clearance[i] >= delta / 2
-            and g.comp[i] == g.comp[u]
-            and dist(g.nodes[i], g.nodes[u]) <= delta
-        ]
-        if not cands:
+    for u in order:
+        if covered[u]:
+            continue
+        cands = within_delta(u)
+        cands = cands[deep[cands] & (comp[cands] == comp[u])]
+        if not cands.size:
             raise InfeasibleDelta(
                 f"no node with clearance >= {delta / 2} within {delta} of {g.nodes[u]}"
             )
         # deepest candidate first; among equally deep ones prefer the one
         # farthest from the scan point so coverage advances in big steps
         pick = max(
-            cands,
+            cands[clear[cands] == clear[cands].max()].tolist(),
             key=lambda i: (
-                g.clearance[i],
                 dist(g.nodes[i], g.nodes[u]),
                 tuple(-c for c in g.nodes[i]),
             ),
         )
         chosen.append(g.nodes[pick])
-        uncovered = {
-            i for i in uncovered if dist(g.nodes[i], g.nodes[pick]) > delta
-        }
+        covered[within_delta(pick)] = True
     return chosen
 
 
@@ -488,7 +556,8 @@ def separation(
 
 
 def net_boundary_dist(d: PolygonalDomain, lam: Sequence[Point]) -> float:
-    return min(d.boundary_dist(p) for p in lam)
+    P = np.asarray(lam, dtype=float).reshape(-1, 2)
+    return float(d.boundary_dist_many(P).min())
 
 
 def complement_region(d: PolygonalDomain, box: PolyRegion) -> PolygonalDomain:

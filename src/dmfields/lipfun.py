@@ -181,10 +181,6 @@ class Wave(LipFunc):
         return abs(self.a) * abs(self.k)
 
 
-def evaluate(f: LipFunc, x: Sequence[float]) -> float:
-    return f(tuple(float(c) for c in x))
-
-
 def lip_bound(f: LipFunc) -> float:
     return f.lip_bound()
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch
 from .core import AtomicMeasure, CurveField, Point, PolyCurve, dist
@@ -44,6 +47,85 @@ def _point_seg_dist(p: Point, a: Point, b: Point) -> float:
     t = ((px - ax) * dx + (py - ay) * dy) / L2
     t = min(max(t, 0.0), 1.0)
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+# ---------------------------------------------------------------------------
+# batched ring kernel: the scalar predicates' own IEEE arithmetic over
+# (P, 2) point arrays against (E, 4) edge rows (ax, ay, bx, by). Only
+# np.hypot may differ from math.hypot, by an ulp, so wherever a hypot
+# result decides an answer the few points or edges near the cut are
+# handed to the scalar code, which stays the one definition of it.
+
+_PAIRS = 1 << 17  # point/edge pairs per numpy pass
+_BAND = 1e-9  # relative band around a cut decided by hypot
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    step = max(1, _PAIRS // width)
+    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
+
+
+def _edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(P, E) distances by the arithmetic of `_point_seg_dist`."""
+    px, py = P[:, :1], P[:, 1:]
+    ax, ay, bx, by = E.T
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    with np.errstate(all="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / L2
+    t = np.where(L2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def _crossing_parity(P: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """`_in_ring`'s even-odd ray cast, exactly, against one ring's edges."""
+    x, y = P[:, :1], P[:, 1:]
+    x1, y1, x2, y2 = ring.T
+    with np.errstate(all="ignore"):
+        xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return (((y1 > y) != (y2 > y)) & (x < xi)).sum(axis=1) % 2 == 1
+
+
+def boundary_dist_many(P: np.ndarray, E: np.ndarray, edges) -> np.ndarray:
+    """min over `edges` (the rows of E) of `_point_seg_dist` for every
+    row of P; the edges in the band of a row's minimum are measured
+    again by `_point_seg_dist`."""
+    out = np.full(len(P), np.inf)
+    for rows in _blocks(len(P), len(E)):
+        D = _edge_dists(P[rows], E)
+        ii, jj = np.nonzero(D <= D.min(axis=1, keepdims=True) * (1.0 + _BAND))
+        pts = P[rows].tolist()
+        exact = [
+            _point_seg_dist(pts[i], *edges[j]) for i, j in zip(ii.tolist(), jj.tolist())
+        ]
+        np.minimum.at(out, ii + rows.start, exact)
+    return out
+
+
+def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray):
+    """(segment, edge) index pairs on which `_seg_intersections` of
+    (A[s], B[s]) and edge E[e] may return a parameter or raise; on all
+    other pairs it returns []. t and u come out as in the scalar code;
+    the hypot-derived tolerances are doubled."""
+    d1x, d1y = B[:, :1] - A[:, :1], B[:, 1:] - A[:, 1:]
+    px, py, qx, qy = E.T
+    d2x, d2y = qx - px, qy - py
+    L1, L2 = np.hypot(d1x, d1y), np.hypot(d2x, d2y)
+    tol_u = 2.0 * EPS / np.maximum(L2, EPS)
+    ss, ee = [], []
+    for r in _blocks(len(A), len(E)):
+        apx, apy = px - A[r, :1], py - A[r, 1:]
+        denom = d1x[r] * d2y - d1y[r] * d2x
+        tol_t = 2.0 * EPS / np.maximum(L1[r], EPS)
+        with np.errstate(all="ignore"):
+            t = (apx * d2y - apy * d2x) / denom
+            u = (apx * d1y[r] - apy * d1x[r]) / denom
+        hit = ~(t < -tol_t) & ~(t > 1.0 + tol_t)
+        hit &= ~(u < -tol_u) & ~(u > 1.0 + tol_u)
+        s, e = np.nonzero(hit | (np.abs(denom) <= 2.0 * EPS * L1[r] * L2))
+        ss += (s + r.start).tolist()
+        ee += e.tolist()
+    return ss, ee
 
 
 def _in_ring(p: Point, ring: Sequence[Point]) -> bool:
@@ -100,18 +182,45 @@ class PolyRegion:
     def rings(self) -> list[tuple[Point, ...]]:
         return [self.outer, *self.holes]
 
-    def boundary_edges(self) -> list[tuple[Point, Point]]:
-        out = []
-        for ring in self.rings():
-            n = len(ring)
-            for i in range(n):
-                out.append((ring[i], ring[(i + 1) % n]))
-        return out
+    @cached_property
+    def _edges(self) -> tuple[tuple[Point, Point], ...]:
+        return tuple(
+            (r[i], r[(i + 1) % len(r)]) for r in self.rings() for i in range(len(r))
+        )
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The boundary edges as read-only (E, 4) rows (ax, ay, bx, by)."""
+        arr = np.array(self._edges, dtype=float).reshape(-1, 4)
+        arr.flags.writeable = False
+        return arr
+
+    def boundary_edges(self) -> tuple[tuple[Point, Point], ...]:
+        return self._edges
 
     def on_boundary(self, p: Point, tol: float = EPS) -> bool:
-        return any(
-            _point_seg_dist(p, a, b) <= tol for a, b in self.boundary_edges()
+        return any(_point_seg_dist(p, a, b) <= tol for a, b in self._edges)
+
+    def on_boundary_many(self, P: np.ndarray, tol: float = EPS) -> np.ndarray:
+        """`on_boundary` over the rows of a (P, 2) array."""
+        E = self.edge_array
+        D = np.concatenate(
+            [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
         )
+        out = D <= tol
+        for i in np.flatnonzero(np.abs(D - tol) <= _BAND * tol):
+            out[i] = self.on_boundary(tuple(P[i].tolist()), tol)
+        return out
+
+    def contains_many(self, P: np.ndarray) -> np.ndarray:
+        """`contains` over the rows of a (P, 2) array."""
+        out = ~self.on_boundary_many(P)
+        start = 0
+        for k, ring in enumerate(self.rings()):
+            inside = _crossing_parity(P, self.edge_array[start : start + len(ring)])
+            out &= inside if k == 0 else ~inside
+            start += len(ring)
+        return out
 
     def contains(self, p: Point) -> bool:
         """Open-interior membership; boundary points are outside."""

@@ -45,6 +45,36 @@ class FlowGraph:
     imbalance: tuple[float, ...]  # out minus in, per node
 
 
+def _interior_nodes(segs, reps, tol):
+    """(t, node) for the nodes within tol of the interior of each segment,
+    t its projection parameter. The projection uses every coordinate, so
+    a lifted height-0 segment does not meet the height-1 copy of a vertex.
+    numpy computes every (segment, node) parameter with the scalar
+    arithmetic and leaves `dist` only the pairs within 2 tol."""
+    hits: list[list[tuple[float, Point]]] = [[] for _ in segs]
+    if not segs:
+        return hits
+    R = np.array(reps, dtype=float)
+    A = np.array([a for a, _, _ in segs], dtype=float)
+    D = np.array([b for _, b, _ in segs], dtype=float) - A
+    L = np.array([dist(a, b) for a, b, _ in segs])
+    step = max(1, (1 << 16) // len(reps))
+    for s0 in range(0, len(segs), step):
+        a, d, l = (X[s0 : s0 + step, None] for X in (A, D, L))
+        ts = ((R - a) * d).sum(axis=2) / (l * l)
+        gap = ((a + ts[..., None] * d - R) ** 2).sum(axis=2)
+        lo = tol / l
+        near = (lo < ts) & (ts < 1 - lo) & (gap <= 4 * tol * tol)
+        for i, j in zip(*(x.tolist() for x in np.nonzero(near))):
+            (a0, b0, _), r, t = segs[s0 + i], reps[j], float(ts[i, j])
+            if r == a0 or r == b0:
+                continue
+            proj = tuple(ak + t * (bk - ak) for ak, bk in zip(a0, b0))
+            if dist(proj, r) <= tol:
+                hits[s0 + i].append((t, r))
+    return hits
+
+
 def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     """Merge vertices within tol, split edges at nodes lying on them,
     cancel antiparallel overlaps, drop zero weight. Node imbalances then
@@ -69,25 +99,10 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
             u, v = rep(a), rep(b)
             if u != v:
                 segs.append((u, v, c.weight))
-    # split segments at nodes sitting on their interior
-    def split(a: Point, b: Point, w: float):
-        L = dist(a, b)
-        hits = []
-        for r in reps:
-            if r == a or r == b:
-                continue
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            t = ((r[0] - a[0]) * dx + (r[1] - a[1]) * dy) / (L * L)
-            if tol / L < t < 1 - tol / L:
-                proj = (a[0] + t * dx, a[1] + t * dy)
-                if dist(proj, r) <= tol:
-                    hits.append((t, r))
-        pts = [a] + [r for _, r in sorted(hits)] + [b]
-        return [(u, v, w) for u, v in zip(pts, pts[1:])]
-
     pieces: list[tuple[Point, Point, float]] = []
-    for a, b, w in segs:
-        pieces.extend(split(a, b, w))
+    for (a, b, w), hits in zip(segs, _interior_nodes(segs, reps, tol)):
+        pts = [a] + [r for _, r in sorted(hits)] + [b]
+        pieces.extend((u, v, w) for u, v in zip(pts, pts[1:]))
     acc: dict[tuple[Point, Point], float] = {}
     for u, v, w in pieces:
         if (v, u) in acc or ((u, v) not in acc and (v, u) < (u, v)):

@@ -55,7 +55,8 @@ class LiftConfig:
 
     lam points carry the interior divergence of lifted fields; e is the
     net point standing in for the Arens-Eells base point. Separation and
-    net-boundary distance are computed once on demand and cached.
+    the routing components of the net points are computed once on demand
+    and cached.
     """
 
     domain: PolygonalDomain
@@ -64,6 +65,9 @@ class LiftConfig:
     h: float = 0.02
     delta: float | None = None
     _sep: float | None = dfield(default=None, repr=False)
+    _lam_comp: tuple[int, ...] | None = dfield(
+        default=None, repr=False, compare=False
+    )
 
     def sep(self) -> float:
         if self._sep is None:
@@ -80,8 +84,10 @@ class LiftConfig:
     def nearest_lam(self, p: Point) -> Point:
         """Nearest net point in the same routing component as p,
         Euclidean distance with lexicographic tie-break."""
+        if self._lam_comp is None:
+            self._lam_comp = tuple(self.component_of(q) for q in self.lam)
         cp = self.component_of(p)
-        cands = [q for q in self.lam if self.component_of(q) == cp]
+        cands = [q for q, c in zip(self.lam, self._lam_comp) if c == cp]
         if not cands:
             cands = list(self.lam)
         return min(cands, key=lambda q: (dist(p, q), q))

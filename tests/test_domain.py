@@ -18,7 +18,8 @@ from dmfields import (
     select_lambda,
     separation,
 )
-from dmfields.domain import polyline_in_domain, segment_in_domain
+from dmfields.core import dist
+from dmfields.domain import polyline_in_domain, routing_graph, segment_in_domain
 
 SQUARE = domain_preset("square")
 LSHAPE = domain_preset("lshape")
@@ -89,6 +90,49 @@ def test_select_lambda_covers_and_respects_clearance():
         for iy in range(1, 50):
             p = (ix * 0.02, iy * 0.02)
             assert min(math.dist(p, q) for q in lam) <= delta + 1e-9
+
+
+def _greedy_scan(d, delta, h):
+    """The O(n^2) net selection select_lambda's KD-tree version replaced:
+    every node is scanned for every net point."""
+    g = routing_graph(d, h)
+    order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
+    uncovered = set(order)
+    chosen = []
+    while uncovered:
+        u = next(i for i in order if i in uncovered)
+        cands = [
+            i
+            for i in range(len(g.nodes))
+            if g.clearance[i] >= delta / 2
+            and g.comp[i] == g.comp[u]
+            and dist(g.nodes[i], g.nodes[u]) <= delta
+        ]
+        pick = max(
+            cands,
+            key=lambda i: (
+                g.clearance[i],
+                dist(g.nodes[i], g.nodes[u]),
+                tuple(-c for c in g.nodes[i]),
+            ),
+        )
+        chosen.append(g.nodes[pick])
+        uncovered = {
+            i for i in uncovered if dist(g.nodes[i], g.nodes[pick]) > delta
+        }
+    return chosen
+
+
+@pytest.mark.parametrize(
+    "d, delta, h",
+    [
+        (LSHAPE, 0.4, 0.05),
+        (LSHAPE, 0.3, 0.04),
+        (complement_region(SQUARE, box_region(-1, -1, 2, 2)), 0.3, 0.05),
+    ],
+)
+def test_select_lambda_matches_greedy_scan(d, delta, h):
+    assert select_lambda(d, delta, h) == _greedy_scan(d, delta, h)
 
 
 def test_select_lambda_touches_every_component():

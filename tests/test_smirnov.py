@@ -126,6 +126,44 @@ def test_lift_has_no_divergence_and_projects_back():
     assert back.edges == orig.edges
 
 
+def test_lifted_segment_is_not_split_at_the_raised_vertex_copy():
+    # (1,0) is a source, so the lift has (1,0,1) above the height-0
+    # segment (0,0)->(2,0); the snap must split that segment at (1,0,0)
+    f = CurveField(
+        [PolyCurve([(0, 0), (2, 0)]), PolyCurve([(1, 0), (1, 1)], 0.5)]
+    )
+    lifted = snap_to_graph(lift_solenoidal(f))
+    for u, v, _ in lifted.edges:
+        a, b = lifted.nodes[u], lifted.nodes[v]
+        assert a[2] == b[2] or a[:2] == b[:2]
+    planar = project_curves(graph_decompose(lifted))
+    back = snap_to_graph(CurveField(planar))
+    orig = snap_to_graph(f)
+    assert back.nodes == orig.nodes
+    assert back.edges == orig.edges
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(grid_pt, min_size=2, max_size=4), dyadic),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_solenoidal_round_trip_recomposes_grid_fields(specs):
+    # several sources and sinks, segments spanning several grid steps
+    try:
+        f = _grid_field(specs)
+    except ValueError:
+        return  # all-duplicate vertex lists
+    planar = project_curves(graph_decompose(snap_to_graph(lift_solenoidal(f))))
+    back = snap_to_graph(CurveField(planar))
+    orig = snap_to_graph(f)
+    assert back.nodes == orig.nodes
+    assert back.edges == orig.edges
+
+
 def test_project_keeps_flat_curves_and_drops_raised_ones():
     flat = PolyCurve([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], 1.0)
     high = PolyCurve([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)], 1.0)
