@@ -12,7 +12,9 @@ Numerical side: mollify the field to a smooth direction field
 sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,
 and check the resulting curve decomposition by Monte-Carlo integration
 against grid integrals, including the mass-transport invariant
-tau(G_t(x)) det(grad G_t(x)) = const along trajectories.
+tau(G_t(x)) det(grad G_t(x)) = const along trajectories. Every grid
+lookup goes through one bilinear sampler, `GridField._sample`, and
+every integrator through one RK4 step, `_rk4_step`.
 """
 
 from __future__ import annotations
@@ -292,7 +294,10 @@ def project_curves(
 @dataclass
 class GridField:
     """Mollified field on a rectangular grid: arrays indexed [ix, iy],
-    cell centers at origin + (ix, iy) * h."""
+    cell centers at origin + (ix, iy) * h. sigma, tau and div sigma are
+    read between grid points by bilinear interpolation (`_sample`);
+    `sigma_at`, `tau_at` and `div_sigma_at` raise LeftGrid off the grid,
+    `sigma_at_masked` gives 0 there and at points not alive."""
 
     origin: Point
     h: float
@@ -312,53 +317,63 @@ class GridField:
     def shape(self):
         return self.fx.shape
 
-    def _uv(self, pts: np.ndarray):
+    def _sample(self, pts: np.ndarray, arrays, alive=None):
+        """Bilinear values of each grid array at the (N, 2) points, and
+        the mask of points inside the grid. The cell and its weights are
+        found once for all arrays. Without `alive`, a point outside the
+        grid raises LeftGrid; with it, points that are dead or outside
+        get 0."""
+        nx, ny = self.shape
         u = (pts[:, 0] - self.origin[0]) / self.h
         v = (pts[:, 1] - self.origin[1]) / self.h
-        nx, ny = self.shape
         inside = (u >= 0) & (u <= nx - 1) & (v >= 0) & (v <= ny - 1)
-        return u, v, inside
-
-    def _bilinear(self, A: np.ndarray, u, v):
-        nx, ny = A.shape
-        i = np.clip(np.floor(u).astype(int), 0, nx - 2)
-        j = np.clip(np.floor(v).astype(int), 0, ny - 2)
-        du = np.clip(u - i, 0.0, 1.0)
-        dv = np.clip(v - j, 0.0, 1.0)
-        return (
-            A[i, j] * (1 - du) * (1 - dv)
-            + A[i + 1, j] * du * (1 - dv)
-            + A[i, j + 1] * (1 - du) * dv
-            + A[i + 1, j + 1] * du * dv
-        )
+        ok = inside if alive is None else alive & inside
+        every = bool(ok.all())
+        if alive is None and not every:
+            raise LeftGrid("point outside the sampled grid")
+        if not every:
+            u, v = u[ok], v[ok]
+        i = np.minimum(np.maximum(np.floor(u).astype(int), 0), nx - 2)
+        j = np.minimum(np.maximum(np.floor(v).astype(int), 0), ny - 2)
+        # exact and within [0, 1] for points inside the grid
+        du = u - i
+        dv = v - j
+        cu = 1 - du
+        cv = 1 - dv
+        k00 = i * ny + j  # flat index of the cell's corner (i, j)
+        k10 = k00 + ny
+        k01 = k00 + 1
+        k11 = k10 + 1
+        out = []
+        for A in arrays:
+            a = A.ravel()
+            val = a.take(k00)
+            val *= cu
+            val *= cv
+            for k, wu, wv in ((k10, du, cv), (k01, cu, dv), (k11, du, dv)):
+                t = a.take(k)
+                t *= wu
+                t *= wv
+                val += t
+            if not every:
+                val, part = np.zeros(len(pts)), val
+                val[ok] = part
+            out.append(val)
+        return out, inside
 
     def sigma_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u, v, inside = self._uv(pts)
-        if not inside.all():
-            raise LeftGrid("point outside the sampled grid")
-        return self._bilinear(self.sigx, u, v), self._bilinear(self.sigy, u, v)
+        (sx, sy), _ = self._sample(pts, (self.sigx, self.sigy))
+        return sx, sy
 
     def sigma_at_masked(self, pts, alive):
-        u, v, inside = self._uv(pts)
-        ok = alive & inside
-        sx = np.zeros(len(pts))
-        sy = np.zeros(len(pts))
-        if ok.any():
-            sx[ok] = self._bilinear(self.sigx, u[ok], v[ok])
-            sy[ok] = self._bilinear(self.sigy, u[ok], v[ok])
+        (sx, sy), inside = self._sample(pts, (self.sigx, self.sigy), alive)
         return sx, sy, inside
 
     def tau_at(self, pts: np.ndarray) -> np.ndarray:
-        u, v, inside = self._uv(pts)
-        if not inside.all():
-            raise LeftGrid("point outside the sampled grid")
-        return self._bilinear(self.tau, u, v)
+        return self._sample(pts, (self.tau,))[0][0]
 
     def div_sigma_at(self, pts: np.ndarray) -> np.ndarray:
-        u, v, inside = self._uv(pts)
-        if not inside.all():
-            raise LeftGrid("point outside the sampled grid")
-        return self._bilinear(self.div_sigma, u, v)
+        return self._sample(pts, (self.div_sigma,))[0][0]
 
     def total_tau(self) -> float:
         return float(self.tau.sum()) * self.h * self.h
@@ -444,16 +459,30 @@ def mollify(
     return GridField((x0, y0), h, eps, fx, fy, tau)
 
 
-def _rk4_step(gf: GridField, pts: np.ndarray, dt: float):
-    def vel(x):
-        sx, sy = gf.sigma_at(x)
-        return np.stack([sx, sy], axis=1)
+def _velocity(gf: GridField, pts: np.ndarray, alive):
+    if alive is None:
+        return np.stack(gf.sigma_at(pts), axis=1), True
+    sx, sy, inside = gf.sigma_at_masked(pts, alive)
+    return np.stack([sx, sy], axis=1), inside
 
-    k1 = vel(pts)
-    k2 = vel(pts + 0.5 * dt * k1)
-    k3 = vel(pts + 0.5 * dt * k2)
-    k4 = vel(pts + dt * k3)
-    return pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
+    """The classical RK4 increment of x' = sigma(x) over one step dt
+    from the (N, 2) points x, and the mask of points whose four stages
+    all lay inside the grid. Without `alive`, a stage outside the grid
+    raises LeftGrid; with it, dead or outside points have velocity 0."""
+    k1, in1 = _velocity(gf, x, alive)
+    k2, in2 = _velocity(gf, x + 0.5 * dt * k1, alive)
+    k3, in3 = _velocity(gf, x + 0.5 * dt * k2, alive)
+    k4, in4 = _velocity(gf, x + dt * k3, alive)
+    # dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, in place
+    k2 *= 2
+    k1 += k2
+    k3 *= 2
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    return k1, in1 & in2 & in3 & in4
 
 
 def flow_trace(
@@ -465,7 +494,7 @@ def flow_trace(
     verts = [(float(x[0, 0]), float(x[0, 1]))]
     n = int(round(T / dt))
     for _ in range(n):
-        x = _rk4_step(gf, x, dt)
+        x = x + _rk4_step(gf, x, dt)[0]
         verts.append((float(x[0, 0]), float(x[0, 1])))
     return PolyCurve(verts, 1.0)
 
@@ -512,22 +541,12 @@ def reconstruct_check(
     integral = np.zeros(N)
     nsteps = int(round(T / dt))
     for _ in range(nsteps):
-        def vel(pts):
-            sx, sy, inside = gf.sigma_at_masked(pts, alive)
-            return np.stack([sx, sy], axis=1), inside
-
-        k1, in1 = vel(x)
-        k2, in2 = vel(x + 0.5 * dt * k1)
-        k3, in3 = vel(x + 0.5 * dt * k2)
-        k4, in4 = vel(x + dt * k3)
-        newly_dead = alive & ~(in1 & in2 & in3 & in4)
-        alive = alive & ~newly_dead
-        step = dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        mid = x + 0.5 * step
-        pv = Phi(mid)
+        step, inside = _rk4_step(gf, x, dt, alive)
+        alive &= inside
+        pv = Phi(x + 0.5 * step)
         inc = pv[:, 0] * step[:, 0] + pv[:, 1] * step[:, 1]
-        integral[alive] += inc[alive]
-        x[alive] += step[alive]
+        np.add(integral, inc, out=integral, where=alive)
+        np.add(x, step, out=x, where=alive[:, None])
     mass = gf.total_tau()
     estimate = mass * float(integral.mean())
     stderr = mass * float(integral.std(ddof=1)) / math.sqrt(N)
@@ -546,11 +565,12 @@ def transport_invariant(
     acc = 0.0
     worst = 0.0
     n = int(round(T / dt))
+    d0 = float(gf.div_sigma_at(x)[0])
     for _ in range(n):
-        d0 = float(gf.div_sigma_at(x)[0])
-        x = _rk4_step(gf, x, dt)
+        x = x + _rk4_step(gf, x, dt)[0]
         d1 = float(gf.div_sigma_at(x)[0])
         acc += 0.5 * (d0 + d1) * dt
         drift = math.log(float(gf.tau_at(x)[0])) - log0 + acc
         worst = max(worst, abs(drift))
+        d0 = d1
     return worst

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     CurveField,
+    GridField,
+    LeftGrid,
     MalformedLift,
     PolyCurve,
     field_divergence,
@@ -257,3 +259,152 @@ def test_reconstruct_check_is_deterministic(ring_grid):
     a = reconstruct_check(ring_grid, Phi, 500, T=0.2, dt=2e-3, rng_seed=3)
     b = reconstruct_check(ring_grid, Phi, 500, T=0.2, dt=2e-3, rng_seed=3)
     assert a == b
+
+
+# The bilinear sampler and RK4 step as they were written out before
+# `GridField._sample` and `smirnov._rk4_step` replaced them: references
+# that the shared versions must equal bit for bit.
+
+
+def _old_uv(gf, pts):
+    u = (pts[:, 0] - gf.origin[0]) / gf.h
+    v = (pts[:, 1] - gf.origin[1]) / gf.h
+    nx, ny = gf.shape
+    inside = (u >= 0) & (u <= nx - 1) & (v >= 0) & (v <= ny - 1)
+    return u, v, inside
+
+
+def _old_bilinear(A, u, v):
+    nx, ny = A.shape
+    i = np.clip(np.floor(u).astype(int), 0, nx - 2)
+    j = np.clip(np.floor(v).astype(int), 0, ny - 2)
+    du = np.clip(u - i, 0.0, 1.0)
+    dv = np.clip(v - j, 0.0, 1.0)
+    return (
+        A[i, j] * (1 - du) * (1 - dv)
+        + A[i + 1, j] * du * (1 - dv)
+        + A[i, j + 1] * (1 - du) * dv
+        + A[i + 1, j + 1] * du * dv
+    )
+
+
+def _old_at(gf, A, pts):
+    u, v, inside = _old_uv(gf, pts)
+    if not inside.all():
+        raise LeftGrid("point outside the sampled grid")
+    return _old_bilinear(A, u, v)
+
+
+def _old_rk4_step(gf, pts, dt):
+    def vel(x):
+        return np.stack([_old_at(gf, gf.sigx, x), _old_at(gf, gf.sigy, x)], axis=1)
+
+    k1 = vel(pts)
+    k2 = vel(pts + 0.5 * dt * k1)
+    k3 = vel(pts + 0.5 * dt * k2)
+    k4 = vel(pts + dt * k3)
+    return pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _old_transport_invariant(gf, seed, T, dt):
+    x = np.array([[float(seed[0]), float(seed[1])]])
+    log0 = math.log(float(_old_at(gf, gf.tau, x)[0]))
+    acc = 0.0
+    worst = 0.0
+    for _ in range(int(round(T / dt))):
+        d0 = float(_old_at(gf, gf.div_sigma, x)[0])
+        x = _old_rk4_step(gf, x, dt)
+        d1 = float(_old_at(gf, gf.div_sigma, x)[0])
+        acc += 0.5 * (d0 + d1) * dt
+        drift = math.log(float(_old_at(gf, gf.tau, x)[0])) - log0 + acc
+        worst = max(worst, abs(drift))
+    return worst
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+# a small grid with a dyadic origin and step, so that grid lines and the
+# last row and column (u = nx - 1, where the cell index clips to nx - 2)
+# are hit exactly
+_NX, _NY = 5, 4
+_rng = np.random.default_rng(0)
+SMALL_GRID = GridField(
+    (-0.5, 0.25),
+    0.125,
+    0.1,
+    _rng.normal(size=(_NX, _NY)),
+    _rng.normal(size=(_NX, _NY)),
+    _rng.uniform(0.5, 2.0, size=(_NX, _NY)),
+)
+
+
+def _coord(n):
+    return st.one_of(
+        st.integers(0, n - 1).map(float),  # grid lines
+        st.just(float(n - 1)),  # last row or column
+        st.floats(0.0, n - 1.0),  # interior
+        st.floats(-2.0, n + 1.0),  # partly outside
+    )
+
+
+@given(
+    st.lists(st.tuples(_coord(_NX), _coord(_NY), st.booleans()), min_size=1, max_size=40)
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_equals_the_old_bilinear_bit_for_bit(rows):
+    gf = SMALL_GRID
+    uv = np.array([(u, v) for u, v, _ in rows])
+    pts = np.array(gf.origin) + uv * gf.h
+    alive = np.array([a for _, _, a in rows])
+    arrays = (gf.sigx, gf.sigy, gf.tau, gf.div_sigma)
+    u, v, inside = _old_uv(gf, pts)
+    ok = alive & inside
+    vals, got_inside = gf._sample(pts, arrays, alive)
+    assert _bits(got_inside) == _bits(inside)
+    for A, val in zip(arrays, vals):
+        want = np.zeros(len(pts))
+        want[ok] = _old_bilinear(A, u[ok], v[ok])
+        assert _bits(val) == _bits(want)
+    sx, sy, got_inside = gf.sigma_at_masked(pts, alive)
+    assert _bits(sx) == _bits(vals[0]) and _bits(sy) == _bits(vals[1])
+    if not inside.all():
+        for at in (gf.sigma_at, gf.tau_at, gf.div_sigma_at):
+            with pytest.raises(LeftGrid):
+                at(pts)
+        return
+    sx, sy = gf.sigma_at(pts)
+    assert _bits(sx) == _bits(_old_bilinear(gf.sigx, u, v))
+    assert _bits(sy) == _bits(_old_bilinear(gf.sigy, u, v))
+    assert _bits(gf.tau_at(pts)) == _bits(_old_bilinear(gf.tau, u, v))
+    assert _bits(gf.div_sigma_at(pts)) == _bits(_old_bilinear(gf.div_sigma, u, v))
+
+
+@given(st.lists(st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_sample_equals_the_old_bilinear_on_a_mollified_grid(ring_grid, xy):
+    gf = ring_grid
+    pts = np.array(xy)
+    u, v, inside = _old_uv(gf, pts)
+    (sx, sy), got_inside = gf._sample(pts, (gf.sigx, gf.sigy), np.ones(len(pts), bool))
+    assert _bits(got_inside) == _bits(inside)
+    want = np.zeros(len(pts))
+    want[inside] = _old_bilinear(gf.sigx, u[inside], v[inside])
+    assert _bits(sx) == _bits(want)
+
+
+def test_flow_trace_equals_the_old_rk4(ring_grid):
+    c = flow_trace(ring_grid, (1.0, 0.0), T=1.0, dt=1e-3)
+    x = np.array([[1.0, 0.0]])
+    want = [(1.0, 0.0)]
+    for _ in range(1000):
+        x = _old_rk4_step(ring_grid, x, 1e-3)
+        want.append((float(x[0, 0]), float(x[0, 1])))
+    assert c.vertices == tuple(want)
+
+
+@pytest.mark.parametrize("seed, T, dt", [((1.0, 0.0), 0.5, 1e-3), ((0.0, -0.9), 0.3, 2e-3)])
+def test_transport_invariant_equals_the_old_rk4(ring_grid, seed, T, dt):
+    got = transport_invariant(ring_grid, seed, T=T, dt=dt)
+    assert got == _old_transport_invariant(ring_grid, seed, T, dt)
