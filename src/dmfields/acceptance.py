@@ -517,6 +517,7 @@ def ac_9() -> tuple[bool, str]:
     t0 = time.time()
     stat_ok = True
     worst_sig = 0.0
+    truncated = 0
     ratios = []
     for f in _preset_loops():
         gf = mollify(f, 0.1, 0.02)
@@ -527,9 +528,10 @@ def ac_9() -> tuple[bool, str]:
             return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
 
         for s in range(10):
-            lhs, est, se, _ = reconstruct_check(
+            lhs, est, se, left = reconstruct_check(
                 gf, Phi, 10000, dt=1e-3, rng_seed=s
             )
+            truncated += left
             sig = abs(lhs - est) / se
             worst_sig = max(worst_sig, sig)
             stat_ok = stat_ok and sig <= 3.0
@@ -540,9 +542,10 @@ def ac_9() -> tuple[bool, str]:
         ratios.append(d2 / d1)
     drift_ok = all(r <= 0.65 for r in ratios)
     dt = time.time() - t0
-    ok = stat_ok and drift_ok and dt < 300.0
+    ok = stat_ok and truncated == 0 and drift_ok and dt < 300.0
     return ok, (
         f"3 fields x 10 seeds, worst |lhs-est|/stderr {worst_sig:.2f}, "
+        f"{truncated} truncated, "
         f"drift ratios {['%.2f' % r for r in ratios]}, {dt:.0f}s"
     )
 

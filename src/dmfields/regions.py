@@ -282,7 +282,8 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point) -> list[float]:
     d2 = (q[0] - p[0], q[1] - p[1])
     L1 = math.hypot(*d1)
     L2 = math.hypot(*d2)
-    if L1 == 0.0 or L2 == 0.0:
+    # a segment whose squared length underflows is a point
+    if L1 * L1 == 0.0 or L2 == 0.0:
         return []
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     ap = (p[0] - a[0], p[1] - a[1])

@@ -507,12 +507,14 @@ def reconstruct_check(
     dt: float = 1e-3,
     rng_seed: int = 0,
 ) -> tuple[float, float, float, int]:
-    """Monte-Carlo verification that unit-time flow curves decompose the
-    mollified field: lhs integrates Phi . f_eps over the grid; the
-    estimate averages line integrals of Phi over flow curves started
-    from tau-distributed seeds, scaled by total tau mass. Phi maps an
-    (N, 2) array to an (N, 2) array. Returns (lhs, estimate, stderr,
-    number of truncated trajectories)."""
+    """Monte-Carlo verification that flow curves decompose the mollified
+    field: lhs integrates Phi . f_eps over the grid; the estimate
+    averages line integrals of Phi over flow curves of time T started
+    from tau-distributed seeds, scaled by total tau mass and divided by
+    T, so it estimates lhs for every T. Seeds are jittered within their
+    cell and reflected back into the grid where the jitter leaves it.
+    Phi maps an (N, 2) array to an (N, 2) array. Returns (lhs,
+    estimate, stderr, number of truncated trajectories)."""
     h = gf.h
     nx, ny = gf.shape
     gx = gf.origin[0] + np.arange(nx) * h
@@ -532,9 +534,11 @@ def reconstruct_check(
     pick = rng.choice(len(p), size=N, p=p)
     jitter = rng.uniform(-0.5, 0.5, size=(N, 2)) * h
     seeds = cells[pick] + jitter
-    # clamp jittered seeds into the grid
-    seeds[:, 0] = np.clip(seeds[:, 0], gx[0], gx[-1])
-    seeds[:, 1] = np.clip(seeds[:, 1], gy[0], gy[-1])
+    # reflect jittered seeds back into the grid: on its edge sigma is
+    # round-off and may point out of it
+    for col, g in zip(seeds.T, (gx, gy)):
+        np.copyto(col, 2 * g[0] - col, where=col < g[0])
+        np.copyto(col, 2 * g[-1] - col, where=col > g[-1])
 
     x = seeds.copy()
     alive = np.ones(N, dtype=bool)
@@ -548,8 +552,8 @@ def reconstruct_check(
         np.add(integral, inc, out=integral, where=alive)
         np.add(x, step, out=x, where=alive[:, None])
     mass = gf.total_tau()
-    estimate = mass * float(integral.mean())
-    stderr = mass * float(integral.std(ddof=1)) / math.sqrt(N)
+    estimate = mass * float(integral.mean()) / T
+    stderr = mass * float(integral.std(ddof=1)) / math.sqrt(N) / T
     left = int(N - alive.sum())
     return lhs, estimate, stderr, left
 

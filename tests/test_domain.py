@@ -198,3 +198,8 @@ def test_presets_have_certified_constants():
         assert d.declared_delta is not None
     with pytest.raises(ValueError):
         domain_preset("pentagon")
+
+
+def test_segment_whose_squared_length_underflows_is_a_point():
+    # L1 * L1 underflows to 0 in the collinear branch of the edge test
+    assert segment_in_domain(SQUARE, (0.0, 1.1e-305), (0.0, 0.0)) is False

@@ -252,6 +252,48 @@ def test_reconstruct_check_agrees(ring_grid):
     assert abs(lhs - est) <= 3 * se + 0.05 * abs(lhs)
 
 
+def _rotation_about_centroid(f):
+    pts = [v for c in f for v in c.vertices]
+    cx = sum(p[0] for p in pts) / len(pts)
+    cy = sum(p[1] for p in pts) / len(pts)
+
+    def Phi(X):
+        return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
+
+    return Phi
+
+
+TRIANGLE = CurveField(
+    [PolyCurve([(0.1, 0.1), (0.9, 0.2), (0.5, 0.9), (0.1, 0.1)], 1.0)]
+)
+SQUARE_LOOP = CurveField(
+    [PolyCurve([(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8), (0.2, 0.2)], 1.0)]
+)
+
+
+@pytest.mark.parametrize("rng_seed", range(5))
+def test_reconstruct_check_is_scaled_by_T(rng_seed):
+    gf = mollify(TRIANGLE, 0.1, 0.02)
+    lhs, est, se, left = reconstruct_check(
+        gf, _rotation_about_centroid(TRIANGLE), 1000, T=0.25, dt=2e-3,
+        rng_seed=rng_seed,
+    )
+    assert left == 0
+    assert abs(lhs - est) <= 5 * se
+
+
+@pytest.mark.parametrize("rng_seed", [14, 16, 27])
+def test_seeds_jittered_off_the_grid_do_not_truncate(rng_seed):
+    # these seeds drew jitter past the grid edge, where sigma is FFT
+    # round-off; clamped onto the edge, one trajectory left the grid
+    gf = mollify(SQUARE_LOOP, 0.1, 0.02)
+    *_, left = reconstruct_check(
+        gf, _rotation_about_centroid(SQUARE_LOOP), 10000, T=0.005, dt=1e-3,
+        rng_seed=rng_seed,
+    )
+    assert left == 0
+
+
 def test_reconstruct_check_is_deterministic(ring_grid):
     def Phi(X):
         return np.stack([X[:, 0], np.zeros(len(X))], axis=1)
