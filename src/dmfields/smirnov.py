@@ -336,22 +336,18 @@ class GridField:
         i = np.minimum(np.maximum(np.floor(u).astype(int), 0), nx - 2)
         j = np.minimum(np.maximum(np.floor(v).astype(int), 0), ny - 2)
         # exact and within [0, 1] for points inside the grid
-        du = u - i
-        dv = v - j
-        cu = 1 - du
-        cv = 1 - dv
-        k00 = i * ny + j  # flat index of the cell's corner (i, j)
-        k10 = k00 + ny
-        k01 = k00 + 1
-        k11 = k10 + 1
+        du, dv = u - i, v - j
+        cu, cv = 1 - du, 1 - dv
+        k = i * ny + j  # flat index of the cell's corner (i, j)
+        corners = ((k + ny, du, cv), (k + 1, cu, dv), (k + ny + 1, du, dv))
         out = []
         for A in arrays:
             a = A.ravel()
-            val = a.take(k00)
+            val = a.take(k)
             val *= cu
             val *= cv
-            for k, wu, wv in ((k10, du, cv), (k01, cu, dv), (k11, du, dv)):
-                t = a.take(k)
+            for kc, wu, wv in corners:
+                t = a.take(kc)
                 t *= wu
                 t *= wv
                 val += t
@@ -359,11 +355,10 @@ class GridField:
                 val, part = np.zeros(len(pts)), val
                 val[ok] = part
             out.append(val)
-        return out, inside
+        return tuple(out), inside
 
     def sigma_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        (sx, sy), _ = self._sample(pts, (self.sigx, self.sigy))
-        return sx, sy
+        return self._sample(pts, (self.sigx, self.sigy))[0]
 
     def sigma_at_masked(self, pts, alive):
         (sx, sy), inside = self._sample(pts, (self.sigx, self.sigy), alive)
@@ -462,8 +457,8 @@ def mollify(
 def _velocity(gf: GridField, pts: np.ndarray, alive):
     if alive is None:
         return np.stack(gf.sigma_at(pts), axis=1), True
-    sx, sy, inside = gf.sigma_at_masked(pts, alive)
-    return np.stack([sx, sy], axis=1), inside
+    *s, inside = gf.sigma_at_masked(pts, alive)
+    return np.stack(s, axis=1), inside
 
 
 def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
