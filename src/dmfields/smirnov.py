@@ -528,14 +528,13 @@ def reconstruct_check(
     p = p / p.sum()
     pick = rng.choice(len(p), size=N, p=p)
     jitter = rng.uniform(-0.5, 0.5, size=(N, 2)) * h
-    seeds = cells[pick] + jitter
+    x = cells[pick] + jitter
     # reflect jittered seeds back into the grid: on its edge sigma is
     # round-off and may point out of it
-    for col, g in zip(seeds.T, (gx, gy)):
+    for col, g in zip(x.T, (gx, gy)):
         np.copyto(col, 2 * g[0] - col, where=col < g[0])
         np.copyto(col, 2 * g[-1] - col, where=col > g[-1])
 
-    x = seeds.copy()
     alive = np.ones(N, dtype=bool)
     integral = np.zeros(N)
     nsteps = int(round(T / dt))
