@@ -392,7 +392,9 @@ def _coord(n):
 
 
 @given(
-    st.lists(st.tuples(_coord(_NX), _coord(_NY), st.booleans()), min_size=1, max_size=40)
+    st.lists(
+        st.tuples(_coord(_NX), _coord(_NY), st.booleans()), min_size=1, max_size=40
+    )
 )
 @settings(max_examples=300, deadline=None)
 def test_sample_equals_the_old_bilinear_bit_for_bit(rows):
@@ -423,7 +425,11 @@ def test_sample_equals_the_old_bilinear_bit_for_bit(rows):
     assert _bits(gf.div_sigma_at(pts)) == _bits(_old_bilinear(gf.div_sigma, u, v))
 
 
-@given(st.lists(st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)), min_size=1, max_size=40))
+@given(
+    st.lists(
+        st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)), min_size=1, max_size=40
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_sample_equals_the_old_bilinear_on_a_mollified_grid(ring_grid, xy):
     gf = ring_grid
@@ -446,7 +452,9 @@ def test_flow_trace_equals_the_old_rk4(ring_grid):
     assert c.vertices == tuple(want)
 
 
-@pytest.mark.parametrize("seed, T, dt", [((1.0, 0.0), 0.5, 1e-3), ((0.0, -0.9), 0.3, 2e-3)])
+@pytest.mark.parametrize(
+    "seed, T, dt", [((1.0, 0.0), 0.5, 1e-3), ((0.0, -0.9), 0.3, 2e-3)]
+)
 def test_transport_invariant_equals_the_old_rk4(ring_grid, seed, T, dt):
     got = transport_invariant(ring_grid, seed, T=T, dt=dt)
     assert got == _old_transport_invariant(ring_grid, seed, T, dt)
