@@ -21,6 +21,7 @@ from dmfields import (
     snap_to_graph,
     transport_invariant,
 )
+from dmfields.acceptance import _preset_loops
 
 grid_pt = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
     lambda p: (float(p[0]), float(p[1]))
@@ -263,12 +264,7 @@ def _rotation_about_centroid(f):
     return Phi
 
 
-TRIANGLE = CurveField(
-    [PolyCurve([(0.1, 0.1), (0.9, 0.2), (0.5, 0.9), (0.1, 0.1)], 1.0)]
-)
-SQUARE_LOOP = CurveField(
-    [PolyCurve([(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8), (0.2, 0.2)], 1.0)]
-)
+SQUARE_LOOP, TRIANGLE, _ = _preset_loops()  # AC-9's loops
 
 
 @pytest.mark.parametrize("rng_seed", range(5))
