@@ -14,7 +14,9 @@ and check the resulting curve decomposition by Monte-Carlo integration
 against grid integrals, including the mass-transport invariant
 tau(G_t(x)) det(grad G_t(x)) = const along trajectories. Every grid
 lookup goes through one bilinear sampler, `GridField._sample`, and
-every integrator through one RK4 step, `_rk4_step`.
+every integrator through one RK4 step, `_rk4_step`. Single flow curves
+come from one trajectory driver, `_trajectory`, and the drift check
+reads tau and div sigma along the whole curve in one lookup.
 """
 
 from __future__ import annotations
@@ -81,36 +83,31 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     """Merge vertices within tol, split edges at nodes lying on them,
     cancel antiparallel overlaps, drop zero weight. Node imbalances then
     equal the field's divergence coefficients."""
-    raw: list[Point] = []
-    for c in f:
-        raw.extend(c.vertices)
+    # each vertex, in sorted order, goes to the first earlier
+    # representative within tol, or becomes one
     reps: list[Point] = []
-
-    def rep(p: Point) -> Point:
-        for r in reps:
-            if dist(p, r) <= tol:
-                return r
-        reps.append(p)
-        return p
-
-    for p in sorted(set(raw)):
-        rep(p)
+    rep: dict[Point, Point] = {}
+    for p in sorted({p for c in f for p in c.vertices}):
+        r = next((r for r in reps if dist(p, r) <= tol), None)
+        if r is None:
+            reps.append(p)
+            r = p
+        rep[p] = r
     segs: list[tuple[Point, Point, float]] = []
     for c in f:
         for a, b in c.segments():
-            u, v = rep(a), rep(b)
+            u, v = rep[a], rep[b]
             if u != v:
                 segs.append((u, v, c.weight))
     pieces: list[tuple[Point, Point, float]] = []
     for (a, b, w), hits in zip(segs, _interior_nodes(segs, reps, tol)):
         pts = [a] + [r for _, r in sorted(hits)] + [b]
         pieces.extend((u, v, w) for u, v in zip(pts, pts[1:]))
+    # an edge and its reverse accumulate under the smaller orientation
     acc: dict[tuple[Point, Point], float] = {}
     for u, v, w in pieces:
-        if (v, u) in acc or ((u, v) not in acc and (v, u) < (u, v)):
-            acc[(v, u)] = acc.get((v, u), 0.0) - w
-        else:
-            acc[(u, v)] = acc.get((u, v), 0.0) + w
+        key = min((u, v), (v, u))
+        acc[key] = acc.get(key, 0.0) + (w if key == (u, v) else -w)
     used_nodes = sorted(
         {u for (u, v), w in acc.items() if w != 0.0}
         | {v for (u, v), w in acc.items() if w != 0.0}
@@ -168,10 +165,10 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
     curves: list[PolyCurve] = []
     node_order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
     while True:
-        sources = [i for i in node_order if imb[i] > tol]
-        if not sources:
+        s = next((i for i in node_order if imb[i] > tol), None)
+        if s is None:
             break
-        path = walk_to_sink(sources[0])
+        path = walk_to_sink(s)
         if path is None:
             break
         amt = min(w[(u, v)] for u, v in zip(path, path[1:]))
@@ -183,14 +180,12 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
         curves.append(PolyCurve([g.nodes[i] for i in path], amt))
     # cycles
     while True:
-        starts = [
-            u
-            for u in node_order
-            if any(live(u, v) for v in out.get(u, []))
-        ]
-        if not starts:
+        s = next(
+            (u for u in node_order if any(live(u, v) for v in out.get(u, []))),
+            None,
+        )
+        if s is None:
             break
-        s = starts[0]
         path = [s]
         pos = {s: 0}
         while True:
@@ -480,18 +475,24 @@ def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
     return k1, in1 & in2 & in3 & in4
 
 
+def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> np.ndarray:
+    """The (n + 1, 2) points of the fixed-step RK4 flow of x' = sigma(x)
+    from the seed, n = round(T / dt). LeftGrid when a stage leaves the
+    grid; the final point itself is not sampled."""
+    n = int(round(T / dt))
+    X = np.empty((n + 1, 2))
+    X[0] = seed[0], seed[1]
+    for k in range(n):
+        X[k + 1] = X[k] + _rk4_step(gf, X[k : k + 1], dt)[0][0]
+    return X
+
+
 def flow_trace(
     gf: GridField, seed: Point, T: float = 1.0, dt: float = 1e-3
 ) -> PolyCurve:
     """Fixed-step fourth-order integration of x' = sigma(x); vertices
     recorded every step. LeftGrid when a stage leaves the grid."""
-    x = np.array([[float(seed[0]), float(seed[1])]])
-    verts = [(float(x[0, 0]), float(x[0, 1]))]
-    n = int(round(T / dt))
-    for _ in range(n):
-        x = x + _rk4_step(gf, x, dt)[0]
-        verts.append((float(x[0, 0]), float(x[0, 1])))
-    return PolyCurve(verts, 1.0)
+    return PolyCurve(_trajectory(gf, seed, T, dt).tolist(), 1.0)
 
 
 def reconstruct_check(
@@ -557,18 +558,15 @@ def transport_invariant(
 ) -> float:
     """Maximum drift of log tau along a flow curve corrected by the
     accumulated divergence of sigma; zero for the exact continuity
-    equation, O(dt^2 + h^2) discretely."""
-    x = np.array([[float(seed[0]), float(seed[1])]])
-    log0 = math.log(float(gf.tau_at(x)[0]))
-    acc = 0.0
+    equation, O(dt^2 + h^2) discretely. LeftGrid when a stage or the
+    final point leaves the grid."""
+    X = _trajectory(gf, seed, T, dt)
+    (tau, div), _ = gf._sample(X, (gf.tau, gf.div_sigma))
+    # trapezoid rule, summed in step order (cumsum does not pair terms)
+    acc = np.cumsum(0.5 * (div[:-1] + div[1:]) * dt)
+    tau = tau.tolist()
+    log0 = math.log(tau[0])
     worst = 0.0
-    n = int(round(T / dt))
-    d0 = float(gf.div_sigma_at(x)[0])
-    for _ in range(n):
-        x = x + _rk4_step(gf, x, dt)[0]
-        d1 = float(gf.div_sigma_at(x)[0])
-        acc += 0.5 * (d0 + d1) * dt
-        drift = math.log(float(gf.tau_at(x)[0])) - log0 + acc
-        worst = max(worst, abs(drift))
-        d0 = d1
+    for t, a in zip(tau[1:], acc.tolist()):
+        worst = max(worst, abs(math.log(t) - log0 + a))
     return worst
