@@ -379,6 +379,8 @@ def mollify(
     kernel bandwidth eps truncated at 4 eps and discretely normalized;
     tau gets a floor of eps times a unit Gaussian bump at the support
     centroid (renormalized so the floor integrates to eps exactly)."""
+    if not (eps > 0 and h > 0):
+        raise ValueError(f"mollify needs eps > 0 and h > 0, got {eps}, {h}")
     from scipy.signal import fftconvolve
 
     pts = [v for c in f for v in c.vertices]
@@ -511,6 +513,10 @@ def reconstruct_check(
     cell and reflected back into the grid where the jitter leaves it.
     Phi maps an (N, 2) array to an (N, 2) array. Returns (lhs,
     estimate, stderr, number of truncated trajectories)."""
+    if not (N >= 2 and T > 0 and dt > 0):
+        raise ValueError(
+            f"reconstruct_check needs N >= 2, T > 0 and dt > 0, got {N}, {T}, {dt}"
+        )
     h = gf.h
     nx, ny = gf.shape
     gx = gf.origin[0] + np.arange(nx) * h

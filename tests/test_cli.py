@@ -154,6 +154,30 @@ def test_smirnov_sim_verb(files, capsys):
     assert payload["truncated"] == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--samples", "1"),
+        ("--samples", "0"),
+        ("--grid-h", "0"),
+        ("--dt", "0"),
+        ("--eps", "0"),
+    ],
+)
+def test_smirnov_sim_rejects_out_of_range_input(files, capsys, flag, value):
+    # one sample used to print "stderr": NaN, which is not JSON; the
+    # zeros used to end in a ZeroDivisionError or a NaN probability
+    loop = files["write"](
+        "loop.json",
+        {"curves": [{"weight": 1.0, "vertices": [[0, 0], [1, 0], [1, 1], [0, 0]]}]},
+    )
+    rc = cli.main(["smirnov-sim", "--field", loop, "--seed", "1", flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input")
+
+
 def test_domain_preset_verb(files, capsys):
     rc = cli.main(["domain-preset", "--name", "lshape"])
     assert rc == 0
