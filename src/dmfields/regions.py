@@ -222,19 +222,19 @@ class PolyRegion:
             start += len(ring)
         return out
 
+    def _in_rings(self, p: Point) -> bool:
+        """Inside the outer ring and no hole, for a point off the boundary."""
+        return _in_ring(p, self.outer) and not any(_in_ring(p, h) for h in self.holes)
+
     def contains(self, p: Point) -> bool:
         """Open-interior membership; boundary points are outside."""
-        if self.on_boundary(p):
-            return False
-        if not _in_ring(p, self.outer):
-            return False
-        return not any(_in_ring(p, h) for h in self.holes)
+        return not self.on_boundary(p) and self._in_rings(p)
 
     def classify(self, p: Point) -> int:
         """+1 open interior, 0 boundary (within EPS), -1 outside."""
         if self.on_boundary(p):
             return 0
-        return 1 if self.contains(p) else -1
+        return 1 if self._in_rings(p) else -1
 
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [p[0] for p in self.outer]
