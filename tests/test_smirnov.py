@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     CurveField,
+    FlowGraph,
     GridField,
     LeftGrid,
     MalformedLift,
@@ -22,6 +24,8 @@ from dmfields import (
     transport_invariant,
 )
 from dmfields.acceptance import _preset_loops
+from dmfields.core import dist
+from dmfields.smirnov import _interior_nodes
 
 grid_pt = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
     lambda p: (float(p[0]), float(p[1]))
@@ -167,6 +171,187 @@ def test_solenoidal_round_trip_recomposes_grid_fields(specs):
     assert back.edges == orig.edges
 
 
+# `snap_to_graph` and `graph_decompose` as they were written before the
+# representative map, the single cancellation key and the first-match
+# peel: references that the current versions must equal with ==.
+
+
+def _old_snap_to_graph(f, tol=1e-9):
+    raw = []
+    for c in f:
+        raw.extend(c.vertices)
+    reps = []
+
+    def rep(p):
+        for r in reps:
+            if dist(p, r) <= tol:
+                return r
+        reps.append(p)
+        return p
+
+    for p in sorted(set(raw)):
+        rep(p)
+    segs = []
+    for c in f:
+        for a, b in c.segments():
+            u, v = rep(a), rep(b)
+            if u != v:
+                segs.append((u, v, c.weight))
+    pieces = []
+    for (a, b, w), hits in zip(segs, _interior_nodes(segs, reps, tol)):
+        pts = [a] + [r for _, r in sorted(hits)] + [b]
+        pieces.extend((u, v, w) for u, v in zip(pts, pts[1:]))
+    acc = {}
+    for u, v, w in pieces:
+        if (v, u) in acc or ((u, v) not in acc and (v, u) < (u, v)):
+            acc[(v, u)] = acc.get((v, u), 0.0) - w
+        else:
+            acc[(u, v)] = acc.get((u, v), 0.0) + w
+    used_nodes = sorted(
+        {u for (u, v), w in acc.items() if w != 0.0}
+        | {v for (u, v), w in acc.items() if w != 0.0}
+    )
+    index = {p: i for i, p in enumerate(used_nodes)}
+    edges = []
+    for (u, v), w in sorted(acc.items()):
+        if w > 0.0:
+            edges.append((index[u], index[v], w))
+        elif w < 0.0:
+            edges.append((index[v], index[u], -w))
+    imb = [0.0] * len(used_nodes)
+    for u, v, w in edges:
+        imb[u] += w
+        imb[v] -= w
+    return FlowGraph(tuple(used_nodes), tuple(sorted(edges)), tuple(imb))
+
+
+def _old_graph_decompose(g, tol=1e-12):
+    w = {}
+    out = {}
+    for u, v, wt in g.edges:
+        w[(u, v)] = w.get((u, v), 0.0) + wt
+        out.setdefault(u, []).append(v)
+    for u in out:
+        out[u] = sorted(set(out[u]), key=lambda v: g.nodes[v])
+    imb = list(g.imbalance)
+
+    def live(u, v):
+        return w.get((u, v), 0.0) > tol
+
+    def walk_to_sink(s):
+        parent = {s: None}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if imb[u] < -tol and u != s:
+                path = [u]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            for v in out.get(u, []):
+                if live(u, v) and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return None
+
+    curves = []
+    node_order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
+    while True:
+        sources = [i for i in node_order if imb[i] > tol]
+        if not sources:
+            break
+        path = walk_to_sink(sources[0])
+        if path is None:
+            break
+        amt = min(w[(u, v)] for u, v in zip(path, path[1:]))
+        amt = min(amt, imb[path[0]], -imb[path[-1]])
+        for u, v in zip(path, path[1:]):
+            w[(u, v)] -= amt
+        imb[path[0]] -= amt
+        imb[path[-1]] += amt
+        curves.append(PolyCurve([g.nodes[i] for i in path], amt))
+    while True:
+        starts = [
+            u
+            for u in node_order
+            if any(live(u, v) for v in out.get(u, []))
+        ]
+        if not starts:
+            break
+        s = starts[0]
+        path = [s]
+        pos = {s: 0}
+        while True:
+            u = path[-1]
+            nxt = next((v for v in out.get(u, []) if live(u, v)), None)
+            if nxt is None:
+                if len(path) > 1:
+                    w[(path[-2], path[-1])] = 0.0
+                else:
+                    for v in out.get(u, []):
+                        w[(u, v)] = 0.0
+                break
+            if nxt in pos:
+                cyc = path[pos[nxt]:] + [nxt]
+                amt = min(w[(a, b)] for a, b in zip(cyc, cyc[1:]))
+                for a, b in zip(cyc, cyc[1:]):
+                    w[(a, b)] -= amt
+                curves.append(PolyCurve([g.nodes[i] for i in cyc], amt))
+                break
+            path.append(nxt)
+            pos[nxt] = len(path) - 1
+    return curves
+
+
+# grid points moved by less than 1.3e-9: chains of points each within
+# the 1e-9 tolerance of the next, and points within it of two points
+# that are not within it of each other, so the order in which vertices
+# meet their representatives decides the merge
+_NEAR = [
+    (0.0, 0.0),
+    (6e-10, 0.0),
+    (1.2e-9, 0.0),
+    (0.0, 6e-10),
+    (0.0, 1.2e-9),
+    (4e-10, 4e-10),
+    (-5e-10, 5e-10),
+]
+chain_pt = st.tuples(
+    st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), st.sampled_from(_NEAR)
+).map(lambda t: (t[0][0] + t[1][0], t[0][1] + t[1][1]))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(chain_pt, min_size=2, max_size=5),
+            st.one_of(dyadic, st.floats(0.1, 2.0)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_snap_and_peel_equal_the_two_pass_reference(specs, lifted):
+    curves = []
+    for pts, w, reverse in specs:
+        curves.append((pts, w))
+        if reverse:  # an antiparallel duplicate
+            curves.append((pts[::-1], w))
+    try:
+        f = _grid_field(curves)
+    except ValueError:
+        return  # all-duplicate vertex lists
+    if lifted:
+        f = lift_solenoidal(f)
+    g = snap_to_graph(f)
+    assert g == _old_snap_to_graph(f)
+    got = [(c.vertices, c.weight) for c in graph_decompose(g)]
+    assert got == [(c.vertices, c.weight) for c in _old_graph_decompose(g)]
+
+
 def test_project_keeps_flat_curves_and_drops_raised_ones():
     flat = PolyCurve([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], 1.0)
     high = PolyCurve([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)], 1.0)
@@ -264,7 +449,8 @@ def _rotation_about_centroid(f):
     return Phi
 
 
-SQUARE_LOOP, TRIANGLE, _ = _preset_loops()  # AC-9's loops
+AC9_LOOPS = _preset_loops()
+SQUARE_LOOP, TRIANGLE, _ = AC9_LOOPS
 
 
 @pytest.mark.parametrize("rng_seed", range(5))
@@ -448,9 +634,60 @@ def test_flow_trace_equals_the_old_rk4(ring_grid):
     assert c.vertices == tuple(want)
 
 
+@pytest.fixture(scope="module")
+def grids(ring_grid):
+    """The ring grid, and AC-9's loops at both of its resolutions."""
+    out = {"ring": ring_grid}
+    for i, f in enumerate(AC9_LOOPS):
+        for h in (0.02, 0.01):
+            out[i, h] = mollify(f, 0.1, h)
+    return out
+
+
 @pytest.mark.parametrize(
-    "seed, T, dt", [((1.0, 0.0), 0.5, 1e-3), ((0.0, -0.9), 0.3, 2e-3)]
+    "grid, seed, T, dt",
+    [
+        pytest.param("ring", (1.0, 0.0), 0.5, 1e-3, id="seed0-0.5-0.001"),
+        pytest.param("ring", (0.0, -0.9), 0.3, 2e-3, id="seed1-0.3-0.002"),
+    ]
+    + [
+        # AC-9's drift checks, at T = 0.25
+        pytest.param((i, h), f.curves[0].point_at(0.5), 0.25, dt, id=f"ac9-{i}-{h}")
+        for i, f in enumerate(AC9_LOOPS)
+        for h, dt in ((0.02, 1e-3), (0.01, 5e-4))
+    ],
 )
-def test_transport_invariant_equals_the_old_rk4(ring_grid, seed, T, dt):
-    got = transport_invariant(ring_grid, seed, T=T, dt=dt)
-    assert got == _old_transport_invariant(ring_grid, seed, T, dt)
+def test_transport_invariant_equals_the_old_rk4(grids, grid, seed, T, dt):
+    got = transport_invariant(grids[grid], seed, T=T, dt=dt)
+    assert got == _old_transport_invariant(grids[grid], seed, T, dt)
+
+
+# sigma = (3x, 0) on [0, 16] x [0, 1], exactly bilinear: the flow from
+# (1, 0.5) grows like exp(3t), and with dt = 0.1 an RK4 stage first
+# leaves the grid in step 10. With dt = 1, every stage of the one step
+# stays inside (the last at x = 15.25) but the step ends at x = 16.375.
+_IX = np.repeat(np.arange(17.0)[:, None], 2, axis=1)
+STRETCH = GridField(
+    (0.0, 0.0), 1.0, 0.1, 3.0 * _IX, np.zeros_like(_IX), np.ones_like(_IX)
+)
+
+
+@pytest.mark.parametrize("T", [2.0, 1.0])  # leaves mid-run, in the last step
+def test_flow_trace_raises_when_a_stage_leaves_the_grid(T):
+    with pytest.raises(LeftGrid):
+        flow_trace(STRETCH, (1.0, 0.5), T=T, dt=0.1)
+
+
+@pytest.mark.parametrize(
+    "seed, T, dt",
+    [
+        ((1.0, 0.5), 2.0, 0.1),  # a stage leaves mid-run
+        ((1.0, 0.5), 1.0, 0.1),  # a stage of the last step leaves
+        ((1.0, 0.5), 1.0, 1.0),  # only the final point is outside
+        ((-1.0, 0.5), 1.0, 0.1),  # the seed is outside
+        ((-1.0, 0.5), 0.0, 0.1),  # the seed is outside, no step
+    ],
+)
+def test_transport_invariant_raises_when_the_trajectory_leaves_the_grid(seed, T, dt):
+    with pytest.raises(LeftGrid):
+        transport_invariant(STRETCH, seed, T=T, dt=dt)
