@@ -11,6 +11,7 @@ operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +33,15 @@ def as_point(coords: Iterable[float]) -> Point:
 
 def dist(p: Point, q: Point) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+
+
+def x_window(xs: Sequence[float], x: float, tol: float) -> range:
+    """Indices of the sorted first coordinates xs within 2 tol of x. A
+    point outside the window is more than tol, by `dist`, from every
+    point with first coordinate x, at any coordinate scale where squares
+    of distances near tol do not underflow: the factor 2 covers the
+    rounding of x -+ 2 tol, also where 2 tol is below one ulp of x."""
+    return range(bisect_left(xs, x - 2 * tol), bisect_right(xs, x + 2 * tol))
 
 
 @dataclass(frozen=True)
@@ -193,9 +203,11 @@ class AtomicMeasure:
     def coalesced(self, tol: float = 1e-9) -> "AtomicMeasure":
         """Merge atoms whose locations are within tol of each other
         (single-linkage clusters, represented by their lexicographically
-        smallest member); drop coefficients below tol."""
+        smallest member); drop coefficients below tol. Atoms are sorted,
+        so each is tested only against the later ones in its x-window."""
         atoms = list(self.atoms)
         n = len(atoms)
+        xs = [p[0] for p, _ in atoms]
         parent = list(range(n))
 
         def find(i: int) -> int:
@@ -205,7 +217,7 @@ class AtomicMeasure:
             return i
 
         for i in range(n):
-            for j in range(i + 1, n):
+            for j in range(i + 1, x_window(xs, xs[i], tol).stop):
                 if dist(atoms[i][0], atoms[j][0]) <= tol:
                     ri, rj = find(i), find(j)
                     if ri != rj:

@@ -3,7 +3,11 @@
 Exact side: snap a polygonal field onto a graph (merging vertices,
 splitting collinear overlaps, cancelling antiparallel mass), then peel
 off source-to-sink paths and cycles whose recomposition reproduces the
-edge weights. A dimension lift sends any finite-divergence planar field
+edge weights. Both run in sweeps that only move forward: vertices meet
+only the representatives in their sorted-x window (`core.x_window`);
+sources and cycle starts come from one cursor over the sorted nodes per
+phase; each node's first live out-edge comes from its own cursor. A
+dimension lift sends any finite-divergence planar field
 to a divergence-free spatial one, so the cycle machinery applies to
 fields with sources; projecting the flat portions back recovers the
 plane field.
@@ -22,6 +26,7 @@ reads tau and div sigma along the whole curve in one lookup.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +41,7 @@ from .core import (
     dist,
     field_divergence,
     field_mass,
+    x_window,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,13 +90,17 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     cancel antiparallel overlaps, drop zero weight. Node imbalances then
     equal the field's divergence coefficients."""
     # each vertex, in sorted order, goes to the first earlier
-    # representative within tol, or becomes one
+    # representative within tol, or becomes one; representatives are
+    # appended in sorted order, so their x-coordinates never decrease
     reps: list[Point] = []
+    xs: list[float] = []
     rep: dict[Point, Point] = {}
     for p in sorted({p for c in f for p in c.vertices}):
-        r = next((r for r in reps if dist(p, r) <= tol), None)
+        window = (reps[k] for k in x_window(xs, p[0], tol))
+        r = next((r for r in window if dist(p, r) <= tol), None)
         if r is None:
             reps.append(p)
+            xs.append(p[0])
             r = p
         rep[p] = r
     segs: list[tuple[Point, Point, float]] = []
@@ -131,12 +141,11 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
     cycles; each extraction removes the minimum weight along its walk.
     Deterministic: lexicographically smallest choices throughout."""
     w = {}
-    out: dict[int, list[int]] = {}
+    out: list[list[int]] = [[] for _ in g.nodes]
     for u, v, wt in g.edges:
         w[(u, v)] = w.get((u, v), 0.0) + wt
-        out.setdefault(u, []).append(v)
-    for u in out:
-        out[u] = sorted(set(out[u]), key=lambda v: g.nodes[v])
+        out[u].append(v)
+    out = [sorted(set(vs), key=lambda v: g.nodes[v]) for vs in out]
     imb = list(g.imbalance)
 
     def live(u, v):
@@ -145,8 +154,6 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
     def walk_to_sink(s: int):
         # breadth-first over live edges to the nearest deficit node;
         # conservation guarantees one is reachable from any source
-        from collections import deque
-
         parent = {s: None}
         queue = deque([s])
         while queue:
@@ -156,19 +163,33 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 return path[::-1]
-            for v in out.get(u, []):
+            for v in out[u]:
                 if live(u, v) and v not in parent:
                     parent[v] = u
                     queue.append(v)
         return None
 
+    # weights and source imbalances only fall, so a node that stops being
+    # a source and an edge that dies stay so: the cursors below only move
+    # forward, past nodes and edges that can never be chosen again
+    cur = [0] * len(g.nodes)  # out[u][:cur[u]] are dead
+
+    def first_live(u):
+        vs, i = out[u], cur[u]
+        while i < len(vs) and not live(u, vs[i]):
+            i += 1
+        cur[u] = i
+        return vs[i] if i < len(vs) else None
+
     curves: list[PolyCurve] = []
     node_order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
+    k = 0
     while True:
-        s = next((i for i in node_order if imb[i] > tol), None)
-        if s is None:
+        while k < len(node_order) and not imb[node_order[k]] > tol:
+            k += 1
+        if k == len(node_order):
             break
-        path = walk_to_sink(s)
+        path = walk_to_sink(node_order[k])
         if path is None:
             break
         amt = min(w[(u, v)] for u, v in zip(path, path[1:]))
@@ -179,26 +200,22 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
         imb[path[-1]] += amt
         curves.append(PolyCurve([g.nodes[i] for i in path], amt))
     # cycles
+    k = 0
     while True:
-        s = next(
-            (u for u in node_order if any(live(u, v) for v in out.get(u, []))),
-            None,
-        )
-        if s is None:
+        while k < len(node_order) and first_live(node_order[k]) is None:
+            k += 1
+        if k == len(node_order):
             break
-        path = [s]
-        pos = {s: 0}
+        path = [node_order[k]]
+        pos = {path[0]: 0}
         while True:
             u = path[-1]
-            nxt = next((v for v in out.get(u, []) if live(u, v)), None)
+            nxt = first_live(u)
             if nxt is None:
                 # float residue below tolerance left a dead end; the
-                # weight that led here is unreturnable, drop it
-                if len(path) > 1:
-                    w[(path[-2], path[-1])] = 0.0
-                else:
-                    for v in out.get(u, []):
-                        w[(u, v)] = 0.0
+                # weight that led here is unreturnable, drop it (the
+                # start has a live edge, so u is not the start)
+                w[(path[-2], u)] = 0.0
                 break
             if nxt in pos:
                 cyc = path[pos[nxt]:] + [nxt]

@@ -12,6 +12,7 @@ from dmfields import (
     field_mass,
     pair_vector,
 )
+from dmfields.core import dist
 
 coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 point2 = st.tuples(coord, coord)
@@ -88,6 +89,56 @@ def test_measure_coalesce_merges_nearby_atoms():
     c = m.coalesced(1e-9)
     assert len(c.atoms) == 1
     assert c.atoms[0][1] == 3.0
+
+
+def _all_pairs_coalesced(m, tol):
+    # coalesced as it was before the x-window: every pair tested
+    atoms = list(m.atoms)
+    n = len(atoms)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist(atoms[i][0], atoms[j][0]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    merged = []
+    for idxs in groups.values():
+        loc = min(atoms[i][0] for i in idxs)
+        coeff = sum(atoms[i][1] for i in idxs)
+        if abs(coeff) > tol:
+            merged.append((loc, coeff))
+    return AtomicMeasure(merged)
+
+
+# offsets below 2.5e-9 from a few grid points: chains of atoms each
+# within 1e-9 of the next, along both axes and diagonally
+_NEAR = [0.0, 6e-10, 1.2e-9, 1.8e-9, 2.4e-9, -6e-10]
+near_atom = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.sampled_from(_NEAR), st.sampled_from(_NEAR)
+).map(lambda t: (t[0] + t[2], t[1] + t[3]))
+
+
+@given(
+    st.lists(st.tuples(near_atom, st.sampled_from([1.0, -1.0, 0.25, 5e-10])), max_size=30),
+    # from 1e6 on, 2 tol is below one ulp of the coordinates
+    st.sampled_from([0.0, 1e3, 1e6, 1e8]),
+    st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_coalesced_equals_the_all_pairs_union(atoms, offset, tol):
+    m = AtomicMeasure([((x + offset, y - offset), c) for (x, y), c in atoms])
+    assert m.coalesced(tol) == _all_pairs_coalesced(m, tol)
 
 
 def test_measure_arithmetic():

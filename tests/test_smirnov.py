@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
     CurveField,
@@ -23,6 +23,7 @@ from dmfields import (
     snap_to_graph,
     transport_invariant,
 )
+from dmfields import smirnov
 from dmfields.acceptance import _preset_loops
 from dmfields.core import dist
 from dmfields.smirnov import _interior_nodes
@@ -172,8 +173,9 @@ def test_solenoidal_round_trip_recomposes_grid_fields(specs):
 
 
 # `snap_to_graph` and `graph_decompose` as they were written before the
-# representative map, the single cancellation key and the first-match
-# peel: references that the current versions must equal with ==.
+# representative map, the single cancellation key, the sorted-x window
+# and the peel's cursors: references that the current versions must
+# equal with ==.
 
 
 def _old_snap_to_graph(f, tol=1e-9):
@@ -303,16 +305,19 @@ def _old_graph_decompose(g, tol=1e-12):
     return curves
 
 
-# grid points moved by less than 1.3e-9: chains of points each within
-# the 1e-9 tolerance of the next, and points within it of two points
-# that are not within it of each other, so the order in which vertices
-# meet their representatives decides the merge
+# grid points moved by less than 2.5e-9: chains of points each within
+# the 1e-9 tolerance of the next, also along one vertical line, and
+# points within it of two points that are not within it of each other,
+# so the order in which vertices meet their representatives decides the
+# merge
 _NEAR = [
     (0.0, 0.0),
     (6e-10, 0.0),
     (1.2e-9, 0.0),
     (0.0, 6e-10),
     (0.0, 1.2e-9),
+    (0.0, 1.8e-9),
+    (0.0, 2.4e-9),
     (4e-10, 4e-10),
     (-5e-10, 5e-10),
 ]
@@ -321,25 +326,49 @@ chain_pt = st.tuples(
 ).map(lambda t: (t[0][0] + t[1][0], t[0][1] + t[1][1]))
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.lists(chain_pt, min_size=2, max_size=5),
-            st.one_of(dyadic, st.floats(0.1, 2.0)),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_snap_and_peel_equal_the_two_pass_reference(specs, lifted):
+def _with_reverses(specs):
     curves = []
     for pts, w, reverse in specs:
         curves.append((pts, w))
         if reverse:  # an antiparallel duplicate
             curves.append((pts[::-1], w))
+    return curves
+
+
+chain_curves = st.lists(
+    st.tuples(
+        st.lists(chain_pt, min_size=2, max_size=5),
+        st.one_of(dyadic, st.floats(0.1, 2.0)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+).map(_with_reverses)
+# a few real points and large real weights: segments repeat in both
+# directions, and the peel's float residues exceed its 1e-12 tolerance,
+# so cycle walks reach dead ends
+_POOL = [(0.3, -0.7), (-0.45, 0.2), (0.8, 0.65), (-0.1, -0.35)]
+pool_curves = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_POOL), min_size=2, max_size=5),
+        st.floats(1e3, 1e5),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(
+    st.one_of(chain_curves, pool_curves),
+    st.booleans(),
+    # from 1e6 on, 2 tol is below one ulp of the coordinates
+    st.sampled_from([0.0, 1e3, 1e6, 1e8]),
+)
+# a residue of about 7e-12 stays on the edge into (-0.1, -0.35): a dead end
+@example([([_POOL[0], _POOL[3]], 73100.2), ([_POOL[2], _POOL[3]], 30418.1)], False, 0.0)
+@settings(max_examples=400, deadline=None)
+def test_snap_and_peel_equal_the_two_pass_reference(curves, lifted, offset):
+    curves = [([(x + offset, y + offset) for x, y in p], w) for p, w in curves]
     try:
         f = _grid_field(curves)
     except ValueError:
@@ -350,6 +379,24 @@ def test_snap_and_peel_equal_the_two_pass_reference(specs, lifted):
     assert g == _old_snap_to_graph(f)
     got = [(c.vertices, c.weight) for c in graph_decompose(g)]
     assert got == [(c.vertices, c.weight) for c in _old_graph_decompose(g)]
+
+
+def test_snap_makes_few_dist_calls_per_vertex(monkeypatch):
+    # 1,000 distinct real vertices; scanning every earlier
+    # representative for each vertex makes about 500 calls per vertex
+    pts = [tuple(p) for p in np.random.default_rng(3).uniform(-1, 1, (1000, 2))]
+    f = CurveField([PolyCurve(pts[i : i + 5]) for i in range(0, 1000, 5)])
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return dist(p, q)
+
+    monkeypatch.setattr(smirnov, "dist", counted)
+    g = snap_to_graph(f)
+    assert len(g.nodes) == 1000
+    assert calls <= 10 * 1000
 
 
 def test_project_keeps_flat_curves_and_drops_raised_ones():
