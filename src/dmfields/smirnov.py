@@ -496,13 +496,14 @@ def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
 
 def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> np.ndarray:
     """The (n + 1, 2) points of the fixed-step RK4 flow of x' = sigma(x)
-    from the seed, n = round(T / dt). LeftGrid when a stage leaves the
-    grid; the final point itself is not sampled."""
+    from the seed, n = round(T / dt). LeftGrid when a stage or the final
+    point leaves the grid."""
     n = int(round(T / dt))
     X = np.empty((n + 1, 2))
     X[0] = seed[0], seed[1]
     for k in range(n):
         X[k + 1] = X[k] + _rk4_step(gf, X[k : k + 1], dt)[0][0]
+    gf._sample(X[n:], ())  # LeftGrid if the final point is outside
     return X
 
 
@@ -510,7 +511,8 @@ def flow_trace(
     gf: GridField, seed: Point, T: float = 1.0, dt: float = 1e-3
 ) -> PolyCurve:
     """Fixed-step fourth-order integration of x' = sigma(x); vertices
-    recorded every step. LeftGrid when a stage leaves the grid."""
+    recorded every step. LeftGrid when a stage or the final point leaves
+    the grid."""
     return PolyCurve(_trajectory(gf, seed, T, dt).tolist(), 1.0)
 
 

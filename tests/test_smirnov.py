@@ -719,10 +719,17 @@ STRETCH = GridField(
 )
 
 
-@pytest.mark.parametrize("T", [2.0, 1.0])  # leaves mid-run, in the last step
-def test_flow_trace_raises_when_a_stage_leaves_the_grid(T):
+@pytest.mark.parametrize(
+    "T, dt",
+    [
+        pytest.param(2.0, 0.1, id="2.0"),  # a stage leaves mid-run
+        pytest.param(1.0, 0.1, id="1.0"),  # a stage of the last step leaves
+        pytest.param(1.0, 1.0, id="final-point"),  # only the final point
+    ],
+)
+def test_flow_trace_raises_when_a_stage_leaves_the_grid(T, dt):
     with pytest.raises(LeftGrid):
-        flow_trace(STRETCH, (1.0, 0.5), T=T, dt=0.1)
+        flow_trace(STRETCH, (1.0, 0.5), T=T, dt=dt)
 
 
 @pytest.mark.parametrize(
