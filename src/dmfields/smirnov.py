@@ -88,7 +88,10 @@ def _interior_nodes(segs, reps, tol):
 def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     """Merge vertices within tol, split edges at nodes lying on them,
     cancel antiparallel overlaps, drop zero weight. Node imbalances then
-    equal the field's divergence coefficients."""
+    equal the field's divergence coefficients. ValueError unless
+    0 <= tol < inf."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"snap_to_graph needs 0 <= tol < inf, got {tol}")
     # each vertex, in sorted order, goes to the first earlier
     # representative within tol, or becomes one; representatives are
     # appended in sorted order, so their x-coordinates never decrease

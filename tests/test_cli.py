@@ -178,6 +178,26 @@ def test_smirnov_sim_rejects_out_of_range_input(files, capsys, flag, value):
     assert err.startswith("invalid input")
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_decompose_rejects_a_bad_tolerance(files, capsys, value):
+    # a T-junction: nan and -1 used to skip its split and give 2 edges
+    # instead of 3, inf an empty graph
+    tee = files["write"](
+        "tee.json",
+        {
+            "curves": [
+                {"weight": 1.0, "vertices": [[0, 0], [1, 0]]},
+                {"weight": 1.0, "vertices": [[0.5, 0], [0.5, 1]]},
+            ]
+        },
+    )
+    rc = cli.main(["decompose", "--field", tee, "--tolerance", value])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input")
+
+
 def test_domain_preset_verb(files, capsys):
     rc = cli.main(["domain-preset", "--name", "lshape"])
     assert rc == 0
