@@ -3,14 +3,14 @@
 Exact side: snap a polygonal field onto a graph (merging vertices,
 splitting collinear overlaps, cancelling antiparallel mass), then peel
 off source-to-sink paths and cycles whose recomposition reproduces the
-edge weights. Both run in sweeps that only move forward: vertices meet
-only the representatives in their sorted-x window (`core.x_window`);
-sources and cycle starts come from one cursor over the sorted nodes per
-phase; each node's first live out-edge comes from its own cursor. A
-dimension lift sends any finite-divergence planar field
-to a divergence-free spatial one, so the cycle machinery applies to
-fields with sources; projecting the flat portions back recovers the
-plane field.
+edge weights. Both run in three sweeps that only move forward: each
+vertex meets only the representatives in its sorted-x window
+(`core.x_window`); sources and cycle starts come from one cursor over
+the sorted nodes per phase; each node's first live out-edge comes from
+its own cursor into its sorted out-edges. A dimension lift sends any
+finite-divergence planar field to a divergence-free spatial one, so the
+cycle machinery applies to fields with sources; projecting the flat
+portions back recovers the plane field.
 
 Numerical side: mollify the field to a smooth direction field
 sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,

@@ -131,7 +131,7 @@ near_atom = st.tuples(
 
 @given(
     st.lists(st.tuples(near_atom, st.sampled_from([1.0, -1.0, 0.25, 5e-10])), max_size=30),
-    # from 1e6 on, 2 tol is below one ulp of the coordinates
+    # at 1e8, 2 tol = 2e-9 falls below one ulp of the coordinates
     st.sampled_from([0.0, 1e3, 1e6, 1e8]),
     st.sampled_from([0.0, 1e-9, 1e-6]),
 )

@@ -361,7 +361,7 @@ pool_curves = st.lists(
 @given(
     st.one_of(chain_curves, pool_curves),
     st.booleans(),
-    # from 1e6 on, 2 tol is below one ulp of the coordinates
+    # at 1e8, 2 tol = 2e-9 falls below one ulp of the coordinates
     st.sampled_from([0.0, 1e3, 1e6, 1e8]),
 )
 # a residue of about 7e-12 stays on the edge into (-0.1, -0.35): a dead end
