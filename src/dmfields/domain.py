@@ -83,8 +83,13 @@ class PolygonalDomain:
             out |= part.contains_many(P)
         return out
 
-    def on_boundary(self, p: Point, tol: float = EPS) -> bool:
-        return any(part.on_boundary(p, tol) for part in self.parts)
+    @cached_property
+    def tol(self) -> float:
+        """The largest of the parts' length tolerances."""
+        return max(part.tol for part in self.parts)
+
+    def on_boundary(self, p: Point) -> bool:
+        return any(part.on_boundary(p) for part in self.parts)
 
     @cached_property
     def _edges(self) -> tuple[tuple[Point, Point], ...]:
@@ -129,17 +134,18 @@ def _edge_blocks(
     """Whether boundary edge (p,q) keeps the segment (a,b) of length L
     out of the domain: a crossing inside it, a touch at an endpoint off
     the boundary, or a collinear overlap."""
+    tol = d.tol
     try:
-        ts = _seg_intersections(a, b, p, q)
+        ts = _seg_intersections(a, b, p, q, tol)
     except DegenerateGeometry:
         return True
     for t in ts:
         s = t * L
-        if s > 1e-9 and L - s > 1e-9:
+        if s > tol and L - s > tol:
             return True
-        if s <= 1e-9 and not d.on_boundary(a, 1e-9):
+        if s <= tol and not d.on_boundary(a):
             return True
-        if L - s <= 1e-9 and not d.on_boundary(b, 1e-9):
+        if L - s <= tol and not d.on_boundary(b):
             return True
     return False
 
@@ -170,7 +176,7 @@ def segments_in_domain(
     for t in _SAMPLES:
         ok &= d.contains_many(A + t * (B - A))
     edges = d.boundary_edges()
-    for s, e in zip(*hit_candidates(A, B, d.edge_array)):
+    for s, e in zip(*hit_candidates(A, B, d.edge_array, d.tol)):
         if ok[s]:
             a, b = tuple(A[s].tolist()), tuple(B[s].tolist())
             if _edge_blocks(d, a, b, dist(a, b), *edges[e]):
@@ -261,17 +267,15 @@ class RoutingGraph:
                     a, v, b = ring[k - 1], ring[k], ring[(k + 1) % n]
                     d1 = (v[0] - a[0], v[1] - a[1])
                     d2 = (b[0] - v[0], b[1] - v[1])
-                    crossz = d1[0] * d2[1] - d1[1] * d2[0]
-                    if crossz < -EPS:  # right turn on a CCW-interior walk
+                    u1x, u1y = d1[0] / math.hypot(*d1), d1[1] / math.hypot(*d1)
+                    u2x, u2y = d2[0] / math.hypot(*d2), d2[1] / math.hypot(*d2)
+                    # a right turn on a CCW-interior walk (sine below -EPS)
+                    if u1x * u2y - u1y * u2x < -EPS:
                         # the exterior notch bisects between -d1 and d2;
                         # its opposite points into the domain bulk
-                        bis = (
-                            d1[0] / math.hypot(*d1) - d2[0] / math.hypot(*d2),
-                            d1[1] / math.hypot(*d1) - d2[1] / math.hypot(*d2),
-                        )
+                        bis = (u1x - u2x, u1y - u2y)
                         L = math.hypot(*bis)
-                        if L > EPS:
-                            self.reflex.append((v, (bis[0] / L, bis[1] / L)))
+                        self.reflex.append((v, (bis[0] / L, bis[1] / L)))
 
     def nearest_visible(self, p: Point, k: int = 40) -> int:
         """Index of the closest node reachable from p by a straight
@@ -282,7 +286,7 @@ class RoutingGraph:
         _, idxs = self._tree.query(p, kk)
         cand = [int(i) for i in ([idxs] if kk == 1 else idxs)]
         for i in cand:
-            if dist(p, self.nodes[i]) <= EPS:
+            if dist(p, self.nodes[i]) <= self.domain.tol:
                 return i
             if segment_in_domain(self.domain, p, self.nodes[i]):
                 return i
@@ -335,7 +339,7 @@ def _shortcut(d: PolygonalDomain, pts: list[Point]) -> list[Point]:
 
 
 def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Point]:
-    if dist(p, q) <= EPS:
+    if dist(p, q) <= d.tol:
         return [p, q]
     # direct segment
     if segment_in_domain(d, p, q):
@@ -427,7 +431,7 @@ def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Poin
     # drop duplicated endpoints when p/q coincide with grid nodes
     dedup = [pts[0]]
     for x in pts[1:]:
-        if dist(x, dedup[-1]) > EPS:
+        if dist(x, dedup[-1]) > d.tol:
             dedup.append(x)
     smoothed = _shortcut(d, dedup)
     if best is not None and _polyline_len(best) <= _polyline_len(smoothed):
@@ -452,7 +456,7 @@ def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:
     if (
         d.declared_eps is not None
         and d.declared_delta is not None
-        and dist(p, q) <= d.declared_delta + EPS
+        and dist(p, q) <= d.declared_delta + d.tol
     ):
         bound = dist(p, q) / d.declared_eps
         if curve.length() > bound * (1.0 + 1e-9):
@@ -472,7 +476,7 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     The nodes within delta of a scan point or a pick come from the
     graph's KD-tree, queried with a radius slack; `dist` decides for
     every node whose numpy distance sits near delta."""
-    if d.declared_delta is not None and delta > d.declared_delta + EPS:
+    if d.declared_delta is not None and delta > d.declared_delta + d.tol:
         raise ValueError("delta exceeds the declared constant")
     g = routing_graph(d, h)
     if not g.nodes:
@@ -569,13 +573,12 @@ def complement_region(d: PolygonalDomain, box: PolyRegion) -> PolygonalDomain:
     dx0, dy0, dx1, dy1 = d.bbox()
     if not (bx0 < dx0 and by0 < dy0 and dx1 < bx1 and dy1 < by1):
         raise ValueError("domain closure must lie strictly inside the box")
-    eta = 1e-6
     for a, b in d.boundary_edges():
-        L = dist(a, b)
-        nx, ny = -(b[1] - a[1]) / L, (b[0] - a[0]) / L
+        # probes 1e-6 edge lengths off the midpoint, one on each side
+        nx, ny = 1e-6 * (a[1] - b[1]), 1e-6 * (b[0] - a[0])
         mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
-        side1 = d.contains((mx + eta * nx, my + eta * ny))
-        side2 = d.contains((mx - eta * nx, my - eta * ny))
+        side1 = d.contains((mx + nx, my + ny))
+        side2 = d.contains((mx - nx, my - ny))
         if side1 == side2:
             raise TopologyViolation(
                 f"boundary edge {a}->{b} does not separate two sides"

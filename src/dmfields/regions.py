@@ -6,6 +6,12 @@ a curve into maximal pieces that are entirely inside or entirely
 outside, computed from exact segment intersections. Pairings and normal
 traces are then pure telescoping sums of test-function values, with no
 gradients and no quadrature.
+
+One tolerance policy: lengths compare at `EPS` times the region's
+scale, its largest |coordinate| (`PolyRegion.tol`; a domain takes the
+largest over its parts); parameters and sines (the parallel test)
+compare at `EPS` alone. `_near` decides "on the boundary" with only +,
+-, * and comparisons, so the scalar and batched paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,19 +27,32 @@ from .errors import DegenerateGeometry, DimensionMismatch
 from .core import AtomicMeasure, CurveField, Point, PolyCurve, dist
 from .lipfun import LipFunc
 
-# collinearity / on-boundary threshold; inputs closer than this to a
-# boundary line are ambiguous and rejected rather than classified
+# collinearity / on-boundary threshold relative to the region's scale;
+# inputs closer to a boundary line are ambiguous and rejected, not classified
 EPS = 1e-12
 
 
 def _signed_area(ring: Sequence[Point]) -> float:
+    # about the first vertex, so that a far translation cannot cancel it
+    x0, y0 = ring[0]
     s = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
+    for (x1, y1), (x2, y2) in zip(ring[1:], ring[2:]):
+        s += (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     return 0.5 * s
+
+
+def _near(p: Point, a: Point, b: Point, tol: float) -> bool:
+    """Whether p lies within tol of the segment [a, b], without roots."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    s, L2 = px * dx + py * dy, dx * dx + dy * dy
+    if s <= 0.0:
+        return px * px + py * py <= tol * tol
+    if s >= L2:
+        qx, qy = p[0] - b[0], p[1] - b[1]
+        return qx * qx + qy * qy <= tol * tol
+    c = dx * py - dy * px
+    return c * c <= tol * tol * L2
 
 
 def _point_seg_dist(p: Point, a: Point, b: Point) -> float:
@@ -77,6 +96,24 @@ def _edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def _near_many(P: np.ndarray, E: np.ndarray, tol: float) -> np.ndarray:
+    """Whether `_near` holds for each row of P and some edge row of E. A
+    pair runs the full test only near the edge's line, within twice tol:
+    no rounding can move a pair that `_near` accepts beyond that."""
+    px, py = P[:, :1] - E[:, 0], P[:, 1:] - E[:, 1]
+    dx, dy = E[:, 2] - E[:, 0], E[:, 3] - E[:, 1]
+    L2, t2 = dx * dx + dy * dy, tol * tol
+    c = dx * py - dy * px
+    i, j = np.nonzero(c * c <= 4.0 * t2 * L2)
+    px, py, c, dx, dy, L2 = px[i, j], py[i, j], c[i, j], dx[j], dy[j], L2[j]
+    qx, qy = P[i, 0] - E[j, 2], P[i, 1] - E[j, 3]
+    s = px * dx + py * dy
+    inner = np.where(s >= L2, qx * qx + qy * qy <= t2, c * c <= t2 * L2)
+    out = np.zeros(len(P), dtype=bool)
+    out[i[np.where(s <= 0.0, px * px + py * py <= t2, inner)]] = True
+    return out
+
+
 def _crossing_parity(P: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """`_in_ring`'s even-odd ray cast, exactly, against one ring's edges."""
     x, y = P[:, :1], P[:, 1:]
@@ -102,21 +139,21 @@ def boundary_dist_many(P: np.ndarray, E: np.ndarray, edges) -> np.ndarray:
     return out
 
 
-def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray):
+def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray, tol: float):
     """(segment, edge) index pairs on which `_seg_intersections` of
-    (A[s], B[s]) and edge E[e] may return a parameter or raise; on all
-    other pairs it returns []. t and u come out as in the scalar code;
-    the hypot-derived tolerances are doubled."""
+    (A[s], B[s]) and edge E[e] at length tolerance tol may return a
+    parameter or raise; on all other pairs it returns []. t and u come
+    out as in the scalar code; the hypot-derived tolerances are doubled."""
     d1x, d1y = B[:, :1] - A[:, :1], B[:, 1:] - A[:, 1:]
     px, py, qx, qy = E.T
     d2x, d2y = qx - px, qy - py
     L1, L2 = np.hypot(d1x, d1y), np.hypot(d2x, d2y)
-    tol_u = 2.0 * EPS / np.maximum(L2, EPS)
+    tol_u = 2.0 * tol / np.maximum(L2, tol)
     ss, ee = [], []
     for r in _blocks(len(A), len(E)):
         apx, apy = px - A[r, :1], py - A[r, 1:]
         denom = d1x[r] * d2y - d1y[r] * d2x
-        tol_t = 2.0 * EPS / np.maximum(L1[r], EPS)
+        tol_t = 2.0 * tol / np.maximum(L1[r], tol)
         with np.errstate(all="ignore"):
             t = (apx * d2y - apy * d2x) / denom
             u = (apx * d1y[r] - apy * d1x[r]) / denom
@@ -198,19 +235,22 @@ class PolyRegion:
     def boundary_edges(self) -> tuple[tuple[Point, Point], ...]:
         return self._edges
 
-    def on_boundary(self, p: Point, tol: float = EPS) -> bool:
-        return any(_point_seg_dist(p, a, b) <= tol for a, b in self._edges)
+    @cached_property
+    def tol(self) -> float:
+        """The length tolerance: EPS times the largest |coordinate|."""
+        return EPS * max(abs(c) for ring in self.rings() for p in ring for c in p)
 
-    def on_boundary_many(self, P: np.ndarray, tol: float = EPS) -> np.ndarray:
+    def on_boundary(self, p: Point) -> bool:
+        """Whether p lies within `tol` of an edge."""
+        tol = self.tol
+        return any(_near(p, a, b, tol) for a, b in self._edges)
+
+    def on_boundary_many(self, P: np.ndarray) -> np.ndarray:
         """`on_boundary` over the rows of a (P, 2) array."""
         E = self.edge_array
-        D = np.concatenate(
-            [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
+        return np.concatenate(
+            [_near_many(P[r], E, self.tol) for r in _blocks(len(P), len(E))]
         )
-        out = D <= tol
-        for i in np.flatnonzero(np.abs(D - tol) <= _BAND * tol):
-            out[i] = self.on_boundary(tuple(P[i].tolist()), tol)
-        return out
 
     def contains_many(self, P: np.ndarray) -> np.ndarray:
         """`contains` over the rows of a (P, 2) array."""
@@ -222,19 +262,16 @@ class PolyRegion:
             start += len(ring)
         return out
 
-    def _in_rings(self, p: Point) -> bool:
-        """Inside the outer ring and no hole, for a point off the boundary."""
-        return _in_ring(p, self.outer) and not any(_in_ring(p, h) for h in self.holes)
-
     def contains(self, p: Point) -> bool:
         """Open-interior membership; boundary points are outside."""
-        return not self.on_boundary(p) and self._in_rings(p)
+        return self.classify(p) == 1
 
     def classify(self, p: Point) -> int:
-        """+1 open interior, 0 boundary (within EPS), -1 outside."""
+        """+1 open interior, 0 boundary (within `tol`), -1 outside."""
         if self.on_boundary(p):
             return 0
-        return 1 if self._in_rings(p) else -1
+        inside = _in_ring(p, self.outer) and not any(_in_ring(p, h) for h in self.holes)
+        return 1 if inside else -1
 
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [p[0] for p in self.outer]
@@ -248,7 +285,8 @@ def box_region(x0: float, y0: float, x1: float, y1: float) -> PolyRegion:
 
 def half_plane(normal: Sequence[float], offset: float, extent: float = 1e6) -> PolyRegion:
     """The set {x . n > offset} clipped to a huge box: a rectangle with
-    one side on the line x . n = offset, extending `extent` past it."""
+    one side on the line x . n = offset, extending `extent` past it.
+    Its length tolerance follows the box: about 1e-6 at extent 1e6."""
     nx, ny = float(normal[0]), float(normal[1])
     L = math.hypot(nx, ny)
     nx, ny = nx / L, ny / L
@@ -275,9 +313,9 @@ class Crossing:
     kind: str  # "entering" | "exiting"
 
 
-def _seg_intersections(a: Point, b: Point, p: Point, q: Point) -> list[float]:
-    """Parameters t on [a,b] where it meets [p,q]. Raises on collinear
-    overlap of positive length."""
+def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> list[float]:
+    """Parameters t on [a,b] where it meets [p,q] within the length
+    tolerance tol. Raises on collinear overlap of positive length."""
     d1 = (b[0] - a[0], b[1] - a[1])
     d2 = (q[0] - p[0], q[1] - p[1])
     L1 = math.hypot(*d1)
@@ -290,7 +328,7 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point) -> list[float]:
     if abs(denom) <= EPS * L1 * L2:
         # parallel; collinear iff p sits on the line through a,b
         off = abs(ap[0] * d1[1] - ap[1] * d1[0]) / L1
-        if off > EPS:
+        if off > tol:
             return []
         s0 = (ap[0] * d1[0] + ap[1] * d1[1]) / (L1 * L1)
         s1 = ((q[0] - a[0]) * d1[0] + (q[1] - a[1]) * d1[1]) / (L1 * L1)
@@ -302,8 +340,8 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point) -> list[float]:
         return []
     t = (ap[0] * d2[1] - ap[1] * d2[0]) / denom
     u = (ap[0] * d1[1] - ap[1] * d1[0]) / denom
-    tol_t = EPS / max(L1, EPS)
-    tol_u = EPS / max(L2, EPS)
+    tol_t = tol / max(L1, tol)
+    tol_u = tol / max(L2, tol)
     if -tol_t <= t <= 1.0 + tol_t and -tol_u <= u <= 1.0 + tol_u:
         return [min(max(t, 0.0), 1.0)]
     return []
@@ -320,26 +358,28 @@ def _curve_on_boundary(c: PolyCurve, E: PolyRegion) -> bool:
 def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     """Split the curve at every boundary intersection and classify each
     resulting piece by its midpoint: (t0, t1, +1 inside / -1 outside) in
-    global parameter. Raises DegenerateGeometry for overlaps, ambiguous
-    pieces and interior vertices sitting exactly on the boundary."""
+    global parameter. A cut within `E.tol` of the last one kept is merged
+    into it. Raises DegenerateGeometry for overlaps, ambiguous pieces and
+    interior vertices sitting on the boundary."""
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
-    edges = E.boundary_edges()
+    edges, tol = E.boundary_edges(), E.tol
     for v in c.vertices[1:-1]:
         if E.on_boundary(v):
             raise DegenerateGeometry(f"interior curve vertex {v} lies on the boundary")
     cuts: list[float] = []
     for i, (a, b) in enumerate(c.segments()):
         for p, q in edges:
-            for t in _seg_intersections(a, b, p, q):
+            for t in _seg_intersections(a, b, p, q, tol):
                 cuts.append(i + t)
     n = len(c.vertices) - 1
     cuts.extend(float(i) for i in range(n + 1))
     cuts.sort()
-    merged = [cuts[0]]
+    merged, last = [cuts[0]], c.point_at(cuts[0])
     for t in cuts[1:]:
-        if t - merged[-1] > EPS:
+        if math.dist(p := c.point_at(t), last) > tol:
             merged.append(t)
+            last = p
     merged[0], merged[-1] = 0.0, float(n)
     pieces = []
     for t0, t1 in zip(merged, merged[1:]):
@@ -382,12 +422,12 @@ def clip_field(f: CurveField, E: PolyRegion) -> CurveField:
         if _curve_on_boundary(c, E):
             continue
         for t0, t1 in _inside_intervals(c, E):
-            verts = [c.point_at(t0)]
-            for i in range(math.ceil(t0), math.floor(t1) + 1):
-                p = c.vertices[i]
-                if abs(i - t0) > EPS and abs(i - t1) > EPS:
-                    verts.append(p)
-            verts.append(c.point_at(t1))
+            p0, p1 = c.point_at(t0), c.point_at(t1)
+            verts = [p0]
+            for v in c.vertices[math.ceil(t0) : math.floor(t1) + 1]:
+                if min(dist(v, p0), dist(v, p1)) > E.tol:
+                    verts.append(v)
+            verts.append(p1)
             if len(verts) >= 2:
                 out.append(PolyCurve(verts, c.weight))
     return CurveField(out)

@@ -136,10 +136,6 @@ def bound_constant(cfg: LiftConfig) -> float:
     return max(1.0 / eps, 4.0 * sep / delta, 2.0 * sep / dl) + 2.0 / delta
 
 
-def _on_boundary(cfg: LiftConfig, p: Point, tol: float = 1e-9) -> bool:
-    return cfg.domain.on_boundary(p, tol)
-
-
 def lift_surject(
     cfg: LiftConfig,
     m: AEElement,
@@ -155,7 +151,7 @@ def lift_surject(
     dipole delta_q - delta_p.
     """
     for p, _ in m.atoms():
-        if not _on_boundary(cfg, p):
+        if not cfg.domain.on_boundary(p):
             raise AtomOffBoundary(f"atom at {p} is not on the domain boundary")
     value, rep, _ = ae_norm(m)
     delta = cfg.delta if cfg.delta is not None else float("inf")

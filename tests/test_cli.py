@@ -219,3 +219,11 @@ def test_domain_error_exits_2(files):
     )
     rc = cli.main(["lift", "--element", inside, "--domain", files["square"]])
     assert rc == 2
+
+
+def test_lift_rejects_an_atom_just_off_the_boundary(files):
+    near = files["write"](
+        "near.json", {"atoms": [{"location": [0.5, 1e-10], "coefficient": 1.0}]}
+    )
+    rc = cli.main(["lift", "--element", near, "--domain", files["square"]])
+    assert rc == 2

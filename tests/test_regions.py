@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dmfields import (
+    AtomicMeasure,
     CurveField,
     DegenerateGeometry,
     Linear,
@@ -22,6 +23,8 @@ from dmfields import (
     product_rule_residual,
     setwise_probe,
 )
+from dmfields.core import pair_vector
+from dmfields.regions import EPS
 from dmfields.lipfun import Const, Scale, Sum, weakstar_sequence
 
 UNIT = box_region(0.0, 0.0, 1.0, 1.0)
@@ -88,16 +91,42 @@ def test_interior_endpoint_is_divergence_not_trace():
 
 
 def test_collinear_overlap_is_an_error():
-    f = CurveField([PolyCurve([(0.0, 0.0), (1.0, 0.0)], 1.0)])
+    # half the curve runs along the bottom edge, half leaves the square
+    f = CurveField([PolyCurve([(0.5, 0.0), (2.0, 0.0)], 1.0)])
     with pytest.raises(DegenerateGeometry):
-        clip_field(f, half_plane((0.0, 1.0), 0.0))
+        clip_field(f, UNIT)
 
 
 def test_curve_on_boundary_contributes_nothing():
-    # the whole curve rides the boundary: no trace, no pairing
+    # the whole curve rides the boundary: no trace, no pairing, also on
+    # the half-plane, whose scale is 1e6
     f = CurveField([PolyCurve([(0.0, 0.0), (1.0, 0.0)], 1.0)])
-    assert normal_trace(f, UNIT).atoms == ()
-    assert pairing_over_set(f, Linear((1.0, 0.0)), UNIT) == 0.0
+    for E in (UNIT, half_plane((0.0, 1.0), 0.0)):
+        assert normal_trace(f, E).atoms == ()
+        assert pairing_over_set(f, Linear((1.0, 0.0)), E) == 0.0
+        assert clip_field(f, E).curves == ()
+
+
+def test_large_box_trace_keeps_the_exit_atom():
+    # the crossing point's rounding, about 1e-11, once exceeded an
+    # absolute tolerance of 1e-12
+    f = CurveField([PolyCurve([(0.0, 0.0), (3e5, 7e4)])])
+    tr = normal_trace(f, box_region(-1e5, -1e5, 1e5, 1e5))
+    assert tr.atoms == (((1e5, 7e4 / 3), -1.0),)
+
+
+def _duality_defect(f, phi, E) -> float:
+    t1 = sum(c * phi(p) for p, c in normal_trace(f, E).atoms)
+    t2 = pairing_over_set(f, phi, E)
+    t3 = sum(c * phi(p) for p, c in field_divergence(f).atoms if E.contains(p))
+    return abs(t1 + t2 + t3) / (1.0 + abs(t1) + abs(t2) + abs(t3))
+
+
+def test_half_plane_duality_keeps_the_crossing():
+    f = CurveField([PolyCurve([(-1.0, -0.5), (1.3, 0.9)])])
+    E = half_plane((1.0, 0.0), 0.2)
+    assert len(normal_trace(f, E).atoms) == 1
+    assert _duality_defect(f, Linear((1.0, 0.0)), E) <= 1e-12
 
 
 def test_clip_conservation():
@@ -147,3 +176,139 @@ def test_setwise_probe_rate_flag():
     )
     assert ok
     assert len(values) == 50
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: traces, duality and Gauss-Green do not depend on the
+# coordinate scale, a translation, a quarter turn or a curve's direction
+
+REGIONS = [
+    UNIT,
+    PolyRegion([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    PolyRegion(
+        [(-1, -1), (1.5, -1), (1.5, 1.25), (-1, 1.25)],
+        [[(-0.5, -0.5), (0.25, -0.5), (0.25, 0.5), (-0.5, 0.5)]],
+    ),
+    PolyRegion([(-0.8, -0.6), (1.1, -0.2), (0.1, 1.3)]),
+]
+# a lattice keeps squared differences clear of underflow at every scale
+coord = st.integers(-4000, 4000).map(lambda i: i / 1600)
+
+
+@st.composite
+def field_and_region(draw):
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4))
+        w = draw(st.integers(-8, 8).filter(bool)) / 4
+        curves.append(PolyCurve(pts, w))
+    return CurveField(curves), draw(st.sampled_from(REGIONS))
+
+
+def _mapped(f, E, T):
+    g = CurveField([PolyCurve([T(p) for p in c.vertices], c.weight) for c in f])
+    F = PolyRegion([T(p) for p in E.outer], [[T(p) for p in h] for h in E.holes])
+    return g, F
+
+
+def _trace_or_none(f, E):
+    try:
+        return normal_trace(f, E)
+    except DegenerateGeometry:
+        return None
+
+
+@given(field_and_region(), st.integers(-14, 20))
+@settings(max_examples=200, deadline=None)
+def test_trace_is_exact_under_dyadic_scaling(case, k):
+    f, E = case
+    s = 2.0**k
+    tr = _trace_or_none(f, E)
+    g, F = _mapped(f, E, lambda p: (s * p[0], s * p[1]))
+    scaled = _trace_or_none(g, F)
+    if tr is None:
+        assert scaled is None
+    else:
+        assert scaled.atoms == tuple(((s * p[0], s * p[1]), c) for p, c in tr.atoms)
+
+
+def _similarity(quarter, s, shift):
+    def T(p):
+        x, y = p
+        for _ in range(quarter):
+            x, y = -y, x
+        return (s * x + shift[0], s * y + shift[1])
+
+    return T
+
+
+# a quarter turn, then a scaling or a translation: the length tolerance
+# follows the largest coordinate, so a tiny region far from the origin
+# resolves fewer details than at the origin
+similarity = st.builds(
+    _similarity,
+    st.integers(0, 3),
+    st.floats(1e-4, 1e6),
+    st.just((0.0, 0.0)),
+) | st.builds(
+    _similarity,
+    st.integers(0, 3),
+    st.just(1.0),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+)
+
+
+def _same_atoms(a, b, tol) -> bool:
+    """Atom-by-atom equality after coalescing at tol, in any order."""
+    a, b = a.coalesced(tol).atoms, b.coalesced(tol).atoms
+    return len(a) == len(b) and all(
+        any(math.dist(p, q) <= tol and c == d for q, d in b) for p, c in a
+    )
+
+
+@given(field_and_region(), similarity)
+@settings(max_examples=200, deadline=None)
+def test_trace_duality_and_gauss_green_survive_similarities(case, T):
+    f, E = case
+    tr = _trace_or_none(f, E)
+    assume(tr is not None)
+    g, F = _mapped(f, E, T)
+    moved = normal_trace(g, F)
+    tol = 1e-9 * F.tol / EPS
+    want = AtomicMeasure([(T(p), c) for p, c in tr.atoms])
+    assert _same_atoms(moved, want, tol)
+    # duality with a linear and a distance test function, and Gauss-Green
+    # on the clipped field, in the moved frame
+    c = T((0.3, -0.2))
+    for phi in (Linear((0.6, -0.8)), DistTo(c)):
+        assert _duality_defect(g, phi, F) <= 1e-9
+    clipped = clip_field(g, F)
+    gg = pair_vector(clipped, lambda p: (0.6, -0.8)) + sum(
+        co * (0.6 * p[0] - 0.8 * p[1]) for p, co in field_divergence(clipped).atoms
+    )
+    assert abs(gg) <= 1e-9 * (1.0 + F.tol / EPS) * (1.0 + field_mass(g))
+
+
+@given(field_and_region())
+@settings(max_examples=100, deadline=None)
+def test_reversing_curves_negates_divergence_and_trace(case):
+    f, E = case
+    tr = _trace_or_none(f, E)
+    assume(tr is not None)
+    back = CurveField([c.reversed() for c in f])
+    assert field_divergence(back).same_atoms(field_divergence(f).scaled(-1.0))
+    assert _same_atoms(normal_trace(back, E), tr.scaled(-1.0), 1e-9 * E.tol / EPS)
+
+
+@given(
+    field_and_region(),
+    st.tuples(coord, coord).filter(lambda n: n != (0.0, 0.0)),
+    coord,
+)
+@settings(max_examples=100, deadline=None)
+def test_duality_on_half_planes(case, normal, offset):
+    f, _ = case
+    E = half_plane(normal, offset)
+    assume(_trace_or_none(f, E) is not None)
+    for phi in (Linear((1.0, 0.0)), DistTo((0.4, -0.7))):
+        assert _duality_defect(f, phi, E) <= 1e-9
