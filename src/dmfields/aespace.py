@@ -214,7 +214,11 @@ def ae_norm_oracle(m: AEElement) -> float:
         A[i, k] += 1.0
         A[j, k] -= 1.0
     rhs = [b[v] for v in nodes]
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    # HiGHS's default 1e-7 feasibility tolerances let it stop at a vertex
+    # whose cost is off by ~1e-7 times the flow (atoms 6e-8 apart were
+    # enough); 1e-10 is its tightest setting.
+    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise RuntimeError(f"oracle LP failed: {res.message}")
     return float(res.fun)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
     AEElement,
@@ -64,6 +64,7 @@ def test_oracle_support_cap():
 
 
 @given(st.lists(atom, min_size=1, max_size=6))
+@example([((0.0, 0.0), -2.0), ((0.0, 1.0), 0.5), ((0.0, 5.960464477539063e-08), 1.0)])
 @settings(max_examples=150, deadline=None)
 def test_norm_matches_lp_oracle(atoms):
     m = AEElement(AtomicMeasure(atoms))
