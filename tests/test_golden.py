@@ -1,0 +1,149 @@
+"""Golden digests of the deterministic outputs.
+
+Nets, routing graphs, lifts with provenance and the JSON of the `lift`,
+`extend`, `extend-divfree` and `decompose` verbs are written through
+the deterministic JSON writer and hashed with SHA-256, so a change that
+moves any of them by one ulp fails here. When a change to one of them is
+intended, print the new digests with `PYTHONPATH=src python
+tests/test_golden.py` and record the reason in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dmfields import cli, fileio
+from dmfields.acceptance import _rand_boundary_measure
+from dmfields.domain import domain_preset, routing_graph
+from dmfields.tracext import lift_config, lift_surject
+
+PRESETS = ("square", "annulus", "lshape", "koch2")
+
+GOLDEN = {
+    "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
+    "net-graph[annulus]": "cb424ea43461a10fb6b8e54b96433866ba609c57465ba1824d896cb711f973da",
+    "net-graph[lshape]": "71ce8c8723add896babab856ba6366c304e8afadd9add72f81a15239853bc32e",
+    "net-graph[koch2]": "c6ae4f2bfab09cb2af54876e9c048225411b7320ab87e408f0a508e3cff10d93",
+    "lifts[square]": "b93b7172652bb24f0b671e9281b6f4bd84d5774ba2efb9632326ecffe5e19fb5",
+    "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
+    "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
+    "lifts[koch2]": "6bf88538a183ce9f2988bddc5579e3970af783a6cad0bc9dae7ee74536a82b10",
+    "cli[lift]": "bbde7bf485b72a8f724181591a0231d637b11b2c0b4249087f5c5256246763c3",
+    "cli[extend]": "96784b5b0fc9e947d539482425c5efbeb87430c8ef2a05a2205a16eabcef9bb3",
+    "cli[extend-divfree]": "e12ae73b008e72cb6ae258f776a22b516b33820e804e057caf23b35de7b95773",
+    "cli[decompose]": "3f6b6c0fb5228371e8a2db9611586e161d33b38ddcb0683059b477807da6a7af",
+}
+
+SQUARE = {
+    "regions": [{"outer": [[0, 0], [1, 0], [1, 1], [0, 1]], "holes": []}],
+    "eps": 0.5,
+    "delta": 0.4,
+}
+BOX = {"outer": [[-1, -1], [2, -1], [2, 2], [-1, 2]], "holes": []}
+ELEMENT = {
+    "atoms": [
+        {"location": [0.0, 0.3], "coefficient": 1.0},
+        {"location": [1.0, 0.7], "coefficient": -1.0},
+        {"location": [0.5, 0.0], "coefficient": 0.25},
+    ]
+}
+# two boundary-to-boundary chords and a loop: divergence-free inside
+CHORDS = {
+    "curves": [
+        {"weight": 1.0, "vertices": [[0.0, 0.3], [0.5, 0.45], [1.0, 0.7]]},
+        {"weight": 0.5, "vertices": [[0.2, 1.0], [0.4, 0.6], [0.8, 0.0]]},
+        {
+            "weight": 0.75,
+            "vertices": [[0.3, 0.3], [0.6, 0.2], [0.5, 0.5], [0.3, 0.3]],
+        },
+    ]
+}
+# a chord plus a curve ending inside, with a T-junction and a shared vertex
+WEB = {
+    "curves": [
+        {"weight": 1.0, "vertices": [[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]},
+        {"weight": 0.5, "vertices": [[0.5, 0.5], [0.5, 0.8]]},
+        {"weight": 2.0, "vertices": [[0.25, 0.5], [0.25, 0.0]]},
+    ]
+}
+
+
+def _digest(payload) -> str:
+    text = payload if isinstance(payload, str) else fileio.dumps(payload)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _net_graph(name):
+    cfg = lift_config(domain_preset(name), 0.02)
+    g = routing_graph(cfg.domain, 0.02)
+    return {
+        "lam": cfg.lam,
+        "e": cfg.e,
+        "sep": cfg.sep(),
+        "comp": g.comp,
+        "clearance": g.clearance,
+    }
+
+
+def _lifts(name):
+    d = domain_preset(name)
+    cfg = lift_config(d, 0.02)
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(12):
+        m = _rand_boundary_measure(rng, d, int(rng.integers(1, 7)))
+        prov: list = []
+        payload = fileio.field_to_json(lift_surject(cfg, m, provenance=prov))
+        payload["provenance"] = prov
+        out.append(payload)
+    return out
+
+
+def _cli(verb, tmp_path):
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(fileio.dumps(payload))
+        return str(path)
+
+    square = write("square.json", SQUARE)
+    if verb == "lift":
+        args = ["--element", write("elem.json", ELEMENT), "--domain", square]
+    elif verb == "decompose":
+        args = ["--field", write("web.json", WEB)]
+    else:
+        field = CHORDS if verb == "extend-divfree" else WEB
+        args = ["--field", write("field.json", field), "--domain", square]
+        args += ["--box", write("box.json", BOX)]
+    out = tmp_path / "out.json"
+    assert cli.main([verb, *args, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_net_and_graph(name):
+    assert _digest(_net_graph(name)) == GOLDEN[f"net-graph[{name}]"]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_lifts_with_provenance(name):
+    assert _digest(_lifts(name)) == GOLDEN[f"lifts[{name}]"]
+
+
+@pytest.mark.parametrize("verb", ["lift", "extend", "extend-divfree", "decompose"])
+def test_cli_json(verb, tmp_path):
+    assert _digest(_cli(verb, tmp_path)) == GOLDEN[f"cli[{verb}]"]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    for name in PRESETS:
+        print(f'    "net-graph[{name}]": "{_digest(_net_graph(name))}",')
+    for name in PRESETS:
+        print(f'    "lifts[{name}]": "{_digest(_lifts(name))}",')
+    for verb in ("lift", "extend", "extend-divfree", "decompose"):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = _cli(verb, pathlib.Path(tmp))
+        print(f'    "cli[{verb}]": "{_digest(text)}",')
