@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import DimensionMismatch
 
@@ -234,15 +237,23 @@ class AtomicMeasure:
         return AtomicMeasure(merged)
 
     def same_atoms(self, other: "AtomicMeasure", tol: float = 1e-9) -> bool:
-        """Atom-by-atom equality after coalescing both sides at tol."""
+        """Whether, after coalescing both sides at tol, the atoms pair
+        one to one, in any order, with locations and coefficients within
+        tol of each other."""
         a = self.coalesced(tol).atoms
         b = other.coalesced(tol).atoms
         if len(a) != len(b):
             return False
-        return all(
-            dist(p, q) <= tol and abs(c - d) <= tol
-            for (p, c), (q, d) in zip(a, b)
-        )
+        xs = [q[0] for q, _ in b]
+        pairs = [
+            (i, j)
+            for i, (p, c) in enumerate(a)
+            for j in x_window(xs, p[0], tol)
+            if dist(p, b[j][0]) <= tol and abs(c - b[j][1]) <= tol
+        ]
+        rows, cols = zip(*pairs) if pairs else ((), ())
+        M = csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(len(a),) * 2)
+        return bool((maximum_bipartite_matching(M) >= 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +277,10 @@ def field_divergence(f: CurveField) -> AtomicMeasure:
     return AtomicMeasure(atoms)
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GAUSS_CACHE[order] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GAUSS_CACHE[order]
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def pair_vector(

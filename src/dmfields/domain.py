@@ -2,12 +2,15 @@
 
 A domain is a disjoint union of polygonal parts (a complement of an
 annulus has two, so one outer ring is not enough). Routing runs on an
-8-connected grid of strictly interior nodes; query paths are shortened
-by straight-segment, bowed and corner-waypoint candidates before
-falling back to grid search, so reported lengths sit close to the true
-geodesic. Convexity constants (eps, delta) are either declared by the
-caller and certified per route, or estimated from sampled boundary
-pairs.
+8-connected grid of strictly interior nodes. A route p -> q tries, in
+order: the straight segment; the first bow (one waypoint off the
+chord's midpoint) that works; one waypoint beside each nearby reflex
+corner; two such waypoints when the best so far is longer than 1.2
+|p-q|; and, unless the best is within the length budget, the smoothed
+grid path. A later candidate replaces the best only when strictly
+shorter, so reported lengths sit close to the true geodesic. Convexity
+constants (eps, delta) are either declared by the caller and certified
+per route, or estimated from sampled boundary pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -113,13 +118,8 @@ class PolygonalDomain:
         return boundary_dist_many(P, self.edge_array, self._edges)
 
     def bbox(self) -> tuple[float, float, float, float]:
-        boxes = [part.bbox() for part in self.parts]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        x0, y0, x1, y1 = zip(*(part.bbox() for part in self.parts))
+        return min(x0), min(y0), max(x1), max(y1)
 
     def with_constants(self, eps: float, delta: float) -> "PolygonalDomain":
         return PolygonalDomain(self.parts, eps, delta)
@@ -159,11 +159,10 @@ def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     L = dist(a, b)
     if any(_edge_blocks(d, a, b, L, p, q) for p, q in d.boundary_edges()):
         return False
-    for t in _SAMPLES:
-        pt = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        if not d.contains(pt):
-            return False
-    return True
+    return all(
+        d.contains((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        for t in _SAMPLES
+    )
 
 
 def segments_in_domain(
@@ -240,22 +239,12 @@ class RoutingGraph:
                     adj[a].append((b, w))
                     adj[b].append((a, w))
         self.adj = adj
-        comp = [-1] * n
-        c = 0
-        for s in range(n):
-            if comp[s] != -1:
-                continue
-            stack = [s]
-            comp[s] = c
-            while stack:
-                a = stack.pop()
-                for b, _ in adj[a]:
-                    if comp[b] == -1:
-                        comp[b] = c
-                        stack.append(b)
-            c += 1
-        self.comp = comp
-        self.n_components = c
+        # components are numbered in order of their lowest node
+        u, k = np.nonzero(keep)
+        edges = coo_matrix((np.ones(len(u)), (u, nbr[u, k])), shape=(n, n))
+        c, comp = connected_components(edges, directed=False)
+        self.comp: list[int] = comp.tolist()
+        self.n_components = int(c)
         self._tree = cKDTree(pts)
         # reflex corners of the boundary (interior angle > pi), used as
         # route waypoints near notches
@@ -277,18 +266,16 @@ class RoutingGraph:
                         L = math.hypot(*bis)
                         self.reflex.append((v, (bis[0] / L, bis[1] / L)))
 
-    def nearest_visible(self, p: Point, k: int = 40) -> int:
-        """Index of the closest node reachable from p by a straight
-        segment through the domain."""
+    def nearest_visible(self, p: Point) -> int:
+        """Index of the closest of the 40 nodes nearest to p that p
+        reaches by a straight segment through the domain."""
         if not self.nodes:
             raise Disconnected("empty routing graph")
-        kk = min(k, len(self.nodes))
+        kk = min(40, len(self.nodes))
         _, idxs = self._tree.query(p, kk)
-        cand = [int(i) for i in ([idxs] if kk == 1 else idxs)]
-        for i in cand:
-            if dist(p, self.nodes[i]) <= self.domain.tol:
-                return i
-            if segment_in_domain(self.domain, p, self.nodes[i]):
+        for i in np.atleast_1d(idxs).tolist():
+            v = self.nodes[i]
+            if dist(p, v) <= self.domain.tol or segment_in_domain(self.domain, p, v):
                 return i
         raise Disconnected(f"no grid node visible from {p}")
 
@@ -338,81 +325,58 @@ def _shortcut(d: PolygonalDomain, pts: list[Point]) -> list[Point]:
     return out
 
 
+def _reaches(d: PolygonalDomain, a: Point, w: Point) -> bool:
+    """Whether waypoint w lies in the domain and a sees it."""
+    return d.contains(w) and segment_in_domain(d, a, w)
+
+
 def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Point]:
-    if dist(p, q) <= d.tol:
-        return [p, q]
-    # direct segment
-    if segment_in_domain(d, p, q):
+    if dist(p, q) <= d.tol or segment_in_domain(d, p, q):
         return [p, q]
     # single-waypoint bows perpendicular to the chord, both sides,
     # growing amplitude; covers boundary-to-boundary chords along a wall
     L = dist(p, q)
-    best = None
     mx, my = (p[0] + q[0]) / 2, (p[1] + q[1]) / 2
     nx, ny = -(q[1] - p[1]) / L, (q[0] - p[0]) / L
-    for s in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75):
-        for sign in (1.0, -1.0):
-            w = (mx + sign * s * L * nx, my + sign * s * L * ny)
-            if (
-                d.contains(w)
-                and segment_in_domain(d, p, w)
-                and segment_in_domain(d, w, q)
-            ):
-                best = [p, w, q]
-                break
-        if best:
-            break
-    # around one or two reflex corners near the chord
+    bows = (
+        (mx + sign * s * L * nx, my + sign * s * L * ny)
+        for s in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75)
+        for sign in (1.0, -1.0)
+    )
+    best = next(
+        ([p, w, q] for w in bows if _reaches(d, p, w) and segment_in_domain(d, w, q)),
+        None,
+    )
+
+    def offer(cand: list[Point]) -> None:
+        nonlocal best
+        if best is None or _polyline_len(cand) < _polyline_len(best):
+            best = cand
+
+    # around one or two reflex corners near the chord, offset inward
     g = routing_graph(d, h)
-    near = sorted(
-        (
-            (v, inward)
-            for v, inward in g.reflex
-            if dist(v, p) + dist(v, q) <= 3.0 * L + 1.0
-        ),
-        key=lambda vi: dist(vi[0], p) + dist(vi[0], q),
-    )[:8]
 
-    def corner_pt(v, inward, scale):
-        off = min(0.2 * scale, 0.5 * h + 0.05 * scale)
-        return (v[0] + off * inward[0], v[1] + off * inward[1])
+    def detour(r: tuple[Point, Point]) -> float:
+        return dist(r[0], p) + dist(r[0], q)
 
-    for v, inward in near:
-        w = corner_pt(v, inward, L)
-        if (
-            d.contains(w)
-            and segment_in_domain(d, p, w)
-            and segment_in_domain(d, w, q)
-        ):
-            cand = [p, w, q]
-            if best is None or _polyline_len(cand) < _polyline_len(best):
-                best = cand
+    near = sorted((r for r in g.reflex if detour(r) <= 3.0 * L + 1.0), key=detour)[:8]
+    off = min(0.2 * L, 0.5 * h + 0.05 * L)
+    corners = [(v, (v[0] + off * u[0], v[1] + off * u[1])) for v, u in near]
+    for _, w in corners:
+        if _reaches(d, p, w) and segment_in_domain(d, w, q):
+            offer([p, w, q])
     if best is None or _polyline_len(best) > 1.2 * L:
-        for v1, in1 in near:
-            w1 = corner_pt(v1, in1, L)
-            if not (d.contains(w1) and segment_in_domain(d, p, w1)):
+        for v1, w1 in corners:
+            if not _reaches(d, p, w1):
                 continue
-            for v2, in2 in near:
-                if v2 == v1:
-                    continue
-                w2 = corner_pt(v2, in2, L)
-                if not (
-                    d.contains(w2)
-                    and segment_in_domain(d, w1, w2)
-                    and segment_in_domain(d, w2, q)
-                ):
-                    continue
-                cand = [p, w1, w2, q]
-                if best is None or _polyline_len(cand) < _polyline_len(best):
-                    best = cand
+            for v2, w2 in corners:
+                if v2 != v1 and _reaches(d, w1, w2) and segment_in_domain(d, w2, q):
+                    offer([p, w1, w2, q])
     # a cheap candidate well inside any declared length budget wins
     # outright; otherwise compare against the grid geodesic
-    if best is not None:
-        budget = (
-            0.9 * L / d.declared_eps if d.declared_eps is not None else 1.5 * L
-        )
-        if _polyline_len(best) <= budget:
-            return best
+    budget = 0.9 * L / d.declared_eps if d.declared_eps is not None else 1.5 * L
+    if best is not None and _polyline_len(best) <= budget:
+        return best
     # grid fallback
     a = g.nearest_visible(p)
     b = g.nearest_visible(q)
@@ -421,22 +385,17 @@ def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Poin
     dd, prev = g.dijkstra([a])
     if dd[b] == float("inf"):
         raise Disconnected(f"no grid path between {p} and {q}")
-    path = [g.nodes[b]]
-    u = b
-    while u != a:
-        u = prev[u]
-        path.append(g.nodes[u])
-    path.reverse()
-    pts = [p] + path + [q]
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    pts = [p] + [g.nodes[u] for u in reversed(path)] + [q]
     # drop duplicated endpoints when p/q coincide with grid nodes
     dedup = [pts[0]]
     for x in pts[1:]:
         if dist(x, dedup[-1]) > d.tol:
             dedup.append(x)
-    smoothed = _shortcut(d, dedup)
-    if best is not None and _polyline_len(best) <= _polyline_len(smoothed):
-        return best
-    return smoothed
+    offer(_shortcut(d, dedup))
+    return best
 
 
 def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:

@@ -8,6 +8,7 @@ and Python parses those back to the identical binary value.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -117,53 +118,47 @@ def domain_from_json(d: dict) -> PolygonalDomain:
 # Lipschitz expression trees, tagged by node kind
 
 
+_LIPFUNCS = {
+    "const": Const,
+    "linear": Linear,
+    "dist": DistTo,
+    "neg": Neg,
+    "sum": Sum,
+    "scale": Scale,
+    "min": Min,
+    "max": Max,
+    "clamp": Clamp,
+    "wave": Wave,
+}
+
+
 def lipfunc_to_json(f: LipFunc) -> dict:
-    if isinstance(f, Const):
-        return {"kind": "const", "c": f.c}
-    if isinstance(f, Linear):
-        return {"kind": "linear", "v": list(f.v)}
-    if isinstance(f, DistTo):
-        return {"kind": "dist", "p": list(f.p)}
-    if isinstance(f, Neg):
-        return {"kind": "neg", "f": lipfunc_to_json(f.f)}
-    if isinstance(f, Sum):
-        return {"kind": "sum", "f": lipfunc_to_json(f.f), "g": lipfunc_to_json(f.g)}
-    if isinstance(f, Scale):
-        return {"kind": "scale", "s": f.s, "f": lipfunc_to_json(f.f)}
-    if isinstance(f, Min):
-        return {"kind": "min", "f": lipfunc_to_json(f.f), "g": lipfunc_to_json(f.g)}
-    if isinstance(f, Max):
-        return {"kind": "max", "f": lipfunc_to_json(f.f), "g": lipfunc_to_json(f.g)}
-    if isinstance(f, Clamp):
-        return {"kind": "clamp", "f": lipfunc_to_json(f.f), "lo": f.lo, "hi": f.hi}
-    if isinstance(f, Wave):
-        return {"kind": "wave", "a": f.a, "k": f.k, "d": list(f.d)}
+    """The node's kind plus one key per dataclass field: subtrees
+    nested, tuples as lists. (lipfun's annotations are strings, so a
+    subtree field's type reads "LipFunc".)"""
+    for kind, cls in _LIPFUNCS.items():
+        if isinstance(f, cls):
+            out = {"kind": kind}
+            for fld in fields(cls):
+                v = getattr(f, fld.name)
+                if fld.type == "LipFunc":
+                    v = lipfunc_to_json(v)
+                out[fld.name] = list(v) if isinstance(v, tuple) else v
+            return out
     raise TypeError(f"unserializable LipFunc node: {type(f).__name__}")
 
 
 def lipfunc_from_json(d: dict) -> LipFunc:
     k = d["kind"]
-    if k == "const":
-        return Const(d["c"])
-    if k == "linear":
-        return Linear(d["v"])
-    if k == "dist":
-        return DistTo(d["p"])
-    if k == "neg":
-        return Neg(lipfunc_from_json(d["f"]))
-    if k == "sum":
-        return Sum(lipfunc_from_json(d["f"]), lipfunc_from_json(d["g"]))
-    if k == "scale":
-        return Scale(d["s"], lipfunc_from_json(d["f"]))
-    if k == "min":
-        return Min(lipfunc_from_json(d["f"]), lipfunc_from_json(d["g"]))
-    if k == "max":
-        return Max(lipfunc_from_json(d["f"]), lipfunc_from_json(d["g"]))
-    if k == "clamp":
-        return Clamp(lipfunc_from_json(d["f"]), d["lo"], d["hi"])
-    if k == "wave":
-        return Wave(d["a"], d["k"], d["d"])
-    raise ValueError(f"unknown LipFunc kind: {k!r}")
+    cls = next((c for kind, c in _LIPFUNCS.items() if k == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown LipFunc kind: {k!r}")
+    return cls(
+        *(
+            lipfunc_from_json(d[fld.name]) if fld.type == "LipFunc" else d[fld.name]
+            for fld in fields(cls)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,11 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     """Split the curve at every boundary intersection and classify each
     resulting piece by its midpoint: (t0, t1, +1 inside / -1 outside) in
     global parameter. A cut within `E.tol` of the last one kept is merged
-    into it. Raises DegenerateGeometry for overlaps, ambiguous pieces and
-    interior vertices sitting on the boundary."""
+    into it. A curve lying on the boundary has no pieces. Raises
+    DegenerateGeometry for overlaps, ambiguous pieces and interior
+    vertices sitting on the boundary."""
+    if _curve_on_boundary(c, E):
+        return []
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
     edges, tol = E.boundary_edges(), E.tol
@@ -399,8 +402,6 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
 def crossings(c: PolyCurve, E: PolyRegion, curve_index: int = 0) -> list[Crossing]:
     """Boundary crossings in curve order, classified entering/exiting.
     Tangential touches (no side change) are not crossings."""
-    if _curve_on_boundary(c, E):
-        return []
     pieces = _pieces(c, E)
     out = []
     for (_, t1a, ca), (_, _, cb) in zip(pieces, pieces[1:]):
@@ -419,8 +420,6 @@ def clip_field(f: CurveField, E: PolyRegion) -> CurveField:
     boundary contribute nothing (they carry no interior mass)."""
     out = []
     for c in f:
-        if _curve_on_boundary(c, E):
-            continue
         for t0, t1 in _inside_intervals(c, E):
             p0, p1 = c.point_at(t0), c.point_at(t1)
             verts = [p0]
@@ -439,8 +438,6 @@ def pairing_over_set(f: CurveField, phi: LipFunc, E: PolyRegion) -> float:
     Exact in phi evaluations."""
     total = 0.0
     for c in f:
-        if _curve_on_boundary(c, E):
-            continue
         for t0, t1 in _inside_intervals(c, E):
             total += c.weight * (phi(c.point_at(t1)) - phi(c.point_at(t0)))
     return total
@@ -453,8 +450,6 @@ def normal_trace(f: CurveField, E: PolyRegion) -> AtomicMeasure:
     E are divergence atoms, not trace atoms."""
     atoms: list[tuple[Point, float]] = []
     for c in f:
-        if _curve_on_boundary(c, E):
-            continue
         for t0, t1 in _inside_intervals(c, E):
             p0, p1 = c.point_at(t0), c.point_at(t1)
             if E.on_boundary(p0):
@@ -477,7 +472,6 @@ def product_rule_residual(
     f: CurveField,
     phi: LipFunc,
     test: LipFunc,
-    order: int = 8,
     stieltjes_sub: int = 5000,
 ) -> float:
     """Absolute defect in the product rule

@@ -109,8 +109,6 @@ def lift_config(
     g = routing_graph(d, h)
     for comp in range(g.n_components):
         nodes = [i for i in range(len(g.nodes)) if g.comp[i] == comp]
-        if not nodes:
-            continue
         deepest = max(
             nodes, key=lambda i: (g.clearance[i], tuple(-c for c in g.nodes[i]))
         )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dmfields import cli, fileio
+from dmfields.core import field_divergence
 
 
 @pytest.fixture()
@@ -227,3 +228,55 @@ def test_lift_rejects_an_atom_just_off_the_boundary(files):
     )
     rc = cli.main(["lift", "--element", near, "--domain", files["square"]])
     assert rc == 2
+
+
+def _extend(files, verb, curves):
+    field = files["write"]("chords.json", {"curves": curves})
+    box = files["write"](
+        "box.json", {"outer": [[-1, -1], [2, -1], [2, 2], [-1, 2]], "holes": []}
+    )
+    out = str(files["dir"] / f"{verb}.json")
+    args = ["--field", field, "--domain", files["square"], "--box", box]
+    assert cli.main([verb, *args, "--out", out]) == 0
+    return _read(out)
+
+
+def test_extend_verb_clears_the_boundary(files):
+    chord = {"weight": 1.0, "vertices": [[0.0, 0.3], [0.5, 0.45], [1.0, 0.7]]}
+    stub = {"weight": 0.5, "vertices": [[0.5, 0.0], [0.5, 0.5]]}
+    payload = _extend(files, "extend", [chord, stub])
+    f = fileio.field_from_json(payload)
+    assert f.curves[:2] == fileio.field_from_json({"curves": [chord, stub]}).curves
+    d = fileio.domain_from_json(_read(files["square"]))
+    div = field_divergence(f).coalesced(1e-9)
+    assert not div.restrict(d.on_boundary).atoms
+    assert div.coefficient((0.5, 0.5)) == -0.5
+
+
+def test_extend_divfree_verb_leaves_no_divergence(files):
+    chord = {"weight": 1.0, "vertices": [[0.0, 0.3], [0.5, 0.45], [1.0, 0.7]]}
+    payload = _extend(files, "extend-divfree", [chord])
+    assert payload["punctures"] == []
+    f = fileio.field_from_json(payload)
+    assert len(f.curves) > 1
+    assert field_divergence(f).coalesced(1e-9).atoms == ()
+
+
+def test_verify_writes_its_results(files, capsys):
+    out = str(files["dir"] / "verify.json")
+    assert cli.main(["verify", "--suite", "AC-1", "--out", out]) == 0
+    (row,) = _read(out)["results"]
+    assert row["suite"] == "AC-1" and row["passed"] is True
+    assert capsys.readouterr().out == f"AC-1: PASS - {row['detail']}\n"
+
+
+def test_ae_norm_out_prints_value_and_dual(files, capsys):
+    out = str(files["dir"] / "norm.json")
+    assert cli.main(["ae-norm", "--element", files["elem"], "--out", out]) == 0
+    payload = _read(out)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"value {payload['value']!r}"
+    assert lines[1:] == [
+        f"  {row['node']}  {row['potential']!r}" for row in payload["dual"]
+    ]
+    assert len(lines) == 1 + len(payload["dual"]) > 1

@@ -174,3 +174,22 @@ def test_pair_vector_linear_gradient_matches_divergence_pairing():
     phi = lambda x: 2.0 * x[0] - x[1]
     div_term = sum(c * phi(p) for p, c in field_divergence(f).atoms)
     assert pair_vector(f, grad) + div_term == pytest.approx(0.0, abs=1e-12)
+
+
+def test_same_atoms_pairs_atoms_in_any_order():
+    # an ulp in x reorders the atoms; zipping the sorted lists paired
+    # each atom with the wrong partner
+    a = AtomicMeasure([((-1.5, 0.0), 0.25), ((-1.5, 2.34e-6), -0.25)])
+    b = AtomicMeasure([((-1.4999999999999998, 0.0), 0.25), ((-1.5, 2.34e-6), -0.25)])
+    assert a.same_atoms(b, 1e-9) and b.same_atoms(a, 1e-9)
+
+
+def test_same_atoms_is_a_one_to_one_match():
+    # both atoms of a lie within tol of b's first atom and of no other
+    a = AtomicMeasure([((-0.6, 0.0), 2.0), ((0.6, 0.0), 2.0)])
+    b = AtomicMeasure([((0.0, 0.0), 2.0), ((5.0, 0.0), 2.0)])
+    assert not a.same_atoms(b, 1.0)
+    assert a.same_atoms(AtomicMeasure([((0.6, 0.5), 2.0), ((-0.6, 0.5), 2.0)]), 1.0)
+    # coefficients must agree within tol too
+    assert not a.same_atoms(a.scaled(1.0 + 1e-6), 1e-9)
+    assert AtomicMeasure().same_atoms(AtomicMeasure())

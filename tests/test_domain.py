@@ -203,3 +203,23 @@ def test_presets_have_certified_constants():
 def test_segment_whose_squared_length_underflows_is_a_point():
     # L1 * L1 underflows to 0 in the collinear branch of the edge test
     assert segment_in_domain(SQUARE, (0.0, 1.1e-305), (0.0, 0.0)) is False
+
+
+def test_select_lambda_on_a_graph_without_nodes():
+    # a box smaller than one grid step holds no grid node
+    tiny = PolygonalDomain(box_region(0, 0, 0.01, 0.01))
+    g = routing_graph(tiny, 0.02)
+    assert (g.n_components, g.comp, g.nodes) == (0, [], [])
+    with pytest.raises(InfeasibleDelta):
+        select_lambda(tiny, 0.005, h=0.02)
+
+
+def test_graph_components_are_numbered_by_lowest_node():
+    comp = complement_region(
+        domain_preset("annulus"), box_region(-3, -3, 3, 3)
+    )
+    g = routing_graph(comp, 0.05)
+    assert g.n_components == 2 and isinstance(g.n_components, int)
+    firsts = [g.comp.index(c) for c in range(g.n_components)]
+    assert firsts == sorted(firsts) and firsts[0] == 0
+    assert all(g.comp[a] == g.comp[b] for a, nbrs in enumerate(g.adj) for b, _ in nbrs)

@@ -14,7 +14,7 @@ from dmfields import (
     mollify,
 )
 from dmfields.aespace import BASE, DipoleRep
-from dmfields.lipfun import Clamp, Linear, Min, Scale, Sum, Wave
+from dmfields.lipfun import Clamp, Const, DistTo, Linear, Max, Min, Neg, Scale, Sum, Wave
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -114,3 +114,32 @@ def test_save_load_files(tmp_path):
     m = AtomicMeasure([((0.5, 0.5), 2.0)])
     fileio.save(str(path), fileio.measure_to_json(m))
     assert fileio.measure_from_json(fileio.load(str(path))).atoms == m.atoms
+
+
+def test_lipfunc_roundtrip_covers_every_kind():
+    leaf = DistTo((0.5, -1.0))
+    f = Max(
+        Neg(Sum(Const(2.5), Scale(-0.5, leaf))),
+        Min(Clamp(Linear((1.0, 2.0)), -1.0, 1.0), Wave(0.3, 2.0, (3.0, 4.0))),
+    )
+    payload = fileio.lipfunc_to_json(f)
+    kinds, stack = set(), [payload]
+    while stack:
+        node = stack.pop()
+        kinds.add(node["kind"])
+        stack += [v for v in node.values() if isinstance(v, dict)]
+    assert len(kinds) == 10
+    back = fileio.lipfunc_from_json(payload)
+    assert back == f
+    assert fileio.dumps(fileio.lipfunc_to_json(back)) == fileio.dumps(payload)
+    assert payload["g"]["g"] == {"kind": "wave", "a": 0.3, "k": 2.0, "d": [0.6, 0.8]}
+    assert payload["f"]["f"]["f"] == {"kind": "const", "c": 2.5}
+
+
+def test_lipfunc_json_errors():
+    with pytest.raises(TypeError):
+        fileio.lipfunc_to_json(Neg(3.0))
+    with pytest.raises(KeyError):
+        fileio.lipfunc_from_json({"kind": "clamp", "f": {"kind": "const", "c": 1.0}})
+    with pytest.raises(KeyError):
+        fileio.lipfunc_from_json({"c": 1.0})

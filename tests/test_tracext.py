@@ -140,3 +140,14 @@ def test_extend_divfree_rejects_net_flux():
     cfg_out = lift_config(comp, 0.05, 0.3)
     with pytest.raises(NonzeroNetFlux):
         extend_divfree(src, SQUARE, cfg_out)
+
+
+def test_extend_divfree_punctures_lie_on_the_exterior_net():
+    chord = CurveField([PolyCurve([(0.0, 0.3), (0.5, 0.5), (1.0, 0.7)], 1.0)])
+    comp = complement_region(SQUARE, box_region(-1, -1, 2, 2))
+    cfg_out = lift_config(comp, 0.05, 0.3)
+    g, punctures = extend_divfree(chord, SQUARE, cfg_out, connected_complement=False)
+    assert punctures
+    assert set(punctures) <= set(cfg_out.lam)
+    div = field_divergence(g).coalesced(1e-9)
+    assert div.locations() == sorted(punctures)
