@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from .errors import DimensionMismatch
 
@@ -211,23 +211,20 @@ class AtomicMeasure:
         atoms = list(self.atoms)
         n = len(atoms)
         xs = [p[0] for p, _ in atoms]
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, x_window(xs, xs[i], tol).stop):
-                if dist(atoms[i][0], atoms[j][0]) <= tol:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, x_window(xs, xs[i], tol).stop)
+            if dist(atoms[i][0], atoms[j][0]) <= tol
+        ]
+        rows, cols = zip(*pairs) if pairs else ((), ())
+        M = csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+        # members of each cluster in index order, clusters in order of
+        # their first member
+        _, comp = connected_components(M, directed=False)
         groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
+        for i, c in enumerate(comp.tolist()):
+            groups.setdefault(c, []).append(i)
         merged = []
         for idxs in groups.values():
             loc = min(atoms[i][0] for i in idxs)

@@ -17,8 +17,9 @@ sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,
 and check the resulting curve decomposition by Monte-Carlo integration
 against grid integrals, including the mass-transport invariant
 tau(G_t(x)) det(grad G_t(x)) = const along trajectories. Every grid
-lookup goes through one bilinear sampler, `GridField._sample`, and
-every integrator through one RK4 step, `_rk4_step`. Single flow curves
+lookup goes through one bilinear sampler, `GridField._sample`, whose
+cell arithmetic (`_cell`) also places mollify's deposits, and every
+integrator through one RK4 step, `_rk4_step`. Single flow curves
 come from one trajectory driver, `_trajectory`, and the drift check
 reads tau and div sigma along the whole curve in one lookup.
 """
@@ -306,6 +307,20 @@ def project_curves(
 # numerical pipeline
 
 
+def _cell(u, v, nx, ny):
+    """Bilinear stencil of the points (u, v), in grid units, on an
+    nx x ny grid: for each corner of the points' cells, corner (i, j)
+    first, its flat index and its two weight factors. The cell is
+    clamped to the grid; the weights are exact and within [0, 1] for
+    points inside it."""
+    i = np.minimum(np.maximum(np.floor(u).astype(int), 0), nx - 2)
+    j = np.minimum(np.maximum(np.floor(v).astype(int), 0), ny - 2)
+    du, dv = u - i, v - j
+    cu, cv = 1 - du, 1 - dv
+    k = i * ny + j
+    return (k, cu, cv), (k + ny, du, cv), (k + 1, cu, dv), (k + ny + 1, du, dv)
+
+
 @dataclass
 class GridField:
     """Mollified field on a rectangular grid: arrays indexed [ix, iy],
@@ -348,13 +363,7 @@ class GridField:
             raise LeftGrid("point outside the sampled grid")
         if not every:
             u, v = u[ok], v[ok]
-        i = np.minimum(np.maximum(np.floor(u).astype(int), 0), nx - 2)
-        j = np.minimum(np.maximum(np.floor(v).astype(int), 0), ny - 2)
-        # exact and within [0, 1] for points inside the grid
-        du, dv = u - i, v - j
-        cu, cv = 1 - du, 1 - dv
-        k = i * ny + j  # flat index of the cell's corner (i, j)
-        corners = ((k + ny, du, cv), (k + 1, cu, dv), (k + ny + 1, du, dv))
+        (k, cu, cv), *corners = _cell(u, v, nx, ny)
         out = []
         for A in arrays:
             a = A.ravel()
@@ -389,12 +398,7 @@ class GridField:
         return float(self.tau.sum()) * self.h * self.h
 
 
-def mollify(
-    f: CurveField,
-    eps: float,
-    h: float,
-    bounds: tuple[float, float, float, float] | None = None,
-) -> GridField:
+def mollify(f: CurveField, eps: float, h: float) -> GridField:
     """Gaussian mollification of the field and its variation measure,
     kernel bandwidth eps truncated at 4 eps and discretely normalized;
     tau gets a floor of eps times a unit Gaussian bump at the support
@@ -404,47 +408,43 @@ def mollify(
     from scipy.signal import fftconvolve
 
     pts = [v for c in f for v in c.vertices]
-    if bounds is None:
-        if pts:
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            m = 4 * eps + 2 * h
-            bounds = (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
-        else:
-            bounds = (-4 * eps, -4 * eps, 4 * eps, 4 * eps)
-    x0, y0, x1, y1 = bounds
+    if pts:
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        m = 4 * eps + 2 * h
+        x0, y0, x1, y1 = min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m
+    else:
+        x0, y0, x1, y1 = -4 * eps, -4 * eps, 4 * eps, 4 * eps
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
-    Mx = np.zeros((nx, ny))
-    My = np.zeros((nx, ny))
-    Mv = np.zeros((nx, ny))
 
-    def deposit(A, px, py, val):
-        u = (px - x0) / h
-        v = (py - y0) / h
-        i = min(max(int(math.floor(u)), 0), nx - 2)
-        j = min(max(int(math.floor(v)), 0), ny - 2)
-        du = u - i
-        dv = v - j
-        A[i, j] += val * (1 - du) * (1 - dv)
-        A[i + 1, j] += val * du * (1 - dv)
-        A[i, j + 1] += val * (1 - du) * dv
-        A[i + 1, j + 1] += val * du * dv
-
+    # each segment in n pieces of length at most h / 2, each piece's
+    # field and mass deposited bilinearly at its midpoint
+    px, py, dx, dy, mass = ([np.empty(0)] for _ in range(5))
     for c in f:
         for a, b in c.segments():
             L = dist(a, b)
             if L == 0.0:
                 continue
             n = max(1, int(math.ceil(L / (h / 2))))
-            for k in range(n):
-                t0, t1 = k / n, (k + 1) / n
-                mxp = a[0] + (t0 + t1) / 2 * (b[0] - a[0])
-                myp = a[1] + (t0 + t1) / 2 * (b[1] - a[1])
-                seg = ((b[0] - a[0]) / n, (b[1] - a[1]) / n)
-                deposit(Mx, mxp, myp, c.weight * seg[0])
-                deposit(My, mxp, myp, c.weight * seg[1])
-                deposit(Mv, mxp, myp, abs(c.weight) * L / n)
+            k = np.arange(n)
+            t = (k / n + (k + 1) / n) / 2
+            px.append(a[0] + t * (b[0] - a[0]))
+            py.append(a[1] + t * (b[1] - a[1]))
+            dx.append(np.full(n, c.weight * ((b[0] - a[0]) / n)))
+            dy.append(np.full(n, c.weight * ((b[1] - a[1]) / n)))
+            mass.append(np.full(n, abs(c.weight) * L / n))
+    u = (np.concatenate(px) - x0) / h
+    v = (np.concatenate(py) - y0) / h
+    cell = _cell(u, v, nx, ny)
+    # sample-major, so each node sums its terms in sample order
+    idx = np.stack([kc for kc, _, _ in cell], axis=1).ravel()
+
+    def deposit(val):
+        w = np.stack([val * wu * wv for _, wu, wv in cell], axis=1).ravel()
+        return np.bincount(idx, w, minlength=nx * ny).reshape(nx, ny)
+
+    Mx, My, Mv = (deposit(np.concatenate(w)) for w in (dx, dy, mass))
 
     r = int(math.ceil(4 * eps / h))
     ax = np.arange(-r, r + 1) * h

@@ -64,7 +64,7 @@ class LiftConfig:
     e: Point
     h: float = 0.02
     delta: float | None = None
-    _sep: float | None = dfield(default=None, repr=False)
+    _sep: float | None = dfield(default=None, repr=False, compare=False)
     _lam_comp: tuple[int, ...] | None = dfield(
         default=None, repr=False, compare=False
     )
@@ -114,10 +114,12 @@ def lift_config(
         )
         if g.nodes[deepest] not in lam:
             lam.append(g.nodes[deepest])
-    e = max(lam, key=lambda p: (d.boundary_dist(p), tuple(-c for c in p)))
-    if d.boundary_dist(e) <= min(1.0, delta):
+    # every net point is a graph node, whose clearance is its boundary_dist
+    clear = dict(zip(g.nodes, g.clearance))
+    e = max(lam, key=lambda p: (clear[p], tuple(-c for c in p)))
+    if clear[e] <= min(1.0, delta):
         raise InfeasibleDelta(
-            f"base point clearance {d.boundary_dist(e):.4f} not above delta {delta}"
+            f"base point clearance {clear[e]:.4f} not above delta {delta}"
         )
     return LiftConfig(d, tuple(lam), e, h, delta)
 

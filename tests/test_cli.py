@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from dmfields import cli, fileio
+from dmfields import acceptance, cli, fileio
 from dmfields.core import field_divergence
 
 
@@ -267,6 +268,7 @@ def test_verify_writes_its_results(files, capsys):
     assert cli.main(["verify", "--suite", "AC-1", "--out", out]) == 0
     (row,) = _read(out)["results"]
     assert row["suite"] == "AC-1" and row["passed"] is True
+    assert re.fullmatch(r"500 fields, worst scaled residual \S+, \d+\.\ds", row["detail"])
     assert capsys.readouterr().out == f"AC-1: PASS - {row['detail']}\n"
 
 
@@ -280,3 +282,16 @@ def test_ae_norm_out_prints_value_and_dual(files, capsys):
         f"  {row['node']}  {row['potential']!r}" for row in payload["dual"]
     ]
     assert len(lines) == 1 + len(payload["dual"]) > 1
+
+
+def test_verify_runs_every_suite_in_order(monkeypatch, capsys):
+    for name in acceptance.SUITES:
+        monkeypatch.setitem(
+            acceptance.SUITES, name, (lambda name=name: (True, f"{name} ok"), None)
+        )
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [f"AC-{i}" for i in range(1, 11)]
+    assert [line.split(":")[0] for line in lines] == names
+    for name, line in zip(names, lines):
+        assert re.fullmatch(rf"{name}: PASS - {name} ok, \d+\.\ds", line)

@@ -151,3 +151,9 @@ def test_extend_divfree_punctures_lie_on_the_exterior_net():
     assert set(punctures) <= set(cfg_out.lam)
     div = field_divergence(g).coalesced(1e-9)
     assert div.locations() == sorted(punctures)
+
+
+def test_lift_configs_stay_equal_once_one_caches_its_separation():
+    a, b = lift_config(SQUARE, 0.02), lift_config(SQUARE, 0.02)
+    a.sep()
+    assert a == b
