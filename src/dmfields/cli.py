@@ -32,10 +32,10 @@ from .acceptance import SUITES, run_suites
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; flag problems are validation
-    # problems here
+    # problems here, so the same report exits 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -61,7 +61,18 @@ class PolyCurve:
     weight: float = 1.0
 
     def __init__(self, vertices: Sequence[Sequence[float]], weight: float = 1.0):
-        pts = [as_point(v) for v in vertices]
+        self._build([as_point(v) for v in vertices], weight)
+
+    @classmethod
+    def _of_points(cls, pts: list[Point], weight: float) -> "PolyCurve":
+        """PolyCurve(pts, weight) for points that already passed
+        `as_point`: the same curve and the same errors, without
+        converting and checking each coordinate again."""
+        c = object.__new__(cls)
+        c._build(pts, weight)
+        return c
+
+    def _build(self, pts: list[Point], weight: float) -> None:
         if len(pts) < 2:
             raise ValueError("a curve needs at least two vertices")
         dim = len(pts[0])

@@ -3,11 +3,16 @@
 Exact side: snap a polygonal field onto a graph (merging vertices,
 splitting collinear overlaps, cancelling antiparallel mass), then peel
 off source-to-sink paths and cycles whose recomposition reproduces the
-edge weights. Both run in three sweeps that only move forward: each
-vertex meets only the representatives in its sorted-x window
-(`core.x_window`); sources and cycle starts come from one cursor over
-the sorted nodes per phase; each node's first live out-edge comes from
-its own cursor into its sorted out-edges. A dimension lift sends any
+edge weights. Both run in sweeps that only move forward: each vertex
+meets only the representatives in its sorted-x window
+(`core.x_window`), and each segment, when split at the nodes lying on
+it, only the nodes in its box, widened by a slack and found through the
+same sorted x-coordinates; sources come from one cursor over the sorted
+nodes, cycle walks start from each node in sorted order and resume from
+their prefix after each cycle or dead end; each node's first live
+out-edge comes from its own cursor into its sorted out-edges. The peel
+checks the graph's nodes once and builds its curves from them without
+checking each vertex again. A dimension lift sends any
 finite-divergence planar field to a divergence-free spatial one, so the
 cycle machinery applies to fields with sources; projecting the flat
 portions back recovers the plane field.
@@ -27,6 +32,7 @@ reads tau and div sigma along the whole curve in one lookup.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +45,7 @@ from .core import (
     CurveField,
     Point,
     PolyCurve,
+    as_point,
     dist,
     field_divergence,
     field_mass,
@@ -56,33 +63,76 @@ class FlowGraph:
     imbalance: tuple[float, ...]  # out minus in, per node
 
 
+_PAIRS = 1 << 16  # candidate (segment, node) pairs per numpy pass
+_TINY = math.sqrt(sys.float_info.min)  # below it, squares underflow
+
+
 def _interior_nodes(segs, reps, tol):
     """(t, node) for the nodes within tol of the interior of each segment,
-    t its projection parameter. The projection uses every coordinate, so
-    a lifted height-0 segment does not meet the height-1 copy of a vertex.
-    numpy computes every (segment, node) parameter with the scalar
-    arithmetic and leaves `dist` only the pairs within 2 tol."""
+    t its projection parameter, in the order of reps, whose first
+    coordinates must not decrease. The projection uses every coordinate,
+    so a lifted height-0 segment does not meet the height-1 copy of a
+    vertex.
+
+    A segment's candidates are the nodes in its box widened by a slack
+    on every coordinate: a sorted-x window as in `core.x_window`, but
+    spanning the segment's x-extent, then the box on the other
+    coordinates (z too, for lifted fields). The slack, 2 max(tol, TINY)
+    + 16 ulp(M), M the largest coordinate magnitude, keeps every node
+    the exact test accepts, at any coordinate scale: the rounded
+    projection point lies within 8 ulp(M) of the box; a node that `dist`
+    puts within tol of it is within max(tol, TINY) (1 + 4 eps) of it on
+    each coordinate, TINY covering distances whose squares underflow to
+    0; the rest covers rounding the box bounds, also where 2 tol is
+    below one ulp of the coordinates. numpy computes the candidates'
+    parameters and gaps with the scalar arithmetic, adding the
+    coordinate terms in index order, and leaves `dist` only the pairs
+    within 2 tol."""
     hits: list[list[tuple[float, Point]]] = [[] for _ in segs]
     if not segs:
         return hits
-    R = np.array(reps, dtype=float)
-    A = np.array([a for a, _, _ in segs], dtype=float)
-    D = np.array([b for _, b, _ in segs], dtype=float) - A
+    # one row per coordinate
+    R = np.array(reps, dtype=float).T.copy()
+    A = np.array([a for a, _, _ in segs], dtype=float).T.copy()
+    B = np.array([b for _, b, _ in segs], dtype=float).T.copy()
+    D = B - A
     L = np.array([dist(a, b) for a, b, _ in segs])
-    step = max(1, (1 << 16) // len(reps))
-    for s0 in range(0, len(segs), step):
-        a, d, l = (X[s0 : s0 + step, None] for X in (A, D, L))
-        ts = ((R - a) * d).sum(axis=2) / (l * l)
-        gap = ((a + ts[..., None] * d - R) ** 2).sum(axis=2)
-        lo = tol / l
-        near = (lo < ts) & (ts < 1 - lo) & (gap <= 4 * tol * tol)
-        for i, j in zip(*(x.tolist() for x in np.nonzero(near))):
-            (a0, b0, _), r, t = segs[s0 + i], reps[j], float(ts[i, j])
-            if r == a0 or r == b0:
+    scale = max(np.abs(X).max() for X in (R, A, B))
+    slack = 2 * max(tol, _TINY) + 16 * np.spacing(scale)
+    lo, hi = np.minimum(A, B) - slack, np.maximum(A, B) + slack
+    # segment i's x-window holds the reps first[i] : first[i] + count[i];
+    # whole segments at a time, about _PAIRS (segment, rep) pairs
+    first = np.searchsorted(R[0], lo[0], "left")
+    count = np.searchsorted(R[0], hi[0], "right") - first
+    end = np.cumsum(count)
+    cuts = np.searchsorted(end, np.arange(0, end[-1] + _PAIRS, _PAIRS), "right")
+    for s0, s1 in zip(cuts.tolist(), cuts[1:].tolist()):
+        c = count[s0:s1]
+        i = np.repeat(np.arange(s0, s1), c)
+        j = np.arange(len(i)) + np.repeat(first[s0:s1] - (np.cumsum(c) - c), c)
+        box = np.ones(len(i), dtype=bool)
+        for k in range(1, len(R)):
+            rk = R[k].take(j)
+            box &= (lo[k].take(i) <= rk) & (rk <= hi[k].take(i))
+        box = np.flatnonzero(box)
+        i, j = i.take(box), j.take(box)
+        a, d, r = A.take(i, axis=1), D.take(i, axis=1), R.take(j, axis=1)
+        l = L.take(i)
+        ts = (r[0] - a[0]) * d[0]
+        for k in range(1, len(R)):
+            ts += (r[k] - a[k]) * d[k]
+        ts /= l * l
+        gap = (a[0] + ts * d[0] - r[0]) ** 2
+        for k in range(1, len(R)):
+            gap += (a[k] + ts * d[k] - r[k]) ** 2
+        near = (tol / l < ts) & (ts < 1 - tol / l) & (gap <= 4 * tol * tol)
+        for s, n, t in zip(*(x[near].tolist() for x in (i, j, ts))):
+            (a0, b0, _), r0 = segs[s], reps[n]
+            if r0 == a0 or r0 == b0:
                 continue
             proj = tuple(ak + t * (bk - ak) for ak, bk in zip(a0, b0))
-            if dist(proj, r) <= tol:
-                hits[s0 + i].append((t, r))
+            if dist(proj, r0) <= tol:
+                hits[s].append((t, r0))
     return hits
 
 
@@ -143,7 +193,12 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
 def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
     """Peel source-to-sink paths while positive imbalances remain, then
     cycles; each extraction removes the minimum weight along its walk.
-    Deterministic: lexicographically smallest choices throughout."""
+    Deterministic: lexicographically smallest choices throughout.
+    ValueError unless 0 <= tol < inf and every node passes `as_point`;
+    the nodes are checked once, not again in each curve."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"graph_decompose needs 0 <= tol < inf, got {tol}")
+    nodes = [as_point(p) for p in g.nodes]
     w = {}
     out: list[list[int]] = [[] for _ in g.nodes]
     for u, v, wt in g.edges:
@@ -168,7 +223,7 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
                     path.append(parent[path[-1]])
                 return path[::-1]
             for v in out[u]:
-                if live(u, v) and v not in parent:
+                if v not in parent and live(u, v):
                     parent[v] = u
                     queue.append(v)
         return None
@@ -202,34 +257,36 @@ def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
             w[(u, v)] -= amt
         imb[path[0]] -= amt
         imb[path[-1]] += amt
-        curves.append(PolyCurve([g.nodes[i] for i in path], amt))
-    # cycles
-    k = 0
-    while True:
-        while k < len(node_order) and first_live(node_order[k]) is None:
-            k += 1
-        if k == len(node_order):
-            break
-        path = [node_order[k]]
-        pos = {path[0]: 0}
-        while True:
+        curves.append(PolyCurve._of_points([nodes[i] for i in path], amt))
+    # cycles: walk from each node in order while it has a live edge. A
+    # cycle or a dead end changes no edge of the walk before it, so a
+    # walk restarted from the same node would retrace that prefix: the
+    # walk resumes from it instead
+    for s in node_order:
+        path, pos = [s], {s: 0}
+        while path:
             u = path[-1]
             nxt = first_live(u)
             if nxt is None:
-                # float residue below tolerance left a dead end; the
-                # weight that led here is unreturnable, drop it (the
-                # start has a live edge, so u is not the start)
-                w[(path[-2], u)] = 0.0
-                break
-            if nxt in pos:
-                cyc = path[pos[nxt]:] + [nxt]
+                # the start is used up, or float residue below tolerance
+                # left a dead end: the weight that led here is
+                # unreturnable, drop it
+                del pos[path.pop()]
+                if path:
+                    w[(path[-1], u)] = 0.0
+            elif nxt in pos:
+                q = pos[nxt]
+                cyc = path[q:] + [nxt]
                 amt = min(w[(a, b)] for a, b in zip(cyc, cyc[1:]))
                 for a, b in zip(cyc, cyc[1:]):
                     w[(a, b)] -= amt
-                curves.append(PolyCurve([g.nodes[i] for i in cyc], amt))
-                break
-            path.append(nxt)
-            pos[nxt] = len(path) - 1
+                curves.append(PolyCurve._of_points([nodes[i] for i in cyc], amt))
+                for v in path[q + 1 :]:
+                    del pos[v]
+                del path[q + 1 :]
+            else:
+                path.append(nxt)
+                pos[nxt] = len(path) - 1
     return curves
 
 

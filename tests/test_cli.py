@@ -215,6 +215,12 @@ def test_unknown_verb_exits_1(capsys):
     assert cli.main(["frobnicate"]) == 1
 
 
+def test_bad_flag_value_exits_1_with_argparse_message(capsys):
+    assert cli.main(["verify", "--suite", "AC-11"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "AC-11" in err
+
+
 def test_domain_error_exits_2(files):
     inside = files["write"](
         "inside.json", {"atoms": [{"location": [0.5, 0.5], "coefficient": 1.0}]}

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
     CurveField,
+    DimensionMismatch,
     FlowGraph,
     GridField,
     LeftGrid,
@@ -172,10 +173,36 @@ def test_solenoidal_round_trip_recomposes_grid_fields(specs):
     assert back.edges == orig.edges
 
 
-# `snap_to_graph` and `graph_decompose` as they were written before the
-# representative map, the single cancellation key, the sorted-x window
-# and the peel's cursors: references that the current versions must
-# equal with ==.
+# `snap_to_graph`, its split pass and `graph_decompose` as they were
+# written before the representative map, the single cancellation key,
+# the sorted-x windows and the peel's cursors: references that the
+# current versions must equal with ==.
+
+
+def _old_interior_nodes(segs, reps, tol):
+    # every node projected onto every segment in one dense pass
+    hits = [[] for _ in segs]
+    if not segs:
+        return hits
+    R = np.array(reps, dtype=float)
+    A = np.array([a for a, _, _ in segs], dtype=float)
+    D = np.array([b for _, b, _ in segs], dtype=float) - A
+    L = np.array([dist(a, b) for a, b, _ in segs])
+    step = max(1, (1 << 16) // len(reps))
+    for s0 in range(0, len(segs), step):
+        a, d, l = (X[s0 : s0 + step, None] for X in (A, D, L))
+        ts = ((R - a) * d).sum(axis=2) / (l * l)
+        gap = ((a + ts[..., None] * d - R) ** 2).sum(axis=2)
+        lo = tol / l
+        near = (lo < ts) & (ts < 1 - lo) & (gap <= 4 * tol * tol)
+        for i, j in zip(*(x.tolist() for x in np.nonzero(near))):
+            (a0, b0, _), r, t = segs[s0 + i], reps[j], float(ts[i, j])
+            if r == a0 or r == b0:
+                continue
+            proj = tuple(ak + t * (bk - ak) for ak, bk in zip(a0, b0))
+            if dist(proj, r) <= tol:
+                hits[s0 + i].append((t, r))
+    return hits
 
 
 def _old_snap_to_graph(f, tol=1e-9):
@@ -200,7 +227,7 @@ def _old_snap_to_graph(f, tol=1e-9):
             if u != v:
                 segs.append((u, v, c.weight))
     pieces = []
-    for (a, b, w), hits in zip(segs, _interior_nodes(segs, reps, tol)):
+    for (a, b, w), hits in zip(segs, _old_interior_nodes(segs, reps, tol)):
         pts = [a] + [r for _, r in sorted(hits)] + [b]
         pieces.extend((u, v, w) for u, v in zip(pts, pts[1:]))
     acc = {}
@@ -381,6 +408,75 @@ def test_snap_and_peel_equal_the_two_pass_reference(curves, lifted, offset):
     assert got == [(c.vertices, c.weight) for c in _old_graph_decompose(g)]
 
 
+# nodes at tol (1 - 2^-52), tol and tol (1 + 2^-52) from a segment's
+# interior or ends, where rounding decides the split
+_ULP_FACTORS = [0.0, 0.5, 1 - 2.0**-52, 1.0, 1 + 2.0**-52, 2.0]
+_ENDS = [0.0, 2.0**-52, 1e-10, 1 - 1e-10, 1 - 2.0**-53, 1.0]
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _unit(v):
+    n = math.hypot(*v)
+    return tuple(x / n for x in v)
+
+
+@st.composite
+def split_cases(draw):
+    """Segments, sorted nodes and a tol: segments of any slope, with
+    zero width on an axis (horizontal, vertical and, lifted, risers),
+    and nodes moved off them across the tolerance."""
+    dim = draw(st.sampled_from([2, 3]))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    coord = st.one_of(st.integers(0, 3).map(float), st.floats(0, 3))
+    segs, nodes = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        a = [draw(coord) + offset, draw(coord) + offset]
+        a += [draw(st.sampled_from([0.0, 1.0]))] * (dim - 2)
+        kind = draw(st.sampled_from(["any", "horizontal", "vertical", "riser"][: dim + 1]))
+        b = list(a)
+        if kind == "riser":
+            b[2] = 1.0 - a[2]
+        else:
+            if kind != "vertical":
+                b[0] = draw(coord) + offset
+            if kind != "horizontal":
+                b[1] = draw(coord) + offset
+        a, b = tuple(a), tuple(b)
+        if dist(a, b) ** 2 == 0.0:
+            continue  # no length to project onto
+        segs.append((a, b, 1.0))
+        nodes += [a, b]
+        d = _unit([y - x for x, y in zip(a, b)])
+        across = _unit((-d[1], d[0], 0.0)[:dim] if d[:2] != (0.0, 0.0) else (1.0, 0.0, 0.0))
+        for _ in range(draw(st.integers(0, 4))):
+            t = draw(st.one_of(st.sampled_from(_ENDS), st.floats(0, 1)))
+            u = draw(st.sampled_from([across, d, tuple(-x for x in d), _unit([1.0] * dim)]))
+            f = draw(st.sampled_from(_ULP_FACTORS)) * tol
+            # the rounded projection point, moved by f tol, then by ulps
+            p = [x + t * (y - x) for x, y in zip(a, b)]
+            p = [x + f * e for x, e in zip(p, u)]
+            p = tuple(_ulps(x, draw(st.integers(-3, 3))) for x in p)
+            nodes.append(p)
+            if dim == 3:  # the other layer's copy of the node
+                nodes.append(p[:2] + (1.0 - p[2],))
+    return segs, sorted(set(nodes)), tol
+
+
+@given(split_cases())
+# a node 1e-163 off the segment: its squared distance underflows to 0
+@example(([((0.0, 0.0), (1e-150, 0.0), 1.0)], [(0.0, 0.0), (5e-151, 1e-163), (1e-150, 0.0)], 0.0))
+@settings(max_examples=400, deadline=None)
+def test_split_pass_equals_the_dense_reference(case):
+    segs, reps, tol = case
+    assert _interior_nodes(segs, reps, tol) == _old_interior_nodes(segs, reps, tol)
+
+
 def test_snap_makes_few_dist_calls_per_vertex(monkeypatch):
     # 1,000 distinct real vertices; scanning every earlier
     # representative for each vertex makes about 500 calls per vertex
@@ -397,6 +493,41 @@ def test_snap_makes_few_dist_calls_per_vertex(monkeypatch):
     g = snap_to_graph(f)
     assert len(g.nodes) == 1000
     assert calls <= 10 * 1000
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_decompose_rejects_a_bad_tolerance(tol):
+    f = CurveField(
+        [PolyCurve([(0, 0), (1, 0)]), PolyCurve([(0.5, 0), (0.5, 1)], 0.5)]
+    )
+    with pytest.raises(ValueError):
+        graph_decompose(snap_to_graph(f), tol)
+
+
+def _path_graph(*nodes):
+    # one unit of flow along the nodes in order
+    n = len(nodes)
+    edges = tuple((i, i + 1, 1.0) for i in range(n - 1))
+    return FlowGraph(tuple(nodes), edges, (1.0,) + (0.0,) * (n - 2) + (-1.0,))
+
+
+def test_decompose_rejects_a_non_finite_node_on_a_path():
+    with pytest.raises(ValueError):
+        graph_decompose(_path_graph((0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)))
+
+
+def test_decompose_rejects_mixed_dimensions_on_a_path():
+    with pytest.raises(DimensionMismatch):
+        graph_decompose(_path_graph((0.0, 0.0), (1.0, 0.0, 0.0)))
+
+
+def test_decompose_builds_curves_as_polycurve_does():
+    # equal points on one path are one vertex; integers become floats
+    nodes = ((0, 0), (1, 0), (1.0, 0.0), (2, 1))
+    (c,) = graph_decompose(_path_graph(*nodes))
+    want = PolyCurve(nodes, 1.0)
+    assert (c.vertices, c.weight) == (want.vertices, want.weight)
+    assert all(type(x) is float for p in c.vertices for x in p)
 
 
 def test_project_keeps_flat_curves_and_drops_raised_ones():
