@@ -1,14 +1,17 @@
 """Golden digests of the deterministic outputs.
 
-Nets, routing graphs, lifts with provenance and the JSON of the `lift`,
-`extend`, `extend-divfree` and `decompose` verbs are written through
+Nets, routing graphs, lifts with provenance and the JSON of the `trace`,
+`pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and `decompose`
+verbs are written through
 the deterministic JSON writer and hashed with SHA-256, so a change that
 moves any of them by one ulp fails here. When a change to one of them is
 intended, print the new digests with `PYTHONPATH=src python
 tests/test_golden.py` and record the reason in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -29,11 +32,23 @@ GOLDEN = {
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
     "lifts[koch2]": "6bf88538a183ce9f2988bddc5579e3970af783a6cad0bc9dae7ee74536a82b10",
+    "cli[trace]": "b5c9172ea49a4ae94ea3f9c84b6b2647af2b640f436f04c2f6940a72b3046b71",
+    "cli[pairing]": "3eb032bb9f27a3c0f346df46a1d75229150ac4ddacdd6eadfc3a69a3c7be6b53",
+    "cli[ae-norm]": "385502ec635c13e9814c5fa558858c2767812142c105aac22cae2d5d92205ca6",
     "cli[lift]": "bbde7bf485b72a8f724181591a0231d637b11b2c0b4249087f5c5256246763c3",
     "cli[extend]": "96784b5b0fc9e947d539482425c5efbeb87430c8ef2a05a2205a16eabcef9bb3",
     "cli[extend-divfree]": "e12ae73b008e72cb6ae258f776a22b516b33820e804e057caf23b35de7b95773",
     "cli[decompose]": "3f6b6c0fb5228371e8a2db9611586e161d33b38ddcb0683059b477807da6a7af",
 }
+VERBS = (
+    "trace",
+    "pairing",
+    "ae-norm",
+    "lift",
+    "extend",
+    "extend-divfree",
+    "decompose",
+)
 
 SQUARE = {
     "regions": [{"outer": [[0, 0], [1, 0], [1, 1], [0, 1]], "holes": []}],
@@ -66,6 +81,12 @@ WEB = {
         {"weight": 0.5, "vertices": [[0.5, 0.5], [0.5, 0.8]]},
         {"weight": 2.0, "vertices": [[0.25, 0.5], [0.25, 0.0]]},
     ]
+}
+# max of a linear function and a distance: kinks inside the square
+PHI = {
+    "kind": "max",
+    "f": {"kind": "linear", "v": [1.0, -0.5]},
+    "g": {"kind": "dist", "p": [0.3, 0.6]},
 }
 
 
@@ -107,7 +128,14 @@ def _cli(verb, tmp_path):
         return str(path)
 
     square = write("square.json", SQUARE)
-    if verb == "lift":
+    if verb == "trace":
+        args = ["--field", write("web.json", WEB), "--region", square]
+    elif verb == "pairing":
+        args = ["--field", write("chords.json", CHORDS), "--region", square]
+        args += ["--phi", write("phi.json", PHI)]
+    elif verb == "ae-norm":
+        args = ["--element", write("elem.json", ELEMENT)]
+    elif verb == "lift":
         args = ["--element", write("elem.json", ELEMENT), "--domain", square]
     elif verb == "decompose":
         args = ["--field", write("web.json", WEB)]
@@ -116,7 +144,8 @@ def _cli(verb, tmp_path):
         args = ["--field", write("field.json", field), "--domain", square]
         args += ["--box", write("box.json", BOX)]
     out = tmp_path / "out.json"
-    assert cli.main([verb, *args, "--out", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):  # ae-norm's summary
+        assert cli.main([verb, *args, "--out", str(out)]) == 0
     return out.read_text()
 
 
@@ -130,7 +159,7 @@ def test_lifts_with_provenance(name):
     assert _digest(_lifts(name)) == GOLDEN[f"lifts[{name}]"]
 
 
-@pytest.mark.parametrize("verb", ["lift", "extend", "extend-divfree", "decompose"])
+@pytest.mark.parametrize("verb", VERBS)
 def test_cli_json(verb, tmp_path):
     assert _digest(_cli(verb, tmp_path)) == GOLDEN[f"cli[{verb}]"]
 
@@ -143,7 +172,7 @@ if __name__ == "__main__":
         print(f'    "net-graph[{name}]": "{_digest(_net_graph(name))}",')
     for name in PRESETS:
         print(f'    "lifts[{name}]": "{_digest(_lifts(name))}",')
-    for verb in ("lift", "extend", "extend-divfree", "decompose"):
+    for verb in VERBS:
         with tempfile.TemporaryDirectory() as tmp:
             text = _cli(verb, pathlib.Path(tmp))
         print(f'    "cli[{verb}]": "{_digest(text)}",')
