@@ -165,8 +165,6 @@ def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
     """
     nodes, b = _nodes_and_imbalances(m)
     n = len(nodes)
-    if n == 1:  # only the base point: zero element
-        return 0.0, DipoleRep((), 0.0), {BASE: 0.0}
     BIG = sum(abs(b[v]) for v in nodes) + 1.0
     net = _MCMF(n + 2)
     S, T = n, n + 1

@@ -241,7 +241,10 @@ class PolyRegion:
         return EPS * max(abs(c) for ring in self.rings() for p in ring for c in p)
 
     def on_boundary(self, p: Point) -> bool:
-        """Whether p lies within `tol` of an edge."""
+        """Whether p lies within `tol` of an edge; DimensionMismatch for
+        a point off the plane."""
+        if len(p) != 2:
+            raise DimensionMismatch("regions are planar")
         tol = self.tol
         return any(_near(p, a, b, tol) for a, b in self._edges)
 
@@ -267,7 +270,8 @@ class PolyRegion:
         return self.classify(p) == 1
 
     def classify(self, p: Point) -> int:
-        """+1 open interior, 0 boundary (within `tol`), -1 outside."""
+        """+1 open interior, 0 boundary (within `tol`), -1 outside;
+        DimensionMismatch (from `on_boundary`) for a point off the plane."""
         if self.on_boundary(p):
             return 0
         inside = _in_ring(p, self.outer) and not any(_in_ring(p, h) for h in self.holes)
@@ -360,12 +364,13 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     resulting piece by its midpoint: (t0, t1, +1 inside / -1 outside) in
     global parameter. A cut within `E.tol` of the last one kept is merged
     into it. A curve lying on the boundary has no pieces. Raises
-    DegenerateGeometry for overlaps, ambiguous pieces and interior
-    vertices sitting on the boundary."""
-    if _curve_on_boundary(c, E):
-        return []
+    DimensionMismatch for a curve off the plane, and DegenerateGeometry
+    for overlaps, ambiguous pieces and interior vertices sitting on the
+    boundary."""
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
+    if _curve_on_boundary(c, E):
+        return []
     edges, tol = E.boundary_edges(), E.tol
     for v in c.vertices[1:-1]:
         if E.on_boundary(v):

@@ -14,8 +14,9 @@ out-edge comes from its own cursor into its sorted out-edges. The peel
 checks the graph's nodes once and builds its curves from them without
 checking each vertex again. A dimension lift sends any
 finite-divergence planar field to a divergence-free spatial one, so the
-cycle machinery applies to fields with sources; projecting the flat
-portions back recovers the plane field.
+cycle machinery applies to fields with sources; projecting each
+maximal height-zero run of a lifted curve back to the plane, as its own
+curve with the curve's weight, recovers the plane field.
 
 Numerical side: mollify the field to a smooth direction field
 sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,
@@ -35,6 +36,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,56 +309,40 @@ def lift_solenoidal(f: CurveField) -> CurveField:
 def project_curves(
     curves: Sequence[PolyCurve], tol: float = 1e-9
 ) -> list[PolyCurve]:
-    """Keep the maximal height-zero run of each curve, projected to the
-    plane; curves never reaching height zero are dropped. The run must
-    be contiguous (cyclically, for closed curves) and entered/left by
-    purely vertical segments."""
+    """Project every maximal height-zero run of each spatial curve to the
+    plane, as its own curve with the curve's weight. A run must have
+    length, and each raised neighbour must sit straight above the run's
+    end. A closed curve's runs are cyclic: its vertex list is rotated to
+    start and end at a raised vertex, so no run wraps around the end and
+    both cyclic neighbours of a run are list neighbours. A curve with one
+    run thus gives that run in the same vertex order, under the same
+    checks, as a rule keeping one run per curve."""
     out: list[PolyCurve] = []
     for c in curves:
         if c.dimension != 3:
             raise MalformedLift("projection expects spatial curves")
-        zs = [abs(v[2]) <= tol for v in c.vertices]
-        if not any(zs):
-            continue
-        if all(zs):
-            out.append(PolyCurve([(v[0], v[1]) for v in c.vertices], c.weight))
-            continue
         verts = list(c.vertices)
-        flags = list(zs)
-        closed = c.is_closed
-        if closed:
-            # rotate so the flat run is contiguous in the list
-            verts = verts[:-1]
-            flags = flags[:-1]
-            n = len(verts)
-            start = next(
-                i for i in range(n) if flags[i] and not flags[(i - 1) % n]
-            )
-            verts = verts[start:] + verts[:start]
-            flags = flags[start:] + flags[:start]
-            verts.append(verts[0])
-            # the closing duplicate repeats the run's first vertex; keep
-            # it out of the run so contiguity means cyclic contiguity
-            flags.append(False)
-        idx = [i for i, z in enumerate(flags) if z]
-        if idx != list(range(idx[0], idx[-1] + 1)):
-            raise MalformedLift("height-zero vertices are not contiguous")
-        if len(idx) < 2:
-            raise MalformedLift("flat portion has no length")
-        lo, hi = idx[0], idx[-1]
-        checks = [(lo - 1, lo), (hi + 1, hi)]
-        if closed and lo == 0:
-            checks.append((len(verts) - 2, 0))
-        for j, k in checks:
-            if 0 <= j < len(verts):
-                a, b = verts[j], verts[k]
-                if abs(a[0] - b[0]) > tol or abs(a[1] - b[1]) > tol:
-                    raise MalformedLift(
-                        "flat portion not entered by a vertical segment"
-                    )
-        out.append(
-            PolyCurve([(v[0], v[1]) for v in verts[lo : hi + 1]], c.weight)
-        )
+        flat = [abs(v[2]) <= tol for v in verts]
+        if c.is_closed and not all(flat):
+            s = flat.index(False)
+            verts = verts[s:-1] + verts[: s + 1]
+            flat = flat[s:-1] + flat[: s + 1]
+        for is_flat, run in groupby(range(len(verts)), flat.__getitem__):
+            if not is_flat:
+                continue
+            idx = list(run)
+            lo, hi = idx[0], idx[-1]
+            if lo == hi:
+                raise MalformedLift("flat portion has no length")
+            for j, k in ((lo - 1, lo), (hi + 1, hi)):
+                if 0 <= j < len(verts):
+                    a, b = verts[j], verts[k]
+                    if abs(a[0] - b[0]) > tol or abs(a[1] - b[1]) > tol:
+                        raise MalformedLift(
+                            "flat portion not entered by a vertical segment"
+                        )
+            pts = [v[:2] for v in verts[lo : hi + 1]]  # checked when c was built
+            out.append(PolyCurve._of_points(pts, c.weight))
     return out
 
 

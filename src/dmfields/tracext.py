@@ -237,20 +237,21 @@ def extend_divfree(
     punctures mark residual net atoms excluded from the effective
     domain."""
     m = AEElement(domain_trace(f, d_in))
+    cfg = cfg_out
     if connected_complement:
         if abs(m.support.total()) > 1e-9:
             raise NonzeroNetFlux(
                 f"net boundary flux {m.support.total():.3e} admits no "
                 "divergence-free extension over a connected complement"
             )
-        cfg_single = LiftConfig(
+        # not dataclasses.replace, which would copy cfg_out's caches
+        cfg = LiftConfig(
             cfg_out.domain, (cfg_out.e,), cfg_out.e, cfg_out.h, cfg_out.delta
         )
-        g = lift_surject(cfg_single, AEElement(m.support.scaled(-1.0)), check_bound=False)
-        out = f.union(g)
-        return out, ()
-    g = lift_surject(cfg_out, AEElement(m.support.scaled(-1.0)), check_bound=False)
+    g = lift_surject(cfg, AEElement(m.support.scaled(-1.0)), check_bound=False)
     out = f.union(g)
+    if connected_complement:
+        return out, ()
     residual = field_divergence(out).coalesced(1e-9)
     punctures = tuple(residual.locations())
     return out, punctures

@@ -7,6 +7,7 @@ from dmfields import (
     AEElement,
     AtomicMeasure,
     BASE,
+    DipoleRep,
     SupportTooLarge,
     ae_norm,
     ae_norm_oracle,
@@ -30,8 +31,8 @@ def test_rho_metric():
 
 def test_zero_element():
     v, rep, dual = ae_norm(AEElement(AtomicMeasure()))
-    assert v == 0.0
-    assert rep.terms == ()
+    assert (v, rep, dual) == (0.0, DipoleRep((), 0.0), {BASE: 0.0})
+    assert type(v) is type(rep.cost) is type(dual[BASE]) is float
 
 
 def test_single_atom_costs_one():

@@ -229,6 +229,15 @@ def test_domain_error_exits_2(files):
     assert rc == 2
 
 
+def test_trace_of_a_spatial_field_exits_2(files):
+    spatial = files["write"](
+        "spatial.json",
+        {"curves": [{"weight": 1.0, "vertices": [[0, 0, 5.0], [1, 0, 7.0]]}]},
+    )
+    rc = cli.main(["trace", "--field", spatial, "--region", files["square"]])
+    assert rc == 2
+
+
 def test_lift_rejects_an_atom_just_off_the_boundary(files):
     near = files["write"](
         "near.json", {"atoms": [{"location": [0.5, 1e-10], "coefficient": 1.0}]}

@@ -25,6 +25,22 @@ SQUARE = domain_preset("square")
 LSHAPE = domain_preset("lshape")
 
 
+def test_route_between_components_is_disconnected():
+    comp = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
+    with pytest.raises(Disconnected):
+        route(comp, (2.5, 0.0), (0.0, 0.0))
+
+
+def test_separation_of_an_empty_net_is_disconnected():
+    with pytest.raises(Disconnected):
+        separation(SQUARE, [])
+
+
+def test_select_lambda_rejects_delta_above_the_declared_one():
+    with pytest.raises(ValueError):
+        select_lambda(SQUARE, 0.5)
+
+
 def test_domain_needs_parts_and_valid_constants():
     with pytest.raises(ValueError):
         PolygonalDomain(())

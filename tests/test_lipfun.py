@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     Clamp,
+    DimensionMismatch,
     Const,
     DistTo,
     Linear,
@@ -106,3 +107,16 @@ def test_unknown_family_rejected():
         weakstar_sequence("nope", 1, Const(0.0))
     with pytest.raises(ValueError):
         weakstar_sequence("wave-perturbation", 0, Const(0.0))
+
+
+def test_wave_needs_a_direction():
+    with pytest.raises(ValueError):
+        Wave(1, 1, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "f", [Linear((1.0, 0.0)), DistTo((0.0, 0.0)), Wave(1, 1, (1, 0))]
+)
+def test_leaves_reject_a_point_of_another_dimension(f):
+    with pytest.raises(DimensionMismatch):
+        f((0.0, 0.0, 0.0))

@@ -7,6 +7,7 @@ from dmfields import (
     AtomicMeasure,
     CurveField,
     DegenerateGeometry,
+    DimensionMismatch,
     Linear,
     Min,
     DistTo,
@@ -39,6 +40,39 @@ def test_region_orientation_normalized():
 def test_region_rejects_degenerate():
     with pytest.raises(DegenerateGeometry):
         PolyRegion([(0, 0), (1, 0), (2, 0)])
+
+
+def test_region_rejects_spatial_and_repeated_vertices():
+    with pytest.raises(DimensionMismatch):
+        PolyRegion([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        PolyRegion([(0, 0), (1, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("p", [(0.5, 0.5, 9.0), (0.5, 0.0, 3.0)])
+def test_point_queries_reject_spatial_points(p):
+    # one point inside the box's shadow, one over its bottom edge
+    for query in (UNIT.contains, UNIT.classify, UNIT.on_boundary):
+        with pytest.raises(DimensionMismatch):
+            query(p)
+
+
+def test_spatial_curve_over_the_boundary_is_a_dimension_error():
+    # its shadow rides the bottom edge, which must not read as a curve
+    # lying on the boundary
+    f = CurveField([PolyCurve([(0.0, 0.0, 5.0), (1.0, 0.0, 7.0)], 1.0)])
+    with pytest.raises(DimensionMismatch):
+        normal_trace(f, UNIT)
+    with pytest.raises(DimensionMismatch):
+        pairing_over_set(f, Linear((1.0, 0.0, 0.0)), UNIT)
+    with pytest.raises(DimensionMismatch):
+        clip_field(f, UNIT)
+
+
+def test_interior_vertex_on_the_boundary_is_degenerate():
+    f = CurveField([PolyCurve([(0.5, 0.5), (1.0, 0.5), (0.5, 0.8)], 1.0)])
+    with pytest.raises(DegenerateGeometry):
+        normal_trace(f, UNIT)
 
 
 def test_classification():

@@ -33,6 +33,12 @@ grid_pt = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
     lambda p: (float(p[0]), float(p[1]))
 )
 dyadic = st.integers(1, 16).map(lambda k: k / 16.0)
+# 1-4 polylines of 2-4 points on the 4 x 4 grid, weights k/16
+grid_specs = st.lists(
+    st.tuples(st.lists(grid_pt, min_size=2, max_size=4), dyadic),
+    min_size=1,
+    max_size=4,
+)
 
 
 def _grid_field(draw_curves):
@@ -99,13 +105,7 @@ def test_decompose_is_exact_for_dyadic_weights():
     assert back.edges == orig.edges
 
 
-@given(
-    st.lists(
-        st.tuples(st.lists(grid_pt, min_size=2, max_size=4), dyadic),
-        min_size=1,
-        max_size=4,
-    )
-)
+@given(grid_specs)
 @settings(max_examples=80, deadline=None)
 def test_decompose_recomposes_any_snapped_field(specs):
     try:
@@ -152,12 +152,15 @@ def test_lifted_segment_is_not_split_at_the_raised_vertex_copy():
     assert back.edges == orig.edges
 
 
-@given(
-    st.lists(
-        st.tuples(st.lists(grid_pt, min_size=2, max_size=4), dyadic),
-        min_size=1,
-        max_size=4,
-    )
+@given(grid_specs)
+# a lifted cycle that visits height 0 twice
+@example(
+    [
+        ([(2.0, 3.0), (1.0, 0.0)], 0.125),
+        ([(1.0, 1.0), (2.0, 3.0), (0.0, 0.0)], 0.0625),
+        ([(3.0, 1.0), (0.0, 1.0), (0.0, 0.0)], 0.125),
+        ([(3.0, 1.0), (1.0, 0.0)], 0.125),
+    ]
 )
 @settings(max_examples=80, deadline=None)
 def test_solenoidal_round_trip_recomposes_grid_fields(specs):
@@ -544,8 +547,8 @@ def test_project_rejects_non_vertical_descent():
         project_curves([bad])
 
 
-def test_project_rejects_split_flat_runs():
-    bad = PolyCurve(
+def test_project_splits_flat_runs_into_curves():
+    c = PolyCurve(
         [
             (0.0, 0.0, 0.0),
             (1.0, 0.0, 0.0),
@@ -556,8 +559,108 @@ def test_project_rejects_split_flat_runs():
         ],
         1.0,
     )
-    with pytest.raises(MalformedLift):
-        project_curves([bad])
+    assert project_curves([c]) == [
+        PolyCurve([(0.0, 0.0), (1.0, 0.0)], 1.0),
+        PolyCurve([(2.0, 0.0), (3.0, 0.0)], 1.0),
+    ]
+
+
+def test_project_splits_a_closed_cycle_with_two_flat_runs():
+    # the list starts inside a run, so that run wraps around its end
+    c = PolyCurve(
+        [
+            (0.5, 0.0, 0.0),
+            (1.0, 0.0, 0.0),
+            (1.0, 0.0, 1.0),
+            (2.0, 0.0, 1.0),
+            (2.0, 0.0, 0.0),
+            (3.0, 0.0, 0.0),
+            (3.0, 0.0, 1.0),
+            (0.0, 0.0, 1.0),
+            (0.0, 0.0, 0.0),
+            (0.5, 0.0, 0.0),
+        ],
+        0.5,
+    )
+    assert project_curves([c]) == [
+        PolyCurve([(2.0, 0.0), (3.0, 0.0)], 0.5),
+        PolyCurve([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], 0.5),
+    ]
+
+
+def test_project_rejects_a_flat_point_between_risers():
+    c = PolyCurve([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)], 1.0)
+    with pytest.raises(MalformedLift, match="flat portion has no length"):
+        project_curves([c])
+
+
+def _old_project_curves(curves, tol=1e-9):
+    # the single-run rule: a curve's height-zero vertices must be one
+    # contiguous run (cyclically, for closed curves)
+    out = []
+    for c in curves:
+        if c.dimension != 3:
+            raise MalformedLift("projection expects spatial curves")
+        zs = [abs(v[2]) <= tol for v in c.vertices]
+        if not any(zs):
+            continue
+        if all(zs):
+            out.append(PolyCurve([(v[0], v[1]) for v in c.vertices], c.weight))
+            continue
+        verts = list(c.vertices)
+        flags = list(zs)
+        closed = c.is_closed
+        if closed:
+            verts = verts[:-1]
+            flags = flags[:-1]
+            n = len(verts)
+            start = next(
+                i for i in range(n) if flags[i] and not flags[(i - 1) % n]
+            )
+            verts = verts[start:] + verts[:start]
+            flags = flags[start:] + flags[:start]
+            verts.append(verts[0])
+            flags.append(False)
+        idx = [i for i, z in enumerate(flags) if z]
+        if idx != list(range(idx[0], idx[-1] + 1)):
+            raise MalformedLift("height-zero vertices are not contiguous")
+        if len(idx) < 2:
+            raise MalformedLift("flat portion has no length")
+        lo, hi = idx[0], idx[-1]
+        checks = [(lo - 1, lo), (hi + 1, hi)]
+        if closed and lo == 0:
+            checks.append((len(verts) - 2, 0))
+        for j, k in checks:
+            if 0 <= j < len(verts):
+                a, b = verts[j], verts[k]
+                if abs(a[0] - b[0]) > tol or abs(a[1] - b[1]) > tol:
+                    raise MalformedLift(
+                        "flat portion not entered by a vertical segment"
+                    )
+        out.append(
+            PolyCurve([(v[0], v[1]) for v in verts[lo : hi + 1]], c.weight)
+        )
+    return out
+
+
+@given(grid_specs, st.integers(0, 63))
+@settings(max_examples=200, deadline=None)
+def test_project_equals_the_single_run_rule_where_it_returns(specs, cut):
+    # each lifted cycle as peeled, and opened by dropping one edge
+    try:
+        f = _grid_field(specs)
+    except ValueError:
+        return  # all-duplicate vertex lists
+    for c in graph_decompose(snap_to_graph(lift_solenoidal(f))):
+        assert c.is_closed
+        v = c.vertices[:-1]
+        k = cut % len(v)
+        for curve in (c, PolyCurve(v[k:] + v[:k], c.weight)):
+            try:
+                want = _old_project_curves([curve])
+            except MalformedLift:
+                continue
+            assert project_curves([curve]) == want
 
 
 def test_project_rejects_planar_input():
@@ -574,6 +677,17 @@ def ring_grid():
     ]
     ring.append(ring[0])
     return mollify(CurveField([PolyCurve(ring, 1.0)]), 0.15, 0.03)
+
+
+def test_mollify_of_an_empty_field_is_the_default_grid():
+    gf = mollify(CurveField([]), 0.1, 0.05)
+    assert gf.shape == (17, 17)  # +-4 eps around the origin
+    assert gf.origin == pytest.approx((-0.4, -0.4), abs=1e-15)
+
+
+def test_mollify_of_a_point_curve_has_only_the_tau_floor():
+    gf = mollify(CurveField([PolyCurve([(0.3, 0.3), (0.3, 0.3)])]), 0.1, 0.05)
+    assert gf.total_tau() == pytest.approx(0.1, rel=1e-12)
 
 
 def test_mollify_preserves_variation_mass(ring_grid):

@@ -5,8 +5,10 @@ from dmfields import (
     AtomOffBoundary,
     AtomicMeasure,
     CurveField,
+    MissingConstants,
     NonzeroNetFlux,
     PolyCurve,
+    PolygonalDomain,
     ae_norm,
     bound_constant,
     box_region,
@@ -28,6 +30,14 @@ SQUARE = domain_preset("square")
 @pytest.fixture(scope="module")
 def cfg():
     return lift_config(SQUARE, 0.02)
+
+
+def test_undeclared_constants_are_missing():
+    d = PolygonalDomain(box_region(0, 0, 1, 1))
+    with pytest.raises(MissingConstants):
+        lift_config(d)
+    with pytest.raises(MissingConstants):
+        bound_constant(lift_config(d, delta=0.3))
 
 
 def _boundary_element():
