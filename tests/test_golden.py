@@ -1,12 +1,13 @@
 """Golden digests of the deterministic outputs.
 
-Nets, routing graphs, lifts with provenance and the JSON of the `trace`,
-`pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and `decompose`
-verbs are written through
-the deterministic JSON writer and hashed with SHA-256, so a change that
-moves any of them by one ulp fails here. When a change to one of them is
-intended, print the new digests with `PYTHONPATH=src python
-tests/test_golden.py` and record the reason in CHANGES.md.
+Nets and routing graphs (of the presets and of the square's complement
+in the box [-1, 2]^2), lifts with provenance and the JSON of the
+`trace`, `pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and
+`decompose` verbs are written through the deterministic JSON writer and
+hashed with SHA-256, so a change that moves any of them by one ulp fails
+here. When a change to one of them is intended, print the new digests
+with `PYTHONPATH=src python tests/test_golden.py` and record the reason
+in CHANGES.md.
 """
 
 import contextlib
@@ -18,16 +19,19 @@ import pytest
 
 from dmfields import cli, fileio
 from dmfields.acceptance import _rand_boundary_measure
-from dmfields.domain import domain_preset, routing_graph
+from dmfields.domain import complement_region, domain_preset, routing_graph
+from dmfields.regions import box_region
 from dmfields.tracext import lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
+NETS = (*PRESETS, "square-complement")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
     "net-graph[annulus]": "cb424ea43461a10fb6b8e54b96433866ba609c57465ba1824d896cb711f973da",
     "net-graph[lshape]": "71ce8c8723add896babab856ba6366c304e8afadd9add72f81a15239853bc32e",
     "net-graph[koch2]": "c6ae4f2bfab09cb2af54876e9c048225411b7320ab87e408f0a508e3cff10d93",
+    "net-graph[square-complement]": "71104ca6d949ac6e5bfc3a02caa70ff249b25e29b7dc38f84ef9f7f671efe0c9",
     "lifts[square]": "b93b7172652bb24f0b671e9281b6f4bd84d5774ba2efb9632326ecffe5e19fb5",
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
@@ -96,7 +100,11 @@ def _digest(payload) -> str:
 
 
 def _net_graph(name):
-    cfg = lift_config(domain_preset(name), 0.02)
+    if name == "square-complement":  # AC-5's frame around the square
+        d = complement_region(domain_preset("square"), box_region(-1, -1, 2, 2))
+        cfg = lift_config(d, 0.02, 0.3)
+    else:
+        cfg = lift_config(domain_preset(name), 0.02)
     g = routing_graph(cfg.domain, 0.02)
     return {
         "lam": cfg.lam,
@@ -149,7 +157,7 @@ def _cli(verb, tmp_path):
     return out.read_text()
 
 
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", NETS)
 def test_net_and_graph(name):
     assert _digest(_net_graph(name)) == GOLDEN[f"net-graph[{name}]"]
 
@@ -168,7 +176,7 @@ if __name__ == "__main__":
     import pathlib
     import tempfile
 
-    for name in PRESETS:
+    for name in NETS:
         print(f'    "net-graph[{name}]": "{_digest(_net_graph(name))}",')
     for name in PRESETS:
         print(f'    "lifts[{name}]": "{_digest(_lifts(name))}",')
