@@ -35,6 +35,7 @@ def as_point(coords: Iterable[float]) -> Point:
 
 
 def dist(p: Point, q: Point) -> float:
+    # ** squares by libm pow, an ulp off x*x on some inputs: products move ae_norm
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
@@ -182,10 +183,6 @@ class AtomicMeasure:
             (p, c) for p, c in sorted(merged.items()) if c != 0.0
         )
         object.__setattr__(self, "atoms", kept)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.atoms
 
     def total_mass(self) -> float:
         return sum(abs(c) for _, c in self.atoms)

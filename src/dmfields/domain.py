@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateGeometry,
+    DimensionMismatch,
     Disconnected,
     InfeasibleDelta,
     LRCViolation,
@@ -115,7 +116,7 @@ class PolygonalDomain:
 
     def boundary_dist_many(self, P: np.ndarray) -> np.ndarray:
         """`boundary_dist` over the rows of a (P, 2) array."""
-        return boundary_dist_many(P, self.edge_array, self._edges)
+        return boundary_dist_many(P, self.edge_array)
 
     def bbox(self) -> tuple[float, float, float, float]:
         x0, y0, x1, y1 = zip(*(part.bbox() for part in self.parts))
@@ -153,7 +154,10 @@ def _edge_blocks(
 def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     """Whether the open segment (a,b) stays in the open domain; the
     endpoints themselves may sit on the boundary. Collinear overlap with
-    a boundary edge counts as outside."""
+    a boundary edge counts as outside. DimensionMismatch for a point off
+    the plane."""
+    if len(a) != 2 or len(b) != 2:
+        raise DimensionMismatch("domains are planar")
     if a == b:
         return False
     L = dist(a, b)
@@ -401,7 +405,10 @@ def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Poin
 def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:
     """A polygonal path p -> q through the open domain. When convexity
     constants are declared and |p-q| <= delta, the length bound
-    len <= |p-q|/eps is asserted (LRCViolation on failure)."""
+    len <= |p-q|/eps is asserted (LRCViolation on failure).
+    DimensionMismatch for a point off the plane."""
+    if len(p) != 2 or len(q) != 2:
+        raise DimensionMismatch("domains are planar")
     p = (float(p[0]), float(p[1]))
     q = (float(q[0]), float(q[1]))
     # symmetric by construction: always solve the lexicographically

@@ -165,10 +165,6 @@ def lipfunc_from_json(d: dict) -> LipFunc:
 # Arens-Eells values
 
 
-def element_to_json(m: AEElement) -> dict:
-    return {"support": measure_to_json(m.support), "X": m.X}
-
-
 def element_from_json(d: dict) -> AEElement:
     if "support" in d:
         return AEElement(measure_from_json(d["support"]), d.get("X", ""))

@@ -10,8 +10,12 @@ gradients and no quadrature.
 One tolerance policy: lengths compare at `EPS` times the region's
 scale, its largest |coordinate| (`PolyRegion.tol`; a domain takes the
 largest over its parts); parameters and sines (the parallel test)
-compare at `EPS` alone. `_near` decides "on the boundary" with only +,
--, * and comparisons, so the scalar and batched paths agree bit for bit.
+compare at `EPS` alone. One length arithmetic: a length is the root of
+a sum of products, `sqrt(x*x + y*y)`, and `_near` decides "on the
+boundary" from the same products with no root at all. IEEE +, -, *, /
+and sqrt round correctly in Python and numpy alike, so the scalar and
+batched paths agree bit for bit. Squares underflow below about 1e-154,
+so lengths and offsets that small are out of range.
 """
 
 from __future__ import annotations
@@ -61,22 +65,17 @@ def _point_seg_dist(p: Point, a: Point, b: Point) -> float:
     px, py = p
     dx, dy = bx - ax, by - ay
     L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / L2
+    t = ((px - ax) * dx + (py - ay) * dy) / L2 if L2 != 0.0 else 0.0
     t = min(max(t, 0.0), 1.0)
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return math.sqrt(ex * ex + ey * ey)
 
 
 # ---------------------------------------------------------------------------
 # batched ring kernel: the scalar predicates' own IEEE arithmetic over
-# (P, 2) point arrays against (E, 4) edge rows (ax, ay, bx, by). Only
-# np.hypot may differ from math.hypot, by an ulp, so wherever a hypot
-# result decides an answer the few points or edges near the cut are
-# handed to the scalar code, which stays the one definition of it.
+# (P, 2) point arrays against (E, 4) edge rows (ax, ay, bx, by)
 
 _PAIRS = 1 << 17  # point/edge pairs per numpy pass
-_BAND = 1e-9  # relative band around a cut decided by hypot
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -93,7 +92,8 @@ def _edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         t = ((px - ax) * dx + (py - ay) * dy) / L2
     t = np.where(L2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def _near_many(P: np.ndarray, E: np.ndarray, tol: float) -> np.ndarray:
@@ -123,43 +123,34 @@ def _crossing_parity(P: np.ndarray, ring: np.ndarray) -> np.ndarray:
     return (((y1 > y) != (y2 > y)) & (x < xi)).sum(axis=1) % 2 == 1
 
 
-def boundary_dist_many(P: np.ndarray, E: np.ndarray, edges) -> np.ndarray:
-    """min over `edges` (the rows of E) of `_point_seg_dist` for every
-    row of P; the edges in the band of a row's minimum are measured
-    again by `_point_seg_dist`."""
-    out = np.full(len(P), np.inf)
-    for rows in _blocks(len(P), len(E)):
-        D = _edge_dists(P[rows], E)
-        ii, jj = np.nonzero(D <= D.min(axis=1, keepdims=True) * (1.0 + _BAND))
-        pts = P[rows].tolist()
-        exact = [
-            _point_seg_dist(pts[i], *edges[j]) for i, j in zip(ii.tolist(), jj.tolist())
-        ]
-        np.minimum.at(out, ii + rows.start, exact)
-    return out
+def boundary_dist_many(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """min over the edge rows of E of `_point_seg_dist` for every row of P."""
+    return np.concatenate(
+        [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
+    )
 
 
 def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray, tol: float):
     """(segment, edge) index pairs on which `_seg_intersections` of
     (A[s], B[s]) and edge E[e] at length tolerance tol may return a
-    parameter or raise; on all other pairs it returns []. t and u come
-    out as in the scalar code; the hypot-derived tolerances are doubled."""
+    parameter or raise; on all other pairs it returns []. Lengths, t, u
+    and their tolerances come out as in the scalar code."""
     d1x, d1y = B[:, :1] - A[:, :1], B[:, 1:] - A[:, 1:]
     px, py, qx, qy = E.T
     d2x, d2y = qx - px, qy - py
-    L1, L2 = np.hypot(d1x, d1y), np.hypot(d2x, d2y)
-    tol_u = 2.0 * tol / np.maximum(L2, tol)
+    L1, L2 = np.sqrt(d1x * d1x + d1y * d1y), np.sqrt(d2x * d2x + d2y * d2y)
+    tol_u = tol / np.maximum(L2, tol)
     ss, ee = [], []
     for r in _blocks(len(A), len(E)):
         apx, apy = px - A[r, :1], py - A[r, 1:]
         denom = d1x[r] * d2y - d1y[r] * d2x
-        tol_t = 2.0 * tol / np.maximum(L1[r], tol)
+        tol_t = tol / np.maximum(L1[r], tol)
         with np.errstate(all="ignore"):
             t = (apx * d2y - apy * d2x) / denom
             u = (apx * d1y[r] - apy * d1x[r]) / denom
         hit = ~(t < -tol_t) & ~(t > 1.0 + tol_t)
         hit &= ~(u < -tol_u) & ~(u > 1.0 + tol_u)
-        s, e = np.nonzero(hit | (np.abs(denom) <= 2.0 * EPS * L1[r] * L2))
+        s, e = np.nonzero(hit | (np.abs(denom) <= EPS * L1[r] * L2))
         ss += (s + r.start).tolist()
         ee += e.tolist()
     return ss, ee
@@ -293,6 +284,8 @@ def half_plane(normal: Sequence[float], offset: float, extent: float = 1e6) -> P
     Its length tolerance follows the box: about 1e-6 at extent 1e6."""
     nx, ny = float(normal[0]), float(normal[1])
     L = math.hypot(nx, ny)
+    if L == 0.0:
+        raise ValueError("normal must be nonzero")
     nx, ny = nx / L, ny / L
     off = float(offset) / L
     tx, ty = -ny, nx
@@ -322,8 +315,8 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> li
     tolerance tol. Raises on collinear overlap of positive length."""
     d1 = (b[0] - a[0], b[1] - a[1])
     d2 = (q[0] - p[0], q[1] - p[1])
-    L1 = math.hypot(*d1)
-    L2 = math.hypot(*d2)
+    L1 = math.sqrt(d1[0] * d1[0] + d1[1] * d1[1])
+    L2 = math.sqrt(d2[0] * d2[0] + d2[1] * d2[1])
     # a segment whose squared length underflows is a point
     if L1 * L1 == 0.0 or L2 == 0.0:
         return []

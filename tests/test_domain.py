@@ -3,6 +3,7 @@ import math
 import pytest
 
 from dmfields import (
+    DimensionMismatch,
     Disconnected,
     InfeasibleDelta,
     LRCViolation,
@@ -29,6 +30,19 @@ def test_route_between_components_is_disconnected():
     comp = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
     with pytest.raises(Disconnected):
         route(comp, (2.5, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "p, q", [((0.2, 0.2, 5.0), (0.4, 0.4, -3.0)), ((0.2,), (0.4, 0.4))]
+)
+def test_route_rejects_points_off_the_plane(p, q):
+    with pytest.raises(DimensionMismatch):
+        route(SQUARE, p, q)
+
+
+def test_segment_in_domain_rejects_spatial_points():
+    with pytest.raises(DimensionMismatch):
+        segment_in_domain(SQUARE, (0.2, 0.2, 5.0), (0.4, 0.4, -3.0))
 
 
 def test_separation_of_an_empty_net_is_disconnected():

@@ -28,10 +28,10 @@ NETS = (*PRESETS, "square-complement")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
-    "net-graph[annulus]": "cb424ea43461a10fb6b8e54b96433866ba609c57465ba1824d896cb711f973da",
-    "net-graph[lshape]": "71ce8c8723add896babab856ba6366c304e8afadd9add72f81a15239853bc32e",
-    "net-graph[koch2]": "c6ae4f2bfab09cb2af54876e9c048225411b7320ab87e408f0a508e3cff10d93",
-    "net-graph[square-complement]": "71104ca6d949ac6e5bfc3a02caa70ff249b25e29b7dc38f84ef9f7f671efe0c9",
+    "net-graph[annulus]": "3dc4634a345cf98ace632da5dbd4f3cba8d66a88be56a4ce6f7d7472e8a46fdd",
+    "net-graph[lshape]": "35b4cef34d9b14e5c27498198e75fac835bd5304a61bf1288d80391661371027",
+    "net-graph[koch2]": "8d63658575eb48278da159f3ca728fe545f6cf193c9345b29c583499c7440815",
+    "net-graph[square-complement]": "cf4b746cb158a9bd444559e4599d01d1d1c0bf80a5cec6eabad52ccee0743bd3",
     "lifts[square]": "b93b7172652bb24f0b671e9281b6f4bd84d5774ba2efb9632326ecffe5e19fb5",
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",

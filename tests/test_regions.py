@@ -108,6 +108,11 @@ def test_half_plane_clip():
     assert clipped.curves[0].vertices == ((0.0, 0.0), (1.0, 0.0))
 
 
+def test_half_plane_needs_a_normal():
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        half_plane((0, 0), 1.0)
+
+
 def test_strip_trace_telescopes():
     f = CurveField([PolyCurve([(-1.0, 0.0), (1.0, 0.0)], 1.0)])
     strip = box_region(0.0, -5.0, 0.5, 5.0)

@@ -1,12 +1,16 @@
 """The batched ring kernel must give the scalar predicates' answers
 exactly: membership, on-boundary tests, boundary distance and segment
 visibility, on grid points and on points on or within a few length
-tolerances of edges and vertices, also one ulp either side of it."""
+tolerances of edges and vertices, also one ulp either side of it, at
+unit scale, scaled up and translated far from the origin."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dmfields import (
+    DegenerateGeometry,
     PolyRegion,
     PolygonalDomain,
     box_region,
@@ -14,6 +18,7 @@ from dmfields import (
     domain_preset,
 )
 from dmfields.domain import segment_in_domain, segments_in_domain
+from dmfields.regions import EPS, _seg_intersections, hit_candidates
 
 HOLED = PolygonalDomain(
     PolyRegion(
@@ -22,6 +27,17 @@ HOLED = PolygonalDomain(
     )
 )
 SQUARE = domain_preset("square")
+
+
+def _moved(d, scale, shift):
+    def ring(r):
+        return [(x * scale + shift[0], y * scale + shift[1]) for x, y in r]
+
+    return PolygonalDomain(
+        [PolyRegion(ring(p.outer), [ring(h) for h in p.holes]) for p in d.parts]
+    )
+
+
 DOMAINS = [
     SQUARE,
     domain_preset("lshape"),
@@ -29,6 +45,8 @@ DOMAINS = [
     domain_preset("annulus"),
     HOLED,
     complement_region(SQUARE, box_region(-1, -1, 2, 2)),
+    _moved(domain_preset("lshape"), 2.0**20, (0.0, 0.0)),
+    _moved(domain_preset("annulus"), 1.0, (1e6, -1e6)),
 ]
 # offsets from an edge, in units of the domain's length tolerance
 OFFSETS = [0.0, 1.0, -1.0, 0.1, -0.1, 0.5, 2.0, -2.0, 1e3, 1e6]
@@ -81,10 +99,7 @@ def test_point_predicates_match_scalar(case):
     assert d.boundary_dist_many(P).tolist() == [d.boundary_dist(p) for p in pts]
 
 
-@given(domain_and_points(), st.sampled_from([0.02, 0.05]))
-@settings(max_examples=150, deadline=None)
-def test_segment_batch_matches_scalar(case, h):
-    d, pts = case
+def _segments(d, pts, h):
     segs = list(zip(pts, pts[1:] + pts[:1]))
     # grid-edge-like segments from every point, as the graph build makes them
     steps = ((1, 0), (1, 1), (1, -1))
@@ -94,8 +109,42 @@ def test_segment_batch_matches_scalar(case, h):
     segs += [(edges[0][0], e[1]) for e in edges[:: max(1, len(edges) // 6)]]
     A = np.array([a for a, _ in segs], dtype=float)
     B = np.array([b for _, b in segs], dtype=float)
+    return segs, A, B
+
+
+@given(domain_and_points(), st.sampled_from([0.02, 0.05]))
+@settings(max_examples=150, deadline=None)
+def test_segment_batch_matches_scalar(case, h):
+    d, pts = case
+    segs, A, B = _segments(d, pts, h)
     got = segments_in_domain(d, A, B).tolist()
     assert got == [segment_in_domain(d, a, b) for a, b in segs]
+
+
+def _length(u, v):
+    x, y = v[0] - u[0], v[1] - u[1]
+    return math.sqrt(x * x + y * y)
+
+
+@given(domain_and_points(), st.sampled_from([0.02, 0.05]))
+@settings(max_examples=150, deadline=None)
+def test_hit_candidates_are_exact(case, h):
+    # a candidate the scalar code answers with [] must be one that the
+    # batch cannot decide: the parallel branch, which a point also takes
+    d, pts = case
+    segs, A, B = _segments(d, pts, h)
+    kept = set(zip(*hit_candidates(A, B, d.edge_array, d.tol)))
+    for s, (a, b) in enumerate(segs):
+        for e, (p, q) in enumerate(d.boundary_edges()):
+            try:
+                answered = bool(_seg_intersections(a, b, p, q, d.tol))
+            except DegenerateGeometry:
+                answered = True
+            if answered:
+                assert (s, e) in kept
+            elif (s, e) in kept:
+                denom = (b[0] - a[0]) * (q[1] - p[1]) - (b[1] - a[1]) * (q[0] - p[0])
+                assert abs(denom) <= EPS * _length(a, b) * _length(p, q)
 
 
 def test_segment_batch_near_collinear():
