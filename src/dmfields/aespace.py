@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,11 +38,9 @@ def rho(p, q) -> float:
 
 @dataclass(frozen=True)
 class AEElement:
-    """An atomic measure viewed as a functional on Lipschitz functions
-    over some boundary set X (the label is carried, not enforced)."""
+    """An atomic measure viewed as a functional on Lipschitz functions."""
 
     support: AtomicMeasure
-    X: str = ""
 
     def atoms(self):
         return self.support.atoms
@@ -59,7 +57,7 @@ class DipoleRep:
     cost: float
 
     def recombine(self) -> AtomicMeasure:
-        """The represented element restricted to X (BASE dropped)."""
+        """The represented measure, BASE dropped."""
         atoms = []
         for a, p, q in self.terms:
             if q != BASE:
@@ -222,11 +220,9 @@ def ae_norm_oracle(m: AEElement) -> float:
     return float(res.fun)
 
 
-def dual_check(m: AEElement, dual: dict, value: float | None = None) -> bool:
+def dual_check(m: AEElement, dual: dict, value: float) -> bool:
     """Feasibility of the certificate (rho-Lipschitz, zero at the base
-    point) at 1e-10 and objective match with the norm at 1e-8."""
-    if value is None:
-        value, _, _ = ae_norm(m)
+    point) at 1e-10 and objective match with the norm value at 1e-8."""
     if BASE not in dual or abs(dual[BASE]) > 1e-10:
         return False
     nodes = [p for p, _ in m.atoms()] + [BASE]

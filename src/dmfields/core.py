@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -282,31 +281,25 @@ def field_divergence(f: CurveField) -> AtomicMeasure:
     return AtomicMeasure(atoms)
 
 
-@cache
-def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+# 8-point Gauss-Legendre nodes and weights on [0, 1]
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_X, _GAUSS_W = (_GAUSS_X + 1.0) / 2.0, _GAUSS_W / 2.0
 
 
-def pair_vector(
-    f: CurveField,
-    phi: Callable[[Point], Sequence[float]],
-    order: int = 8,
-) -> float:
+def pair_vector(f: CurveField, phi: Callable[[Point], Sequence[float]]) -> float:
     """Integrate the vector function phi along the field:
     sum_i w_i * int phi(gamma_i(t)) . gamma_i'(t) dt.
 
-    Each segment is integrated by Gauss-Legendre quadrature of the given
-    order, which is exact (up to rounding) for polynomial phi of degree
-    <= order on each segment. Evaluation errors of phi propagate.
+    Each segment is integrated by 8-point Gauss-Legendre quadrature,
+    which is exact (up to rounding) for polynomial phi of degree <= 8 on
+    each segment. Evaluation errors of phi propagate.
     """
-    nodes, weights = _gauss01(order)
     total = 0.0
     for c in f:
         acc = 0.0
         for a, b in c.segments():
             d = [y - x for x, y in zip(a, b)]
-            for t, w in zip(nodes, weights):
+            for t, w in zip(_GAUSS_X, _GAUSS_W):
                 pt = tuple(x + t * dd for x, dd in zip(a, d))
                 val = phi(pt)
                 acc += w * sum(v * dd for v, dd in zip(val, d))

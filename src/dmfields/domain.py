@@ -75,10 +75,6 @@ class PolygonalDomain:
         object.__setattr__(self, "declared_eps", declared_eps)
         object.__setattr__(self, "declared_delta", declared_delta)
 
-    @property
-    def region(self) -> PolyRegion:
-        return self.parts[0]
-
     def contains(self, p: Point) -> bool:
         return any(part.contains(p) for part in self.parts)
 
@@ -206,6 +202,8 @@ class RoutingGraph:
     by a KD-tree for nearest-node and radius queries."""
 
     def __init__(self, d: PolygonalDomain, h: float):
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"grid step h must lie in (0, inf), got {h}")
         self.domain = d
         self.h = h
         x0, y0, x1, y1 = d.bbox()
@@ -442,6 +440,8 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     The nodes within delta of a scan point or a pick come from the
     graph's KD-tree, queried with a radius slack; `dist` decides for
     every node whose numpy distance sits near delta."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must lie in (0, inf), got {delta}")
     if d.declared_delta is not None and delta > d.declared_delta + d.tol:
         raise ValueError("delta exceeds the declared constant")
     g = routing_graph(d, h)
@@ -487,12 +487,10 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     return chosen
 
 
-def separation(
-    d: PolygonalDomain, lam: Sequence[Point], M: int = 400, h: float = 0.02
-) -> float:
+def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> float:
     """Upper-biased estimate of the worst geodesic distance from the
-    boundary to the net: boundary samples hop to their nearest visible
-    grid node and continue by multi-source shortest path."""
+    boundary to the net: 400 evenly spaced boundary samples hop to their
+    nearest visible grid node and continue by multi-source shortest path."""
     if not lam:
         raise Disconnected("empty net")
     g = routing_graph(d, h)
@@ -506,7 +504,7 @@ def separation(
     edges = d.boundary_edges()
     total_len = sum(dist(a, b) for a, b in edges)
     samples: list[Point] = []
-    step = total_len / M
+    step = total_len / 400
     acc = 0.0
     target = step / 2
     for a, b in edges:

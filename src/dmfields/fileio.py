@@ -167,7 +167,7 @@ def lipfunc_from_json(d: dict) -> LipFunc:
 
 def element_from_json(d: dict) -> AEElement:
     if "support" in d:
-        return AEElement(measure_from_json(d["support"]), d.get("X", ""))
+        return AEElement(measure_from_json(d["support"]))
     return AEElement(measure_from_json(d))  # bare measure accepted
 
 

@@ -185,7 +185,7 @@ def lip_bound(f: LipFunc) -> float:
     return f.lip_bound()
 
 
-def weakstar_sequence(kind: str, k: int, base: LipFunc, dim: int = 2) -> LipFunc:
+def weakstar_sequence(kind: str, k: int, base: LipFunc) -> LipFunc:
     """A member of a uniformly Lipschitz, pointwise convergent family.
 
     wave-perturbation: base + Wave(1/k, k, e1). The perturbation has
@@ -196,7 +196,7 @@ def weakstar_sequence(kind: str, k: int, base: LipFunc, dim: int = 2) -> LipFunc
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    e1 = (1.0,) + (0.0,) * (dim - 1)
+    e1 = (1.0, 0.0)
     if kind == "wave-perturbation":
         return Sum(base, Wave(1.0 / k, float(k), e1))
     if kind == "mollified-ramp":

@@ -192,14 +192,14 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     return FlowGraph(tuple(used_nodes), tuple(sorted(edges)), tuple(imb))
 
 
-def graph_decompose(g: FlowGraph, tol: float = 1e-12) -> list[PolyCurve]:
+def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
     """Peel source-to-sink paths while positive imbalances remain, then
-    cycles; each extraction removes the minimum weight along its walk.
+    cycles; each extraction removes the minimum weight along its walk,
+    and weights and imbalances at or below 1e-12 count as spent.
     Deterministic: lexicographically smallest choices throughout.
-    ValueError unless 0 <= tol < inf and every node passes `as_point`;
-    the nodes are checked once, not again in each curve."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"graph_decompose needs 0 <= tol < inf, got {tol}")
+    ValueError unless every node passes `as_point`; the nodes are
+    checked once, not again in each curve."""
+    tol = 1e-12
     nodes = [as_point(p) for p in g.nodes]
     w = {}
     out: list[list[int]] = [[] for _ in g.nodes]
@@ -306,9 +306,7 @@ def lift_solenoidal(f: CurveField) -> CurveField:
     return CurveField(curves)
 
 
-def project_curves(
-    curves: Sequence[PolyCurve], tol: float = 1e-9
-) -> list[PolyCurve]:
+def project_curves(curves: Sequence[PolyCurve]) -> list[PolyCurve]:
     """Project every maximal height-zero run of each spatial curve to the
     plane, as its own curve with the curve's weight. A run must have
     length, and each raised neighbour must sit straight above the run's
@@ -316,7 +314,9 @@ def project_curves(
     start and end at a raised vertex, so no run wraps around the end and
     both cyclic neighbours of a run are list neighbours. A curve with one
     run thus gives that run in the same vertex order, under the same
-    checks, as a rule keeping one run per curve."""
+    checks, as a rule keeping one run per curve. Heights and horizontal
+    offsets at or below 1e-9 count as zero."""
+    tol = 1e-9
     out: list[PolyCurve] = []
     for c in curves:
         if c.dimension != 3:

@@ -18,8 +18,8 @@ globally divergence-free extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from typing import Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     AtomOffBoundary,
@@ -49,33 +49,42 @@ from .domain import (
 from .regions import PolyRegion, normal_trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class LiftConfig:
     """A domain with a chosen interior net and base point.
 
     lam points carry the interior divergence of lifted fields; e is the
-    net point standing in for the Arens-Eells base point. Separation and
-    the routing components of the net points are computed once on demand
-    and cached.
+    net point standing in for the Arens-Eells base point. The separation,
+    the net's distance to the boundary and the net points of each routing
+    component are computed once on demand and cached.
     """
 
     domain: PolygonalDomain
     lam: tuple[Point, ...]
     e: Point
-    h: float = 0.02
-    delta: float | None = None
-    _sep: float | None = dfield(default=None, repr=False, compare=False)
-    _lam_comp: tuple[int, ...] | None = dfield(
-        default=None, repr=False, compare=False
-    )
+    h: float
+    delta: float
+
+    @cached_property
+    def _sep(self) -> float:
+        return separation(self.domain, self.lam, self.h)
+
+    @cached_property
+    def _dist_lam(self) -> float:
+        return net_boundary_dist(self.domain, self.lam)
+
+    @cached_property
+    def _lam_comp(self) -> dict[int, list[Point]]:
+        groups: dict[int, list[Point]] = {}
+        for q in self.lam:
+            groups.setdefault(self.component_of(q), []).append(q)
+        return groups
 
     def sep(self) -> float:
-        if self._sep is None:
-            self._sep = separation(self.domain, self.lam, 400, self.h)
         return self._sep
 
     def dist_lam(self) -> float:
-        return net_boundary_dist(self.domain, self.lam)
+        return self._dist_lam
 
     def component_of(self, p: Point) -> int:
         g = routing_graph(self.domain, self.h)
@@ -84,12 +93,7 @@ class LiftConfig:
     def nearest_lam(self, p: Point) -> Point:
         """Nearest net point in the same routing component as p,
         Euclidean distance with lexicographic tie-break."""
-        if self._lam_comp is None:
-            self._lam_comp = tuple(self.component_of(q) for q in self.lam)
-        cp = self.component_of(p)
-        cands = [q for q, c in zip(self.lam, self._lam_comp) if c == cp]
-        if not cands:
-            cands = list(self.lam)
+        cands = self._lam_comp.get(self.component_of(p), self.lam)
         return min(cands, key=lambda q: (dist(p, q), q))
 
 
@@ -128,11 +132,9 @@ def bound_constant(cfg: LiftConfig) -> float:
     """The certified mass-bound factor
     C = max(1/eps, 4 sep/delta, 2 sep/dist(net, boundary)) + 2/delta."""
     eps = cfg.domain.declared_eps
-    delta = cfg.delta
-    if eps is None or delta is None:
-        raise MissingConstants("eps and delta are required for the bound")
-    sep = cfg.sep()
-    dl = cfg.dist_lam()
+    if eps is None:
+        raise MissingConstants("eps is required for the bound")
+    sep, dl, delta = cfg.sep(), cfg.dist_lam(), cfg.delta
     return max(1.0 / eps, 4.0 * sep / delta, 2.0 * sep / dl) + 2.0 / delta
 
 
@@ -154,7 +156,6 @@ def lift_surject(
         if not cfg.domain.on_boundary(p):
             raise AtomOffBoundary(f"atom at {p} is not on the domain boundary")
     value, rep, _ = ae_norm(m)
-    delta = cfg.delta if cfg.delta is not None else float("inf")
     curves: list[PolyCurve] = []
 
     def emit(case: str, a: float, src: Point, dst: Point):
@@ -177,13 +178,13 @@ def lift_surject(
         elif q == BASE:
             # -a at boundary point p: curve arrives at p from the net
             emit("net-to-boundary", a, cfg.nearest_lam(p), p)
-        elif dist(p, q) <= delta:
+        elif dist(p, q) <= cfg.delta:
             emit("direct", a, q, p)
         else:
             emit("split-out", a, q, cfg.nearest_lam(q))
             emit("split-in", a, cfg.nearest_lam(p), p)
     out = CurveField(curves)
-    if check_bound and cfg.domain.declared_eps is not None and cfg.delta is not None:
+    if check_bound and cfg.domain.declared_eps is not None:
         interior_div = field_divergence(out).restrict(cfg.domain.contains)
         lhs = field_mass(out) + interior_div.total_mass()
         rhs = bound_constant(cfg) * value
@@ -244,10 +245,7 @@ def extend_divfree(
                 f"net boundary flux {m.support.total():.3e} admits no "
                 "divergence-free extension over a connected complement"
             )
-        # not dataclasses.replace, which would copy cfg_out's caches
-        cfg = LiftConfig(
-            cfg_out.domain, (cfg_out.e,), cfg_out.e, cfg_out.h, cfg_out.delta
-        )
+        cfg = replace(cfg_out, lam=(cfg_out.e,))
     g = lift_surject(cfg, AEElement(m.support.scaled(-1.0)), check_bound=False)
     out = f.union(g)
     if connected_complement:

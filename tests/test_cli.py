@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_lift_verb_is_deterministic(files):
             ]
         )
         assert rc == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
     assert _read(out1)["provenance"]
 
 
@@ -255,6 +256,31 @@ def _extend(files, verb, curves):
     args = ["--field", field, "--domain", files["square"], "--box", box]
     assert cli.main([verb, *args, "--out", out]) == 0
     return _read(out)
+
+
+@pytest.mark.parametrize("verb", ["lift", "extend"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grid-h", v) for v in ("0", "-0.02", "nan", "inf")]
+    + [("--delta", v) for v in ("0", "-1", "nan", "inf")],
+)
+def test_out_of_range_grid_step_or_delta_is_invalid_input(
+    files, capsys, verb, flag, value
+):
+    # grid steps and deltas must lie in (0, inf); the parent code raised
+    # ZeroDivisionError at 0, InfeasibleDelta for some others, and
+    # `extend --delta 0` built a net of every grid node
+    if verb == "lift":
+        args = ["--element", files["elem"], "--domain", files["square"]]
+    else:
+        box = files["write"](
+            "box.json", {"outer": [[-1, -1], [2, -1], [2, 2], [-1, 2]], "holes": []}
+        )
+        args = ["--field", files["field"], "--domain", files["square"], "--box", box]
+    assert cli.main([verb, *args, flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input")
 
 
 def test_extend_verb_clears_the_boundary(files):

@@ -20,7 +20,12 @@ from dmfields import (
     separation,
 )
 from dmfields.core import dist
-from dmfields.domain import polyline_in_domain, routing_graph, segment_in_domain
+from dmfields.domain import (
+    RoutingGraph,
+    polyline_in_domain,
+    routing_graph,
+    segment_in_domain,
+)
 
 SQUARE = domain_preset("square")
 LSHAPE = domain_preset("lshape")
@@ -53,6 +58,20 @@ def test_separation_of_an_empty_net_is_disconnected():
 def test_select_lambda_rejects_delta_above_the_declared_one():
     with pytest.raises(ValueError):
         select_lambda(SQUARE, 0.5)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.02, math.nan, math.inf])
+def test_routing_graph_needs_a_finite_positive_step(h):
+    with pytest.raises(ValueError):
+        RoutingGraph(SQUARE, h)
+    with pytest.raises(ValueError):
+        routing_graph(SQUARE, h)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_select_lambda_needs_a_finite_positive_delta(delta):
+    with pytest.raises(ValueError):
+        select_lambda(PolygonalDomain(box_region(0, 0, 1, 1)), delta)
 
 
 def test_domain_needs_parts_and_valid_constants():
@@ -181,7 +200,7 @@ def test_select_lambda_infeasible_when_too_deep():
 
 def test_separation_bounds_boundary_distance():
     lam = select_lambda(SQUARE, 0.4)
-    s = separation(SQUARE, lam, M=100)
+    s = separation(SQUARE, lam)
     assert 0.0 < s <= 0.75  # half-diagonal plus grid slack
 
 
@@ -215,8 +234,8 @@ def test_complement_rejects_overflow_and_slits():
 
 
 def test_koch_preset_edge_count():
-    assert len(koch_preset(0).region.outer) == 3
-    assert len(koch_preset(2).region.outer) == 48
+    assert len(koch_preset(0).parts[0].outer) == 3
+    assert len(koch_preset(2).parts[0].outer) == 48
     with pytest.raises(ValueError):
         koch_preset(8)
 

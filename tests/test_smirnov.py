@@ -498,15 +498,6 @@ def test_snap_makes_few_dist_calls_per_vertex(monkeypatch):
     assert calls <= 10 * 1000
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-def test_decompose_rejects_a_bad_tolerance(tol):
-    f = CurveField(
-        [PolyCurve([(0, 0), (1, 0)]), PolyCurve([(0.5, 0), (0.5, 1)], 0.5)]
-    )
-    with pytest.raises(ValueError):
-        graph_decompose(snap_to_graph(f), tol)
-
-
 def _path_graph(*nodes):
     # one unit of flow along the nodes in order
     n = len(nodes)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from dmfields import (
@@ -5,9 +7,11 @@ from dmfields import (
     AtomOffBoundary,
     AtomicMeasure,
     CurveField,
+    LiftConfig,
     MissingConstants,
     NonzeroNetFlux,
     PolyCurve,
+    PolyRegion,
     PolygonalDomain,
     ae_norm,
     bound_constant,
@@ -21,8 +25,12 @@ from dmfields import (
     field_mass,
     lift_config,
     lift_surject,
+    normal_trace,
+    separation,
     two_sided_lift,
 )
+from dmfields.core import dist
+from dmfields.domain import routing_graph
 
 SQUARE = domain_preset("square")
 
@@ -167,3 +175,65 @@ def test_lift_configs_stay_equal_once_one_caches_its_separation():
     a, b = lift_config(SQUARE, 0.02), lift_config(SQUARE, 0.02)
     a.sep()
     assert a == b
+
+
+def test_lift_config_is_frozen_and_takes_no_caches(cfg):
+    with pytest.raises(TypeError):
+        LiftConfig(cfg.domain, cfg.lam, cfg.e, cfg.h, cfg.delta, _sep=0.0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.delta = 1.0
+
+
+def test_a_replaced_config_computes_its_own_separation(cfg):
+    cfg.sep()
+    one = replace(cfg, lam=(cfg.e,))
+    assert one.sep() == separation(SQUARE, (cfg.e,), cfg.h)
+    assert one.sep() != cfg.sep()
+
+
+def test_nearest_lam_stays_in_the_component_of_its_point():
+    annulus = domain_preset("annulus")
+    comp = complement_region(annulus, box_region(-3, -3, 3, 3))
+    cfg = lift_config(comp, 0.05, 0.3)
+    g = routing_graph(comp, 0.05)
+    assert g.n_components == 2
+
+    def component(p):
+        return g.comp[g.nearest_visible(p)]
+
+    points = [p for part in annulus.parts for ring in part.rings() for p in ring]
+    points += [(-3.0, 0.7), (0.4, 3.0), (2.9, -2.9)]
+    assert {component(p) for p in points} == {0, 1}
+    lam_comp = [component(q) for q in cfg.lam]
+    for p in points:
+        cp = component(p)
+        same = [q for q, c in zip(cfg.lam, lam_comp) if c == cp]
+        assert cfg.nearest_lam(p) == min(same, key=lambda q: (dist(p, q), q))
+    # a component with no net point falls back to the whole net
+    alone = replace(cfg, lam=(cfg.e,))
+    assert {alone.nearest_lam(p) for p in points} == {cfg.e}
+
+
+def test_repeated_vertices_are_dropped_and_the_region_lifts():
+    dup = PolyRegion([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0, 0)])
+    assert dup == box_region(0, 0, 1, 1)
+    f = lift_surject(lift_config(PolygonalDomain(dup, 0.5, 0.4)), _boundary_element())
+    assert domain_trace(f, SQUARE).coalesced(1e-9).same_atoms(
+        _boundary_element().support, 1e-9
+    )
+    g = CurveField(
+        [
+            PolyCurve([(-0.5, 0.3), (0.5, 0.4), (1.5, 0.7)]),
+            PolyCurve([(0.5, -0.5), (1.5, 0.5)], 2.0),
+            PolyCurve([(0.2, -0.1), (0.3, 0.5), (0.9, 1.3)], -0.5),
+        ]
+    )
+    # the trace on the region with its repeated vertex, before they were dropped
+    assert normal_trace(g, dup) == AtomicMeasure(
+        [
+            ((0.0, 0.35), 1.0),
+            ((0.21666666666666667, 0.0), -0.5),
+            ((0.675, 1.0), 0.5),
+            ((1.0, 0.55), -1.0),
+        ]
+    )
