@@ -1,7 +1,8 @@
 """Golden digests of the deterministic outputs.
 
-Nets and routing graphs (of the presets and of the square's complement
-in the box [-1, 2]^2), lifts with provenance and the JSON of the
+Nets and routing graphs (of the presets, of the square's complement in
+the box [-1, 2]^2 and of the annulus's two-component complement in the
+box [-3, 3]^2), lifts with provenance and the JSON of the
 `trace`, `pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and
 `decompose` verbs are written through the deterministic JSON writer and
 hashed with SHA-256, so a change that moves any of them by one ulp fails
@@ -24,7 +25,7 @@ from dmfields.regions import box_region
 from dmfields.tracext import lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
-NETS = (*PRESETS, "square-complement")
+NETS = (*PRESETS, "square-complement", "annulus-complement")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
@@ -32,6 +33,7 @@ GOLDEN = {
     "net-graph[lshape]": "35b4cef34d9b14e5c27498198e75fac835bd5304a61bf1288d80391661371027",
     "net-graph[koch2]": "8d63658575eb48278da159f3ca728fe545f6cf193c9345b29c583499c7440815",
     "net-graph[square-complement]": "cf4b746cb158a9bd444559e4599d01d1d1c0bf80a5cec6eabad52ccee0743bd3",
+    "net-graph[annulus-complement]": "1ea37f019fd06b30f62770c00cdc8be8077de42513e74e0585d6478f9ab41499",
     "lifts[square]": "b93b7172652bb24f0b671e9281b6f4bd84d5774ba2efb9632326ecffe5e19fb5",
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
@@ -103,9 +105,12 @@ def _net_graph(name):
     if name == "square-complement":  # AC-5's frame around the square
         d = complement_region(domain_preset("square"), box_region(-1, -1, 2, 2))
         cfg = lift_config(d, 0.02, 0.3)
+    elif name == "annulus-complement":  # two routing components
+        d = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
+        cfg = lift_config(d, 0.05, 0.3)
     else:
         cfg = lift_config(domain_preset(name), 0.02)
-    g = routing_graph(cfg.domain, 0.02)
+    g = routing_graph(cfg.domain, cfg.h)
     return {
         "lam": cfg.lam,
         "e": cfg.e,
