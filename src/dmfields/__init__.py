@@ -73,7 +73,6 @@ from .domain import (
     complement_region,
     domain_preset,
     koch_preset,
-    net_boundary_dist,
     route,
     select_lambda,
     separation,

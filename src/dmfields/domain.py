@@ -69,7 +69,7 @@ class PolygonalDomain:
             raise ValueError("a domain needs at least one part")
         if declared_eps is not None and not (0.0 < declared_eps <= 1.0):
             raise ValueError("declared_eps must lie in (0, 1]")
-        if declared_delta is not None and declared_delta <= 0.0:
+        if declared_delta is not None and not declared_delta > 0.0:
             raise ValueError("declared_delta must be positive")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "declared_eps", declared_eps)
@@ -267,6 +267,14 @@ class RoutingGraph:
                         bis = (u1x - u2x, u1y - u2y)
                         L = math.hypot(*bis)
                         self.reflex.append((v, (bis[0] / L, bis[1] / L)))
+
+    def node_ids(self, pts: Sequence[Point]) -> list[int]:
+        """Indices of the given nodes; ValueError for a point that is not one."""
+        P = np.asarray(pts, dtype=float).reshape(len(pts), 2)
+        gap, idx = self._tree.query(P)
+        if (gap != 0).any() or (self._tree.data[idx] != P).any():
+            raise ValueError("net points must be routing-grid nodes")
+        return idx.tolist()
 
     def nearest_visible(self, p: Point) -> int:
         """Index of the closest of the 40 nodes nearest to p that p
@@ -489,18 +497,13 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
 
 def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> float:
     """Upper-biased estimate of the worst geodesic distance from the
-    boundary to the net: 400 evenly spaced boundary samples hop to their
-    nearest visible grid node and continue by multi-source shortest path."""
+    boundary to the net, whose points must be graph nodes: 400 evenly
+    spaced boundary samples hop to their nearest visible grid node and
+    continue by multi-source shortest path."""
     if not lam:
         raise Disconnected("empty net")
     g = routing_graph(d, h)
-    sources = []
-    for p in lam:
-        i = g.nearest_visible(p)
-        sources.append((i, dist(p, g.nodes[i])))
-    dd, _ = g.dijkstra([i for i, _ in sources])
-    # account for the offset between net points and their grid anchors
-    off = max(o for _, o in sources)
+    dd, _ = g.dijkstra(g.node_ids(lam))
     edges = d.boundary_edges()
     total_len = sum(dist(a, b) for a, b in edges)
     samples: list[Point] = []
@@ -519,13 +522,8 @@ def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> flo
         i = g.nearest_visible(s)
         if dd[i] == float("inf"):
             raise Disconnected(f"boundary sample {s} cannot reach the net")
-        worst = max(worst, dist(s, g.nodes[i]) + dd[i] + off)
+        worst = max(worst, dist(s, g.nodes[i]) + dd[i])
     return worst
-
-
-def net_boundary_dist(d: PolygonalDomain, lam: Sequence[Point]) -> float:
-    P = np.asarray(lam, dtype=float).reshape(-1, 2)
-    return float(d.boundary_dist_many(P).min())
 
 
 def complement_region(d: PolygonalDomain, box: PolyRegion) -> PolygonalDomain:

@@ -40,13 +40,12 @@ from .core import (
 from .aespace import AEElement, BASE, ae_norm
 from .domain import (
     PolygonalDomain,
-    net_boundary_dist,
     route,
     routing_graph,
     select_lambda,
     separation,
 )
-from .regions import PolyRegion, normal_trace
+from .regions import normal_trace
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,10 @@ class LiftConfig:
     """A domain with a chosen interior net and base point.
 
     lam points carry the interior divergence of lifted fields; e is the
-    net point standing in for the Arens-Eells base point. The separation,
-    the net's distance to the boundary and the net points of each routing
-    component are computed once on demand and cached.
+    net point standing in for the Arens-Eells base point. Net points
+    are routing-grid nodes, so the net's distance to the boundary (the
+    property dist_lam) and its points of each routing component are read
+    off the graph; they and the separation are cached on first use.
     """
 
     domain: PolygonalDomain
@@ -70,60 +70,59 @@ class LiftConfig:
         return separation(self.domain, self.lam, self.h)
 
     @cached_property
-    def _dist_lam(self) -> float:
-        return net_boundary_dist(self.domain, self.lam)
+    def _ids(self) -> list[int]:
+        return routing_graph(self.domain, self.h).node_ids(self.lam)
+
+    @cached_property
+    def dist_lam(self) -> float:
+        """The net's distance to the boundary: its least node clearance."""
+        clearance = routing_graph(self.domain, self.h).clearance
+        return min(clearance[i] for i in self._ids)
 
     @cached_property
     def _lam_comp(self) -> dict[int, list[Point]]:
+        comp = routing_graph(self.domain, self.h).comp
         groups: dict[int, list[Point]] = {}
-        for q in self.lam:
-            groups.setdefault(self.component_of(q), []).append(q)
+        for q, i in zip(self.lam, self._ids):
+            groups.setdefault(comp[i], []).append(q)
         return groups
 
     def sep(self) -> float:
         return self._sep
 
-    def dist_lam(self) -> float:
-        return self._dist_lam
-
-    def component_of(self, p: Point) -> int:
-        g = routing_graph(self.domain, self.h)
-        return g.comp[g.nearest_visible(p)]
-
     def nearest_lam(self, p: Point) -> Point:
         """Nearest net point in the same routing component as p,
         Euclidean distance with lexicographic tie-break."""
-        cands = self._lam_comp.get(self.component_of(p), self.lam)
+        g = routing_graph(self.domain, self.h)
+        cands = self._lam_comp.get(g.comp[g.nearest_visible(p)], self.lam)
         return min(cands, key=lambda q: (dist(p, q), q))
 
 
 def lift_config(
     d: PolygonalDomain, h: float = 0.02, delta: float | None = None
 ) -> LiftConfig:
-    """Select a net for the domain and designate the deepest net point
-    as the base point. The base point must sit farther from the boundary
-    than delta (the construction breaks otherwise)."""
+    """Select a net for the domain, add each routing component's deepest
+    grid node, and make the deepest grid node the base point. The base
+    point must sit farther from the boundary than delta (the
+    construction breaks otherwise)."""
     if delta is None:
         delta = d.declared_delta
     if delta is None:
         raise MissingConstants("no delta declared and none supplied")
     lam = list(select_lambda(d, delta, h))
-    # add the deepest grid node of each component so the base point sits
-    # as far from the boundary as the grid allows
     g = routing_graph(d, h)
-    for comp in range(g.n_components):
-        nodes = [i for i in range(len(g.nodes)) if g.comp[i] == comp]
-        deepest = max(
-            nodes, key=lambda i: (g.clearance[i], tuple(-c for c in g.nodes[i]))
-        )
-        if g.nodes[deepest] not in lam:
-            lam.append(g.nodes[deepest])
-    # every net point is a graph node, whose clearance is its boundary_dist
-    clear = dict(zip(g.nodes, g.clearance))
-    e = max(lam, key=lambda p: (clear[p], tuple(-c for c in p)))
-    if clear[e] <= min(1.0, delta):
+    # component -> (key, node) of its deepest node, one key per node
+    deepest: dict[int, tuple] = {}
+    for c, r, p in zip(g.comp, g.clearance, g.nodes):
+        key = (r, (-p[0], -p[1]))
+        if c not in deepest or key > deepest[c][0]:
+            deepest[c] = (key, p)
+    lam += [p for c, (_, p) in sorted(deepest.items()) if p not in lam]
+    # the deepest node overall is in lam, so no net point is deeper
+    (clear, _), e = max(deepest.values())
+    if clear <= min(1.0, delta):
         raise InfeasibleDelta(
-            f"base point clearance {clear[e]:.4f} not above delta {delta}"
+            f"base point clearance {clear:.4f} not above delta {delta}"
         )
     return LiftConfig(d, tuple(lam), e, h, delta)
 
@@ -134,7 +133,7 @@ def bound_constant(cfg: LiftConfig) -> float:
     eps = cfg.domain.declared_eps
     if eps is None:
         raise MissingConstants("eps is required for the bound")
-    sep, dl, delta = cfg.sep(), cfg.dist_lam(), cfg.delta
+    sep, dl, delta = cfg.sep(), cfg.dist_lam, cfg.delta
     return max(1.0 / eps, 4.0 * sep / delta, 2.0 * sep / dl) + 2.0 / delta
 
 
@@ -167,11 +166,7 @@ def lift_surject(
             )
 
     for a, p, q in rep.terms:
-        if abs(a) <= 1e-13:
-            continue
-        # term is a*(delta_q - delta_p)
-        if p == BASE and q == BASE:
-            continue
+        # term is a*(delta_q - delta_p), a > 0, p != q
         if p == BASE:
             # +a at boundary point q: curve leaves q into the net
             emit("base-to-net", a, q, cfg.nearest_lam(q))

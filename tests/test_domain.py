@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dmfields import (
@@ -14,7 +15,6 @@ from dmfields import (
     complement_region,
     domain_preset,
     koch_preset,
-    net_boundary_dist,
     route,
     select_lambda,
     separation,
@@ -81,6 +81,9 @@ def test_domain_needs_parts_and_valid_constants():
         PolygonalDomain(box_region(0, 0, 1, 1), declared_eps=1.5)
     with pytest.raises(ValueError):
         PolygonalDomain(box_region(0, 0, 1, 1), declared_delta=-0.1)
+    # a NaN delta used to pass, and route then skipped its certificate
+    with pytest.raises(ValueError):
+        PolygonalDomain(box_region(0, 0, 1, 1), 0.5, math.nan)
 
 
 def test_membership_across_parts():
@@ -133,7 +136,7 @@ def test_select_lambda_covers_and_respects_clearance():
     delta = 0.4
     lam = select_lambda(SQUARE, delta)
     assert lam
-    assert net_boundary_dist(SQUARE, lam) >= delta / 2 - 1e-9
+    assert SQUARE.boundary_dist_many(np.asarray(lam)).min() >= delta / 2 - 1e-9
     # every interior grid point sits within delta of the net
     for ix in range(1, 50):
         for iy in range(1, 50):
@@ -207,6 +210,11 @@ def test_separation_bounds_boundary_distance():
 def test_separation_requires_a_net():
     with pytest.raises(Disconnected):
         separation(SQUARE, [])
+
+
+def test_separation_requires_net_points_on_the_grid():
+    with pytest.raises(ValueError):
+        separation(SQUARE, [(0.505, 0.5)])
 
 
 def test_complement_region_frame_and_islands():

@@ -1,5 +1,6 @@
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from dmfields import (
@@ -201,10 +202,24 @@ def test_nearest_lam_stays_in_the_component_of_its_point():
     def component(p):
         return g.comp[g.nearest_visible(p)]
 
+    # the net is a set of grid nodes touching every component, its base
+    # point the deepest node; clearances and components come off the graph
+    assert set(cfg.lam) <= set(g.nodes)
+    lam_comp = [component(q) for q in cfg.lam]
+    assert set(lam_comp) == {0, 1}
+    deepest = max(
+        range(len(g.nodes)),
+        key=lambda i: (g.clearance[i], tuple(-c for c in g.nodes[i])),
+    )
+    assert cfg.e == g.nodes[deepest]
+    assert cfg.dist_lam == comp.boundary_dist_many(np.asarray(cfg.lam)).min()
+    grouped = {}
+    for q, c in zip(cfg.lam, lam_comp):
+        grouped.setdefault(c, []).append(q)
+    assert cfg._lam_comp == grouped
     points = [p for part in annulus.parts for ring in part.rings() for p in ring]
     points += [(-3.0, 0.7), (0.4, 3.0), (2.9, -2.9)]
     assert {component(p) for p in points} == {0, 1}
-    lam_comp = [component(q) for q in cfg.lam]
     for p in points:
         cp = component(p)
         same = [q for q, c in zip(cfg.lam, lam_comp) if c == cp]
