@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .smirnov import (
     mollify,
     project_curves,
     reconstruct_check,
+    rotation,
     snap_to_graph,
     transport_invariant,
 )
@@ -498,13 +500,9 @@ def ac_9() -> tuple[bool, str]:
         gf = mollify(f, 0.1, 0.02)
         cx = sum(v[0] for c in f for v in c.vertices) / sum(len(c.vertices) for c in f)
         cy = sum(v[1] for c in f for v in c.vertices) / sum(len(c.vertices) for c in f)
-
-        def Phi(X, cx=cx, cy=cy):
-            return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
-
         for s in range(10):
             lhs, est, se, left = reconstruct_check(
-                gf, Phi, 10000, dt=1e-3, rng_seed=s
+                gf, partial(rotation, cx, cy), 10000, dt=1e-3, rng_seed=s
             )
             truncated += left
             sig = abs(lhs - est) / se

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 

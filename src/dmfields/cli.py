@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from functools import partial
 
 from . import fileio
 from .errors import DMFieldError
-from .core import CurveField, field_divergence, field_mass
 from .regions import pairing_over_set
 from .aespace import ae_norm
-from .domain import box_region, complement_region, domain_preset
+from .domain import complement_region, domain_preset
 from .tracext import (
     domain_trace,
     extend_divfree,
@@ -26,7 +24,7 @@ from .tracext import (
     lift_config,
     lift_surject,
 )
-from .smirnov import graph_decompose, mollify, reconstruct_check, snap_to_graph
+from .smirnov import graph_decompose, mollify, reconstruct_check, rotation, snap_to_graph
 from .acceptance import SUITES, run_suites
 
 
@@ -179,10 +177,7 @@ def _run(args) -> int:
         nx, ny = gf.shape
         cx = gf.origin[0] + (nx - 1) * gf.h / 2
         cy = gf.origin[1] + (ny - 1) * gf.h / 2
-
-        def Phi(X):
-            return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
-
+        Phi = partial(rotation, cx, cy)
         lhs, est, se, left = reconstruct_check(
             gf, Phi, args.samples, dt=args.dt, rng_seed=args.seed
         )

@@ -2,12 +2,14 @@
 
 All writers are deterministic (sorted keys, fixed separators) and all
 floats survive the round trip exactly: json emits shortest-repr decimals
-and Python parses those back to the identical binary value.
+and Python parses those back to the identical binary value. The reader
+rejects non-finite numbers (NaN, Infinity, 1e999).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from typing import Sequence
 
@@ -30,7 +32,7 @@ from .lipfun import (
 from .regions import PolyRegion
 from .domain import PolygonalDomain
 from .aespace import AEElement, BASE, DipoleRep
-from .smirnov import FlowGraph, GridField
+from .smirnov import GridField
 
 
 def dumps(obj) -> str:
@@ -42,9 +44,15 @@ def save(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
+def _finite(text: str) -> float:
+    if math.isfinite(x := float(text)):
+        return x
+    raise ValueError(f"non-finite number {text} in JSON input")
+
+
 def load(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,8 @@ class PolyRegion:
             pts = [tuple(float(c) for c in v) for v in ring]
             if any(len(p) != 2 for p in pts):
                 raise DimensionMismatch("regions are planar")
+            if not all(math.isfinite(c) for p in pts for c in p):
+                raise ValueError("ring vertices must be finite")
             pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts.pop()
@@ -381,7 +383,9 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     cuts.sort()
     merged, last = [cuts[0]], c.point_at(cuts[0])
     for t in cuts[1:]:
-        if math.dist(p := c.point_at(t), last) > tol:
+        p = c.point_at(t)
+        dx, dy = p[0] - last[0], p[1] - last[1]
+        if math.sqrt(dx * dx + dy * dy) > tol:
             merged.append(t)
             last = p
     merged[0], merged[-1] = 0.0, float(n)

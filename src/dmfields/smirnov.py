@@ -43,14 +43,12 @@ import numpy as np
 
 from .errors import LeftGrid, MalformedLift
 from .core import (
-    AtomicMeasure,
     CurveField,
     Point,
     PolyCurve,
     as_point,
     dist,
     field_divergence,
-    field_mass,
     x_window,
 )
 
@@ -560,6 +558,12 @@ def flow_trace(
     recorded every step. LeftGrid when a stage or the final point leaves
     the grid."""
     return PolyCurve(_trajectory(gf, seed, T, dt).tolist(), 1.0)
+
+
+def rotation(cx: float, cy: float, X: np.ndarray) -> np.ndarray:
+    """The quarter-turn field (-(y - cy), x - cx) about (cx, cy); bound
+    by `functools.partial`, a Phi for `reconstruct_check` that pickles."""
+    return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
 
 
 def reconstruct_check(

@@ -201,6 +201,26 @@ def test_decompose_rejects_a_bad_tolerance(files, capsys, value):
     assert err.startswith("invalid input")
 
 
+@pytest.mark.parametrize("verb", ["trace", "pairing"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_are_invalid_input(files, capsys, verb, number):
+    # json reads these literals, and 1e999 as inf: a NaN region vertex
+    # used to give one wrong atom, a NaN constant phi "value": NaN
+    path = files["dir"] / "input.json"
+    if verb == "trace":
+        ring = f"[[0, 0], [1, 0], [{number}, 1], [0, 1]]"
+        path.write_text(f'{{"regions": [{{"outer": {ring}, "holes": []}}]}}')
+        args = ["--region", str(path)]
+    else:
+        path.write_text(f'{{"kind": "const", "c": {number}}}')
+        args = ["--region", files["square"], "--phi", str(path)]
+    rc = cli.main([verb, "--field", files["field"], *args])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input")
+
+
 def test_domain_preset_verb(files, capsys):
     rc = cli.main(["domain-preset", "--name", "lshape"])
     assert rc == 0

@@ -7,8 +7,8 @@ box [-3, 3]^2), lifts with provenance and the JSON of the
 `decompose` verbs are written through the deterministic JSON writer and
 hashed with SHA-256, so a change that moves any of them by one ulp fails
 here. When a change to one of them is intended, print the new digests
-with `PYTHONPATH=src python tests/test_golden.py` and record the reason
-in CHANGES.md.
+with `PYTHONPATH=src python tests/test_golden.py` (each digest that
+differs from `GOLDEN` is marked) and record the reason in CHANGES.md.
 """
 
 import contextlib
@@ -181,11 +181,15 @@ if __name__ == "__main__":
     import pathlib
     import tempfile
 
+    def show(key, payload):
+        digest = _digest(payload)
+        mark = "" if GOLDEN.get(key) == digest else "  # differs from GOLDEN"
+        print(f'    "{key}": "{digest}",{mark}')
+
     for name in NETS:
-        print(f'    "net-graph[{name}]": "{_digest(_net_graph(name))}",')
+        show(f"net-graph[{name}]", _net_graph(name))
     for name in PRESETS:
-        print(f'    "lifts[{name}]": "{_digest(_lifts(name))}",')
+        show(f"lifts[{name}]", _lifts(name))
     for verb in VERBS:
         with tempfile.TemporaryDirectory() as tmp:
-            text = _cli(verb, pathlib.Path(tmp))
-        print(f'    "cli[{verb}]": "{_digest(text)}",')
+            show(f"cli[{verb}]", _cli(verb, pathlib.Path(tmp)))

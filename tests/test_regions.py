@@ -49,6 +49,14 @@ def test_region_rejects_spatial_and_repeated_vertices():
         PolyRegion([(0, 0), (1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_region_rejects_non_finite_vertices(x):
+    with pytest.raises(ValueError):
+        PolyRegion([(0, 0), (1, 0), (x, 1), (0, 1)])
+    with pytest.raises(ValueError):
+        PolyRegion([(0, 0), (3, 0), (0, 3)], [[(1, 1), (1, x), (0.5, 0.5)]])
+
+
 @pytest.mark.parametrize("p", [(0.5, 0.5, 9.0), (0.5, 0.0, 3.0)])
 def test_point_queries_reject_spatial_points(p):
     # one point inside the box's shadow, one over its bottom edge

@@ -1,5 +1,7 @@
 import math
+import pickle
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -725,11 +727,15 @@ def _rotation_about_centroid(f):
     pts = [v for c in f for v in c.vertices]
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
+    return partial(smirnov.rotation, cx, cy)
 
-    def Phi(X):
-        return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
 
-    return Phi
+def test_the_rotation_field_pickles():
+    Phi = partial(smirnov.rotation, 0.5, 0.25)
+    X = np.array([[0.0, 0.0], [1.0, 2.0], [-0.3, 0.7]])
+    want = np.stack([-(X[:, 1] - 0.25), X[:, 0] - 0.5], axis=1)
+    assert np.array_equal(Phi(X), want)
+    assert np.array_equal(pickle.loads(pickle.dumps(Phi))(X), want)
 
 
 AC9_LOOPS = _preset_loops()
