@@ -2,7 +2,8 @@
 
 Nets and routing graphs (of the presets, of the square's complement in
 the box [-1, 2]^2 and of the annulus's two-component complement in the
-box [-3, 3]^2), lifts with provenance and the JSON of the
+box [-3, 3]^2), lifts with provenance, the snapped graph and the
+decomposition of two seeded fields at scale, and the JSON of the
 `trace`, `pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and
 `decompose` verbs are written through the deterministic JSON writer and
 hashed with SHA-256, so a change that moves any of them by one ulp fails
@@ -18,14 +19,16 @@ import io
 import numpy as np
 import pytest
 
-from dmfields import cli, fileio
+from dmfields import CurveField, PolyCurve, cli, fileio
 from dmfields.acceptance import _rand_boundary_measure
 from dmfields.domain import complement_region, domain_preset, routing_graph
 from dmfields.regions import box_region
+from dmfields.smirnov import graph_decompose, lift_solenoidal, snap_to_graph
 from dmfields.tracext import lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
 NETS = (*PRESETS, "square-complement", "annulus-complement")
+FIELDS = ("pool", "lattice")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
@@ -38,6 +41,8 @@ GOLDEN = {
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
     "lifts[koch2]": "6bf88538a183ce9f2988bddc5579e3970af783a6cad0bc9dae7ee74536a82b10",
+    "decompose[pool]": "feea6f82b64034220c7527286fe5595e62e812788095cde66937473d707c952c",
+    "decompose[lattice]": "e9484b06c45629bd1edb9a1fb0f6f43c792b50b3116bf9e802943c525fa5dd1e",
     "cli[trace]": "b5c9172ea49a4ae94ea3f9c84b6b2647af2b640f436f04c2f6940a72b3046b71",
     "cli[pairing]": "3eb032bb9f27a3c0f346df46a1d75229150ac4ddacdd6eadfc3a69a3c7be6b53",
     "cli[ae-norm]": "385502ec635c13e9814c5fa558858c2767812142c105aac22cae2d5d92205ca6",
@@ -134,6 +139,42 @@ def _lifts(name):
     return out
 
 
+def _field(name):
+    rng = np.random.default_rng(11)
+    curves = []
+    if name == "pool":
+        # 1,000 segments over 100 real points: segments repeat in both
+        # directions, so the snap merges and cancels and the peel leaves
+        # float residues
+        pool = [tuple(p) for p in rng.uniform(-1, 1, (100, 2)).tolist()]
+        for _ in range(250):
+            pts = [pool[i] for i in rng.choice(100, 5, replace=False).tolist()]
+            curves.append((pts, float(rng.uniform(0.25, 2.0)) * float(rng.choice([-1, 1]))))
+        return CurveField([PolyCurve(p, w) for p, w in curves])
+    # the lift of paths and loops on a 6 x 6 lattice with dyadic weights:
+    # segments cross lattice points and overlap, and the peel finds paths
+    # and cycles in space
+    lattice = [(float(x), float(y)) for x in range(6) for y in range(6)]
+    for k in range(16):
+        pts = [lattice[i] for i in rng.choice(36, int(rng.integers(2, 6)), replace=False).tolist()]
+        if k % 2:
+            pts.append(pts[0])  # a loop
+        curves.append((pts, float(rng.integers(1, 33)) / 16.0))
+    return lift_solenoidal(CurveField([PolyCurve(p, w) for p, w in curves]))
+
+
+def _decompose(name):
+    g = snap_to_graph(_field(name))
+    return {
+        "graph": {
+            "nodes": [list(p) for p in g.nodes],
+            "edges": [list(e) for e in g.edges],
+            "imbalance": list(g.imbalance),
+        },
+        "decomposition": fileio.decomposition_to_json(graph_decompose(g)),
+    }
+
+
 def _cli(verb, tmp_path):
     def write(name, payload):
         path = tmp_path / name
@@ -172,6 +213,11 @@ def test_lifts_with_provenance(name):
     assert _digest(_lifts(name)) == GOLDEN[f"lifts[{name}]"]
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_graph_and_decomposition(name):
+    assert _digest(_decompose(name)) == GOLDEN[f"decompose[{name}]"]
+
+
 @pytest.mark.parametrize("verb", VERBS)
 def test_cli_json(verb, tmp_path):
     assert _digest(_cli(verb, tmp_path)) == GOLDEN[f"cli[{verb}]"]
@@ -190,6 +236,8 @@ if __name__ == "__main__":
         show(f"net-graph[{name}]", _net_graph(name))
     for name in PRESETS:
         show(f"lifts[{name}]", _lifts(name))
+    for name in FIELDS:
+        show(f"decompose[{name}]", _decompose(name))
     for verb in VERBS:
         with tempfile.TemporaryDirectory() as tmp:
             show(f"cli[{verb}]", _cli(verb, pathlib.Path(tmp)))
