@@ -96,12 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = fileio.dumps(payload)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        fileio.save(out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.dumps(payload))
 
 
 def _run(args) -> int:

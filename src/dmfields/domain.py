@@ -69,8 +69,8 @@ class PolygonalDomain:
             raise ValueError("a domain needs at least one part")
         if declared_eps is not None and not (0.0 < declared_eps <= 1.0):
             raise ValueError("declared_eps must lie in (0, 1]")
-        if declared_delta is not None and not declared_delta > 0.0:
-            raise ValueError("declared_delta must be positive")
+        if declared_delta is not None and not 0.0 < declared_delta < math.inf:
+            raise ValueError("declared_delta must lie in (0, inf)")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "declared_eps", declared_eps)
         object.__setattr__(self, "declared_delta", declared_delta)

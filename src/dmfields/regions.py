@@ -15,7 +15,10 @@ a sum of products, `sqrt(x*x + y*y)`, and `_near` decides "on the
 boundary" from the same products with no root at all. IEEE +, -, *, /
 and sqrt round correctly in Python and numpy alike, so the scalar and
 batched paths agree bit for bit. Squares underflow below about 1e-154,
-so lengths and offsets that small are out of range.
+so lengths and offsets that small are out of range. At the other end,
+`_near_many`'s 4 tol^2 L2, up to 32 EPS^2 M^4 for a region's largest
+|coordinate| M, would overflow near M = 2.7e82 and put every point on
+the boundary: ring vertices must lie within `MAX_COORD` = 2^270.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .lipfun import LipFunc
 # collinearity / on-boundary threshold relative to the region's scale;
 # inputs closer to a boundary line are ambiguous and rejected, not classified
 EPS = 1e-12
+MAX_COORD = 2.0**270  # there 4 tol^2 L2 stays below about 2^1005
 
 
 def _signed_area(ring: Sequence[Point]) -> float:
@@ -192,8 +196,8 @@ class PolyRegion:
             pts = [tuple(float(c) for c in v) for v in ring]
             if any(len(p) != 2 for p in pts):
                 raise DimensionMismatch("regions are planar")
-            if not all(math.isfinite(c) for p in pts for c in p):
-                raise ValueError("ring vertices must be finite")
+            if not all(abs(c) <= MAX_COORD for p in pts for c in p):
+                raise ValueError("ring vertices must be finite and within 2^270")
             pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts.pop()

@@ -3,16 +3,19 @@
 Exact side: snap a polygonal field onto a graph (merging vertices,
 splitting collinear overlaps, cancelling antiparallel mass), then peel
 off source-to-sink paths and cycles whose recomposition reproduces the
-edge weights. Both run in sweeps that only move forward: each vertex
+edge weights. From the merge on, a node is its representative's index,
+and representatives are made in sorted point order, so index order is
+point order. Both run in sweeps that only move forward: each vertex
 meets only the representatives in its sorted-x window
 (`core.x_window`), and each segment, when split at the nodes lying on
 it, only the nodes in its box, widened by a slack and found through the
 same sorted x-coordinates; sources come from one cursor over the sorted
 nodes, cycle walks start from each node in sorted order and resume from
 their prefix after each cycle or dead end; each node's first live
-out-edge comes from its own cursor into its sorted out-edges. The peel
-checks the graph's nodes once and builds its curves from them without
-checking each vertex again. A dimension lift sends any
+out-edge comes from its own cursor into its sorted out-neighbours, whose
+weights sit in a parallel list, so walks spend weights by position.
+The peel checks the graph's nodes once and builds its curves from them
+without checking each vertex again. A dimension lift sends any
 finite-divergence planar field to a divergence-free spatial one, so the
 cycle machinery applies to fields with sources; projecting each
 maximal height-zero run of a lifted curve back to the plane, as its own
@@ -68,11 +71,11 @@ _TINY = math.sqrt(sys.float_info.min)  # below it, squares underflow
 
 
 def _interior_nodes(segs, reps, tol):
-    """(t, node) for the nodes within tol of the interior of each segment,
-    t its projection parameter, in the order of reps, whose first
-    coordinates must not decrease. The projection uses every coordinate,
-    so a lifted height-0 segment does not meet the height-1 copy of a
-    vertex.
+    """(t, n) for the nodes n within tol of the interior of each segment
+    (i, j, w), t the projection parameter. Segment ends and hits are
+    indices into reps, whose first coordinates must not decrease. The
+    projection uses every coordinate, so a lifted height-0 segment does
+    not meet the height-1 copy of a vertex.
 
     A segment's candidates are the nodes in its box widened by a slack
     on every coordinate: a sorted-x window as in `core.x_window`, but
@@ -88,17 +91,16 @@ def _interior_nodes(segs, reps, tol):
     parameters and gaps with the scalar arithmetic, adding the
     coordinate terms in index order, and leaves `dist` only the pairs
     within 2 tol."""
-    hits: list[list[tuple[float, Point]]] = [[] for _ in segs]
+    hits: list[list[tuple[float, int]]] = [[] for _ in segs]
     if not segs:
         return hits
-    # one row per coordinate
+    # one row per coordinate; every segment end is a representative
     R = np.array(reps, dtype=float).T.copy()
-    A = np.array([a for a, _, _ in segs], dtype=float).T.copy()
-    B = np.array([b for _, b, _ in segs], dtype=float).T.copy()
+    ends = np.array([(a, b) for a, b, _ in segs]).T
+    A, B = R.take(ends[0], axis=1), R.take(ends[1], axis=1)
     D = B - A
-    L = np.array([dist(a, b) for a, b, _ in segs])
-    scale = max(np.abs(X).max() for X in (R, A, B))
-    slack = 2 * max(tol, _TINY) + 16 * np.spacing(scale)
+    L = np.array([dist(reps[a], reps[b]) for a, b, _ in segs])
+    slack = 2 * max(tol, _TINY) + 16 * np.spacing(np.abs(R).max())
     lo, hi = np.minimum(A, B) - slack, np.maximum(A, B) + slack
     # segment i's x-window holds the reps first[i] : first[i] + count[i];
     # whole segments at a time, about _PAIRS (segment, rep) pairs
@@ -127,12 +129,12 @@ def _interior_nodes(segs, reps, tol):
             gap += (a[k] + ts * d[k] - r[k]) ** 2
         near = (tol / l < ts) & (ts < 1 - tol / l) & (gap <= 4 * tol * tol)
         for s, n, t in zip(*(x[near].tolist() for x in (i, j, ts))):
-            (a0, b0, _), r0 = segs[s], reps[n]
-            if r0 == a0 or r0 == b0:
+            a0, b0, _ = segs[s]
+            if n == a0 or n == b0:
                 continue
-            proj = tuple(ak + t * (bk - ak) for ak, bk in zip(a0, b0))
-            if dist(proj, r0) <= tol:
-                hits[s].append((t, r0))
+            proj = tuple(ak + t * (bk - ak) for ak, bk in zip(reps[a0], reps[b0]))
+            if dist(proj, reps[n]) <= tol:
+                hits[s].append((t, n))
     return hits
 
 
@@ -145,49 +147,45 @@ def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
         raise ValueError(f"snap_to_graph needs 0 <= tol < inf, got {tol}")
     # each vertex, in sorted order, goes to the first earlier
     # representative within tol, or becomes one; representatives are
-    # appended in sorted order, so their x-coordinates never decrease
+    # appended in sorted order, so x never decreases and index order is
+    # point order
     reps: list[Point] = []
     xs: list[float] = []
-    rep: dict[Point, Point] = {}
+    rep: dict[Point, int] = {}
     for p in sorted({p for c in f for p in c.vertices}):
-        window = (reps[k] for k in x_window(xs, p[0], tol))
-        r = next((r for r in window if dist(p, r) <= tol), None)
+        r = next((k for k in x_window(xs, p[0], tol) if dist(p, reps[k]) <= tol), None)
         if r is None:
+            r = len(reps)
             reps.append(p)
             xs.append(p[0])
-            r = p
         rep[p] = r
-    segs: list[tuple[Point, Point, float]] = []
+    segs: list[tuple[int, int, float]] = []
     for c in f:
         for a, b in c.segments():
             u, v = rep[a], rep[b]
             if u != v:
                 segs.append((u, v, c.weight))
-    pieces: list[tuple[Point, Point, float]] = []
+    # each piece between consecutive nodes on a segment, and its
+    # reverse, accumulate under the smaller orientation
+    acc: dict[tuple[int, int], float] = {}
     for (a, b, w), hits in zip(segs, _interior_nodes(segs, reps, tol)):
-        pts = [a] + [r for _, r in sorted(hits)] + [b]
-        pieces.extend((u, v, w) for u, v in zip(pts, pts[1:]))
-    # an edge and its reverse accumulate under the smaller orientation
-    acc: dict[tuple[Point, Point], float] = {}
-    for u, v, w in pieces:
-        key = min((u, v), (v, u))
-        acc[key] = acc.get(key, 0.0) + (w if key == (u, v) else -w)
-    used_nodes = sorted(
-        {u for (u, v), w in acc.items() if w != 0.0}
-        | {v for (u, v), w in acc.items() if w != 0.0}
-    )
-    index = {p: i for i, p in enumerate(used_nodes)}
+        ns = [a] + [n for _, n in sorted(hits)] + [b]
+        for u, v in zip(ns, ns[1:]):
+            key = min((u, v), (v, u))
+            acc[key] = acc.get(key, 0.0) + (w if key == (u, v) else -w)
+    used = sorted({n for key, w in acc.items() if w != 0.0 for n in key})
+    index = {r: i for i, r in enumerate(used)}
     edges = []
     for (u, v), w in sorted(acc.items()):
         if w > 0.0:
             edges.append((index[u], index[v], w))
         elif w < 0.0:
             edges.append((index[v], index[u], -w))
-    imb = [0.0] * len(used_nodes)
+    imb = [0.0] * len(used)
     for u, v, w in edges:
         imb[u] += w
         imb[v] -= w
-    return FlowGraph(tuple(used_nodes), tuple(sorted(edges)), tuple(imb))
+    return FlowGraph(tuple(reps[r] for r in used), tuple(sorted(edges)), tuple(imb))
 
 
 def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
@@ -199,32 +197,32 @@ def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
     checked once, not again in each curve."""
     tol = 1e-12
     nodes = [as_point(p) for p in g.nodes]
-    w = {}
-    out: list[list[int]] = [[] for _ in g.nodes]
+    # out[u]: u's out-neighbours, sorted by node; w[u]: the summed
+    # weights of the edges to them, in the same positions
+    acc: list[dict[int, float]] = [{} for _ in g.nodes]
     for u, v, wt in g.edges:
-        w[(u, v)] = w.get((u, v), 0.0) + wt
-        out[u].append(v)
-    out = [sorted(set(vs), key=lambda v: g.nodes[v]) for vs in out]
+        acc[u][v] = acc[u].get(v, 0.0) + wt
+    out = [sorted(a, key=g.nodes.__getitem__) for a in acc]
+    w = [[a[v] for v in vs] for a, vs in zip(acc, out)]
     imb = list(g.imbalance)
-
-    def live(u, v):
-        return w.get((u, v), 0.0) > tol
 
     def walk_to_sink(s: int):
         # breadth-first over live edges to the nearest deficit node;
-        # conservation guarantees one is reachable from any source
+        # conservation guarantees one is reachable from any source. The
+        # path comes back as its edges, (u, k) for out[u][k]
         parent = {s: None}
         queue = deque([s])
         while queue:
             u = queue.popleft()
             if imb[u] < -tol and u != s:
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            for v in out[u]:
-                if v not in parent and live(u, v):
-                    parent[v] = u
+                steps = []
+                while parent[u] is not None:
+                    u, k = parent[u]
+                    steps.append((u, k))
+                return steps[::-1]
+            for k, v in enumerate(out[u]):
+                if v not in parent and w[u][k] > tol:
+                    parent[v] = (u, k)
                     queue.append(v)
         return None
 
@@ -234,34 +232,34 @@ def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
     cur = [0] * len(g.nodes)  # out[u][:cur[u]] are dead
 
     def first_live(u):
-        vs, i = out[u], cur[u]
-        while i < len(vs) and not live(u, vs[i]):
+        ws, i = w[u], cur[u]
+        while i < len(ws) and not ws[i] > tol:
             i += 1
         cur[u] = i
-        return vs[i] if i < len(vs) else None
+        return out[u][i] if i < len(ws) else None
 
     curves: list[PolyCurve] = []
-    node_order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
+    node_order = sorted(range(len(g.nodes)), key=g.nodes.__getitem__)
     k = 0
     while True:
         while k < len(node_order) and not imb[node_order[k]] > tol:
             k += 1
         if k == len(node_order):
             break
-        path = walk_to_sink(node_order[k])
-        if path is None:
+        steps = walk_to_sink(node_order[k])
+        if steps is None:
             break
-        amt = min(w[(u, v)] for u, v in zip(path, path[1:]))
-        amt = min(amt, imb[path[0]], -imb[path[-1]])
-        for u, v in zip(path, path[1:]):
-            w[(u, v)] -= amt
+        path = [node_order[k]] + [out[u][i] for u, i in steps]
+        amt = min(min(w[u][i] for u, i in steps), imb[path[0]], -imb[path[-1]])
+        for u, i in steps:
+            w[u][i] -= amt
         imb[path[0]] -= amt
         imb[path[-1]] += amt
         curves.append(PolyCurve._of_points([nodes[i] for i in path], amt))
-    # cycles: walk from each node in order while it has a live edge. A
-    # cycle or a dead end changes no edge of the walk before it, so a
-    # walk restarted from the same node would retrace that prefix: the
-    # walk resumes from it instead
+    # cycles: walk from each node in order while it has a live edge,
+    # leaving each node a by out[a][cur[a]]. A cycle or a dead end changes
+    # no edge of the walk before it, so a walk restarted from the same
+    # node would retrace that prefix: the walk resumes from it instead
     for s in node_order:
         path, pos = [s], {s: 0}
         while path:
@@ -273,13 +271,13 @@ def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
                 # unreturnable, drop it
                 del pos[path.pop()]
                 if path:
-                    w[(path[-1], u)] = 0.0
+                    w[path[-1]][cur[path[-1]]] = 0.0
             elif nxt in pos:
                 q = pos[nxt]
                 cyc = path[q:] + [nxt]
-                amt = min(w[(a, b)] for a, b in zip(cyc, cyc[1:]))
-                for a, b in zip(cyc, cyc[1:]):
-                    w[(a, b)] -= amt
+                amt = min(w[a][cur[a]] for a in cyc[:-1])
+                for a in cyc[:-1]:
+                    w[a][cur[a]] -= amt
                 curves.append(PolyCurve._of_points([nodes[i] for i in cyc], amt))
                 for v in path[q + 1 :]:
                     del pos[v]

@@ -84,6 +84,9 @@ def test_domain_needs_parts_and_valid_constants():
     # a NaN delta used to pass, and route then skipped its certificate
     with pytest.raises(ValueError):
         PolygonalDomain(box_region(0, 0, 1, 1), 0.5, math.nan)
+    # an infinite delta made route certify the length bound for every pair
+    with pytest.raises(ValueError):
+        PolygonalDomain(box_region(0, 0, 1, 1), 0.5, math.inf)
 
 
 def test_membership_across_parts():

@@ -162,6 +162,18 @@ def test_large_box_trace_keeps_the_exit_atom():
     assert tr.atoms == (((1e5, 7e4 / 3), -1.0),)
 
 
+def test_huge_regions_keep_their_atoms_or_are_rejected():
+    # near 1e82 the on-boundary test's 4 tol^2 L2 overflows to inf, and
+    # every atom used to be dropped silently
+    def trace(s):
+        f = CurveField([PolyCurve([(-0.5 * s, 0.3 * s), (0.5 * s, 0.4 * s), (1.5 * s, 0.7 * s)])])
+        return normal_trace(f, box_region(0, 0, s, s))
+
+    assert len(trace(1e80).atoms) == 2
+    with pytest.raises(ValueError):
+        trace(1e90)
+
+
 def _duality_defect(f, phi, E) -> float:
     t1 = sum(c * phi(p) for p, c in normal_trace(f, E).atoms)
     t2 = pairing_over_set(f, phi, E)

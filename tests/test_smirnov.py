@@ -413,6 +413,34 @@ def test_snap_and_peel_equal_the_two_pass_reference(curves, lifted, offset):
     assert got == [(c.vertices, c.weight) for c in _old_graph_decompose(g)]
 
 
+@st.composite
+def flow_graphs(draw):
+    """Hand-built graphs with distinct node points in no particular
+    order, repeated edges, both orientations of an edge and weights at
+    or below the peel's 1e-12; imbalances are out minus in."""
+    pts = draw(st.lists(grid_pt, min_size=2, max_size=6, unique=True))
+    node = st.integers(0, len(pts) - 1)
+    weight = st.one_of(dyadic, st.floats(0.1, 2.0), st.sampled_from([1e-13, 5e-13, 1e-12]))
+    edges = []
+    for u, v, wt, back in draw(st.lists(st.tuples(node, node, weight, st.booleans()), max_size=12)):
+        if u != v:
+            edges.append((u, v, wt))
+            if back:
+                edges.append((v, u, draw(weight)))
+    imb = [0.0] * len(pts)
+    for u, v, wt in edges:
+        imb[u] += wt
+        imb[v] -= wt
+    return FlowGraph(tuple(pts), tuple(edges), tuple(imb))
+
+
+@given(flow_graphs())
+@settings(max_examples=400, deadline=None)
+def test_peel_equals_the_two_pass_reference_on_hand_built_graphs(g):
+    got = [(c.vertices, c.weight) for c in graph_decompose(g)]
+    assert got == [(c.vertices, c.weight) for c in _old_graph_decompose(g)]
+
+
 # nodes at tol (1 - 2^-52), tol and tol (1 + 2^-52) from a segment's
 # interior or ends, where rounding decides the split
 _ULP_FACTORS = [0.0, 0.5, 1 - 2.0**-52, 1.0, 1 + 2.0**-52, 2.0]
@@ -479,7 +507,11 @@ def split_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_split_pass_equals_the_dense_reference(case):
     segs, reps, tol = case
-    assert _interior_nodes(segs, reps, tol) == _old_interior_nodes(segs, reps, tol)
+    # the split pass takes segment ends and gives hits as indices into reps
+    index = {p: i for i, p in enumerate(reps)}
+    hits = _interior_nodes([(index[a], index[b], w) for a, b, w in segs], reps, tol)
+    got = [[(t, reps[n]) for t, n in h] for h in hits]
+    assert got == _old_interior_nodes(segs, reps, tol)
 
 
 def test_snap_makes_few_dist_calls_per_vertex(monkeypatch):
