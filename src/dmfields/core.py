@@ -167,9 +167,10 @@ class CurveField:
 @dataclass(frozen=True)
 class AtomicMeasure:
     """A finitely supported signed measure: distinct locations with
-    nonzero coefficients. Locations are merged on exact coordinate
-    equality only; use :meth:`coalesced` for tolerance-based merging
-    after floating point arithmetic."""
+    nonzero coefficients, all of one dimension (DimensionMismatch
+    otherwise). Locations are merged on exact coordinate equality only;
+    use :meth:`coalesced` for tolerance-based merging after floating
+    point arithmetic."""
 
     atoms: tuple[tuple[Point, float], ...]
 
@@ -178,6 +179,9 @@ class AtomicMeasure:
         for loc, coeff in atoms:
             p = as_point(loc)
             merged[p] = merged.get(p, 0.0) + float(coeff)
+        dims = {len(p) for p in merged}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed atom dimensions {sorted(dims)}")
         kept = tuple(
             (p, c) for p, c in sorted(merged.items()) if c != 0.0
         )

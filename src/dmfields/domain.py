@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,9 +122,6 @@ class PolygonalDomain:
         return PolygonalDomain(self.parts, eps, delta)
 
 
-_SAMPLES = (0.03, 0.25, 0.5, 0.75, 0.97)
-
-
 def _edge_blocks(
     d: PolygonalDomain, a: Point, b: Point, L: float, p: Point, q: Point
 ) -> bool:
@@ -149,9 +146,15 @@ def _edge_blocks(
 
 def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     """Whether the open segment (a,b) stays in the open domain; the
-    endpoints themselves may sit on the boundary. Collinear overlap with
-    a boundary edge counts as outside. DimensionMismatch for a point off
-    the plane."""
+    endpoints themselves may sit on the boundary. DimensionMismatch for
+    a point off the plane.
+
+    `_edge_blocks` rejects a segment that meets an edge at an interior
+    point, touches one at an endpoint off the boundary, or overlaps one
+    collinearly (a `DegenerateGeometry` counts as blocked). An accepted
+    open segment thus meets no edge and lies on one side of the
+    boundary, and its midpoint decides which. The test is conservative:
+    a midpoint within `d.tol` of the boundary counts as outside."""
     if len(a) != 2 or len(b) != 2:
         raise DimensionMismatch("domains are planar")
     if a == b:
@@ -159,21 +162,16 @@ def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     L = dist(a, b)
     if any(_edge_blocks(d, a, b, L, p, q) for p, q in d.boundary_edges()):
         return False
-    return all(
-        d.contains((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-        for t in _SAMPLES
-    )
+    return d.contains((a[0] + 0.5 * (b[0] - a[0]), a[1] + 0.5 * (b[1] - a[1])))
 
 
 def segments_in_domain(
     d: PolygonalDomain, A: np.ndarray, B: np.ndarray
 ) -> np.ndarray:
-    """`segment_in_domain` over the rows of two (S, 2) arrays: the sample
-    points go through the batched `contains`, and `_edge_blocks` runs
+    """`segment_in_domain` over the rows of two (S, 2) arrays: the
+    midpoints go through the batched `contains`, and `_edge_blocks` runs
     only on the segment/edge pairs `hit_candidates` keeps."""
-    ok = (A != B).any(axis=1)
-    for t in _SAMPLES:
-        ok &= d.contains_many(A + t * (B - A))
+    ok = (A != B).any(axis=1) & d.contains_many(A + 0.5 * (B - A))
     edges = d.boundary_edges()
     for s, e in zip(*hit_candidates(A, B, d.edge_array, d.tol)):
         if ok[s]:
@@ -311,14 +309,12 @@ class RoutingGraph:
         return dd, prev
 
 
-_GRAPH_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def routing_graph(d: PolygonalDomain, h: float) -> RoutingGraph:
-    key = (d, h)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = RoutingGraph(d, h)
-    return _GRAPH_CACHE[key]
+    """The routing graph of (d, h), built once per key while it stays
+    among the 64 most recently used. Callers pass (d, h) positionally:
+    a keyword call would be a key of its own."""
+    return RoutingGraph(d, h)
 
 
 def _shortcut(d: PolygonalDomain, pts: list[Point]) -> list[Point]:

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LeftGrid, MalformedLift
+from .errors import DimensionMismatch, LeftGrid, MalformedLift
 from .core import (
     CurveField,
     Point,
@@ -441,9 +441,14 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     """Gaussian mollification of the field and its variation measure,
     kernel bandwidth eps truncated at 4 eps and discretely normalized;
     tau gets a floor of eps times a unit Gaussian bump at the support
-    centroid (renormalized so the floor integrates to eps exactly)."""
-    if not (eps > 0 and h > 0):
-        raise ValueError(f"mollify needs eps > 0 and h > 0, got {eps}, {h}")
+    centroid (renormalized so the floor integrates to eps exactly).
+    DimensionMismatch for a field off the plane; ValueError unless eps
+    and h are finite and positive and the grid's extent, in steps of h,
+    is finite."""
+    if f.dimension not in (None, 2):
+        raise DimensionMismatch("mollify needs a planar field")
+    if not (0 < eps < math.inf and 0 < h < math.inf):
+        raise ValueError(f"mollify needs finite eps > 0 and h > 0, got {eps}, {h}")
     from scipy.signal import fftconvolve
 
     pts = [v for c in f for v in c.vertices]
@@ -454,6 +459,8 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
         x0, y0, x1, y1 = min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m
     else:
         x0, y0, x1, y1 = -4 * eps, -4 * eps, 4 * eps, 4 * eps
+    if not math.isfinite((x1 - x0) / h + (y1 - y0) / h):
+        raise ValueError(f"mollify's grid has no finite extent at eps {eps}, h {h}")
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
 
@@ -536,11 +543,24 @@ def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
     return k1, in1 & in2 & in3 & in4
 
 
+def _steps(T: float, dt: float) -> int:
+    """The number of fixed steps, round(T / dt); ValueError unless T and
+    dt are finite and positive and make at least one step, which for
+    positive T and dt means 0.5 < T / dt < inf."""
+    if not (0 < T < math.inf and 0 < dt < math.inf and 0.5 < T / dt < math.inf):
+        raise ValueError(
+            f"a flow needs finite T, dt > 0 with round(T / dt) >= 1, got {T}, {dt}"
+        )
+    return round(T / dt)
+
+
 def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> np.ndarray:
     """The (n + 1, 2) points of the fixed-step RK4 flow of x' = sigma(x)
-    from the seed, n = round(T / dt). LeftGrid when a stage or the final
-    point leaves the grid."""
-    n = int(round(T / dt))
+    from the seed, n = `_steps(T, dt)`. LeftGrid when the seed, a stage
+    or the final point leaves the grid; the seed is checked before T and
+    dt."""
+    gf._sample(np.array([seed[:2]], dtype=float), ())
+    n = _steps(T, dt)
     X = np.empty((n + 1, 2))
     X[0] = seed[0], seed[1]
     for k in range(n):
@@ -580,10 +600,9 @@ def reconstruct_check(
     cell and reflected back into the grid where the jitter leaves it.
     Phi maps an (N, 2) array to an (N, 2) array. Returns (lhs,
     estimate, stderr, number of truncated trajectories)."""
-    if not (N >= 2 and T > 0 and dt > 0):
-        raise ValueError(
-            f"reconstruct_check needs N >= 2, T > 0 and dt > 0, got {N}, {T}, {dt}"
-        )
+    if N < 2:
+        raise ValueError(f"reconstruct_check needs N >= 2, got {N}")
+    nsteps = _steps(T, dt)
     h = gf.h
     nx, ny = gf.shape
     gx = gf.origin[0] + np.arange(nx) * h
@@ -611,7 +630,6 @@ def reconstruct_check(
 
     alive = np.ones(N, dtype=bool)
     integral = np.zeros(N)
-    nsteps = int(round(T / dt))
     for _ in range(nsteps):
         step, inside = _rk4_step(gf, x, dt, alive)
         alive &= inside

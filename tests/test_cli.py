@@ -165,11 +165,18 @@ def test_smirnov_sim_verb(files, capsys):
         ("--grid-h", "0"),
         ("--dt", "0"),
         ("--eps", "0"),
+        ("--eps", "inf"),
+        ("--eps", "1e308"),
+        ("--grid-h", "inf"),
+        ("--dt", "inf"),
+        ("--dt", "5"),
     ],
 )
 def test_smirnov_sim_rejects_out_of_range_input(files, capsys, flag, value):
     # one sample used to print "stderr": NaN, which is not JSON; the
-    # zeros used to end in a ZeroDivisionError or a NaN probability
+    # zeros used to end in a ZeroDivisionError or a NaN probability, an
+    # infinite or 1e308 eps in an OverflowError; dt = inf and dt = 5
+    # used to make no step and exit 0
     loop = files["write"](
         "loop.json",
         {"curves": [{"weight": 1.0, "vertices": [[0, 0], [1, 0], [1, 1], [0, 0]]}]},
@@ -257,6 +264,40 @@ def test_trace_of_a_spatial_field_exits_2(files):
     )
     rc = cli.main(["trace", "--field", spatial, "--region", files["square"]])
     assert rc == 2
+
+
+def test_smirnov_sim_of_a_spatial_field_exits_2(files):
+    spatial = files["write"](
+        "spatial.json",
+        {
+            "curves": [
+                {
+                    "weight": 1.0,
+                    "vertices": [[0.2, 0.2, 0], [0.8, 0.2, 0], [0.8, 0.8, 3], [0.2, 0.2, 0]],
+                }
+            ]
+        },
+    )
+    rc = cli.main(["smirnov-sim", "--field", spatial, "--seed", "1"])
+    assert rc == 2
+
+
+def test_ae_norm_of_atoms_of_mixed_dimension_exits_2(files, capsys):
+    # the third coordinate used to be dropped: "value": 0.0, exit 0
+    mixed = files["write"](
+        "mixed.json",
+        {
+            "atoms": [
+                {"location": [0.0, 0.0], "coefficient": 1.0},
+                {"location": [0.0, 0.0, 5.0], "coefficient": -1.0},
+            ]
+        },
+    )
+    rc = cli.main(["ae-norm", "--element", mixed])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "DimensionMismatch" in err
 
 
 def test_lift_rejects_an_atom_just_off_the_boundary(files):

@@ -60,6 +60,15 @@ def test_field_rejects_mixed_dimension():
         CurveField([PolyCurve([(0, 0), (1, 0)], 1.0), PolyCurve([(0, 0, 0), (1, 0, 0)], 1.0)])
 
 
+def test_measure_rejects_mixed_dimension():
+    # core.dist zips coordinates, so the third one used to be dropped and
+    # these two atoms cost nothing to transport
+    with pytest.raises(DimensionMismatch):
+        AtomicMeasure([((0, 0), 1.0), ((0, 0, 5), -1.0)])
+    with pytest.raises(DimensionMismatch):
+        AtomicMeasure([((0, 0), 1.0)]) + AtomicMeasure([((0, 0, 5), -1.0)])
+
+
 def test_field_mass_is_weighted_length():
     f = CurveField([PolyCurve([(0, 0), (1, 0)], 2.0), PolyCurve([(0, 0), (0, 3)], -1.0)])
     assert field_mass(f) == pytest.approx(2.0 + 3.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     DimensionMismatch,
@@ -15,13 +16,17 @@ from dmfields import (
     complement_region,
     domain_preset,
     koch_preset,
+    lift_config,
+    lift_surject,
     route,
     select_lambda,
     separation,
 )
+from dmfields.acceptance import _rand_boundary_measure
 from dmfields.core import dist
 from dmfields.domain import (
     RoutingGraph,
+    _edge_blocks,
     polyline_in_domain,
     routing_graph,
     segment_in_domain,
@@ -104,6 +109,102 @@ def test_segment_visibility():
     assert not segment_in_domain(SQUARE, (0.5, 0.5), (1.5, 0.5))
     # riding along a boundary edge counts as outside
     assert not segment_in_domain(SQUARE, (0.0, 0.0), (1.0, 0.0))
+
+
+def _moved(d, scale, shift):
+    def ring(r):
+        return [(x * scale + shift[0], y * scale + shift[1]) for x, y in r]
+
+    return PolygonalDomain(
+        [PolyRegion(ring(p.outer), [ring(h) for h in p.holes]) for p in d.parts]
+    )
+
+
+_FIVE = (0.03, 0.25, 0.5, 0.75, 0.97)
+
+
+def _five_samples(a, b):
+    return [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])) for t in _FIVE]
+
+
+def _five_sample_rule(d, a, b):
+    """The side test the midpoint replaced: no edge blocks the segment
+    and all five samples lie in the domain."""
+    if a == b:
+        return False
+    L = dist(a, b)
+    if any(_edge_blocks(d, a, b, L, p, q) for p, q in d.boundary_edges()):
+        return False
+    return all(d.contains(s) for s in _five_samples(a, b))
+
+
+PRESETS = [domain_preset(name) for name in ("square", "lshape", "koch2", "annulus")]
+
+
+@st.composite
+def moved_segment(draw):
+    """A segment over a preset moved by a dyadic scale and a translation
+    up to 1e6: endpoints on edges, at or off vertices, a few length
+    tolerances off an edge, anywhere in the box, or, for the second,
+    near the first."""
+    scale = 2.0 ** draw(st.integers(-10, 6))
+    shift = draw(
+        st.just((0.0, 0.0)) | st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    )
+    d = _moved(draw(st.sampled_from(PRESETS)), scale, shift)
+    edges = d.boundary_edges()
+    x0, y0, x1, y1 = d.bbox()
+
+    def point(kind):
+        if kind == "box":
+            fx, fy = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+            return (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+        p, q = edges[draw(st.integers(0, len(edges) - 1))]
+        t = 0.0 if kind == "vertex" else draw(st.floats(0, 1))
+        off = 0.0
+        if kind != "edge":
+            off = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 10.0]))
+        L = math.hypot(q[0] - p[0], q[1] - p[1])
+        nx, ny = (p[1] - q[1]) / L, (q[0] - p[0]) / L
+        return (
+            p[0] + t * (q[0] - p[0]) + off * d.tol * nx,
+            p[1] + t * (q[1] - p[1]) + off * d.tol * ny,
+        )
+
+    kinds = st.sampled_from(["edge", "vertex", "off", "box"])
+    a = point(draw(kinds))
+    if draw(st.booleans()):
+        r = scale * 10.0 ** draw(st.floats(-8, -1))
+        th = draw(st.floats(0, 2 * math.pi))
+        b = (a[0] + r * math.cos(th), a[1] + r * math.sin(th))
+    else:
+        b = point(draw(kinds))
+    return d, a, b
+
+
+@given(moved_segment())
+@settings(max_examples=500, deadline=None)
+def test_midpoint_rule_differs_only_where_a_sample_touches_the_boundary(case):
+    # the midpoint is one of the five samples, so the old rule's yes is
+    # kept; it may only have said no for a sample within d.tol of a wall
+    d, a, b = case
+    old, new = _five_sample_rule(d, a, b), segment_in_domain(d, a, b)
+    if old:
+        assert new
+    elif new:
+        assert any(d.on_boundary(s) for s in _five_samples(a, b))
+
+
+def test_lifts_on_a_square_far_from_the_origin():
+    # at (1e8, 0) the length tolerance is 1e-4: on every bow of a short
+    # dipole on the left wall, the samples next to a wall atom (t = 0.03
+    # and 0.97) sat within it of the wall, and the route fell back to a
+    # grid path over the bound
+    d = PolygonalDomain(box_region(1e8, 0, 1e8 + 1, 1), 0.5, 0.4)
+    cfg = lift_config(d, 0.02, 0.4)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        lift_surject(cfg, _rand_boundary_measure(rng, d, 4))
 
 
 def test_route_is_straight_when_possible():

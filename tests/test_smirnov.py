@@ -744,6 +744,39 @@ def test_transport_invariant_is_small(ring_grid):
     assert transport_invariant(ring_grid, (1.0, 0.0), T=0.5) < 0.05
 
 
+def test_mollify_rejects_a_spatial_field():
+    # it used to deposit x and y only and weigh the mass by 3-D length
+    loop = PolyCurve([(0.2, 0.2, 0), (0.8, 0.2, 0), (0.8, 0.8, 3), (0.2, 0.2, 0)], 1.0)
+    with pytest.raises(DimensionMismatch):
+        mollify(CurveField([loop]), 0.1, 0.02)
+
+
+@pytest.mark.parametrize(
+    "eps, h",
+    [(math.inf, 0.02), (1e308, 0.02), (math.nan, 0.02), (0.1, math.inf), (0.1, 1e-320)],
+)
+def test_mollify_needs_finite_constants_and_grid(eps, h):
+    # inf and 1e308 used to end in an OverflowError
+    loop = PolyCurve([(0, 0), (1, 0), (1, 1), (0, 0)], 1.0)
+    with pytest.raises(ValueError):
+        mollify(CurveField([loop]), eps, h)
+
+
+@pytest.mark.parametrize(
+    "T, dt",
+    [(1.0, math.inf), (1.0, 5.0), (1.0, math.nan), (math.inf, 1e-3), (1e300, 1e-300)],
+)
+def test_flows_need_finite_times_and_a_step(ring_grid, T, dt):
+    # dt = inf and dt = 5 used to make no step: a drift of exactly 0.0, a
+    # Monte-Carlo estimate of 0 and a one-vertex flow curve
+    with pytest.raises(ValueError):
+        transport_invariant(ring_grid, (1.0, 0.0), T=T, dt=dt)
+    with pytest.raises(ValueError):
+        flow_trace(ring_grid, (1.0, 0.0), T=T, dt=dt)
+    with pytest.raises(ValueError):
+        reconstruct_check(ring_grid, partial(smirnov.rotation, 0.0, 0.0), 10, T=T, dt=dt)
+
+
 def test_reconstruct_check_agrees(ring_grid):
     def Phi(X):
         return np.stack([-X[:, 1], X[:, 0]], axis=1)
