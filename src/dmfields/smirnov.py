@@ -25,12 +25,17 @@ Numerical side: mollify the field to a smooth direction field
 sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,
 and check the resulting curve decomposition by Monte-Carlo integration
 against grid integrals, including the mass-transport invariant
-tau(G_t(x)) det(grad G_t(x)) = const along trajectories. Every grid
-lookup goes through one bilinear sampler, `GridField._sample`, whose
-cell arithmetic (`_cell`) also places mollify's deposits, and every
-integrator through one RK4 step, `_rk4_step`. Single flow curves
-come from one trajectory driver, `_trajectory`, and the drift check
-reads tau and div sigma along the whole curve in one lookup.
+tau(G_t(x)) det(grad G_t(x)) = const along trajectories. The
+bilinear stencil is `_cell`'s; it places mollify's deposits too. RK4
+comes in two steppers, chosen by the traffic: particle clouds
+(`reconstruct_check`) step all points at once with `_rk4_step`, whose
+stages read sigma through the batched sampler `GridField._sample`;
+single flow curves (`flow_trace`, `transport_invariant`) come from
+`_trajectory`, which steps one point on Python floats with the same
+stencil, corner order and stage order, so that IEEE arithmetic gives
+the same bits as the batched step. Tests pin the two equal bit for bit.
+The drift check reads tau and div sigma along the whole curve in one
+batched lookup.
 """
 
 from __future__ import annotations
@@ -437,6 +442,24 @@ class GridField:
         return float(self.tau.sum()) * self.h * self.h
 
 
+def _convolve_same(arrays, K: np.ndarray) -> list[np.ndarray]:
+    """`scipy.signal.fftconvolve(M, K, mode="same")` for each of the
+    equal-shape 2-D arrays M, step for step and so bit for bit, with K
+    transformed once: the full convolution at a fast real-FFT size, then
+    its centred part of M's shape. Every axis must have length at least
+    2 (fftconvolve multiplies length-1 axes without a transform)."""
+    from scipy import fft
+
+    (nx, ny), (kx, ky) = arrays[0].shape, K.shape
+    size = [fft.next_fast_len(n + k - 1, True) for n, k in ((nx, kx), (ny, ky))]
+    Khat = fft.rfftn(K, size)
+    i, j = (kx - 1) // 2, (ky - 1) // 2
+    return [
+        fft.irfftn(fft.rfftn(M, size) * Khat, size)[i : i + nx, j : j + ny].copy()
+        for M in arrays
+    ]
+
+
 def mollify(f: CurveField, eps: float, h: float) -> GridField:
     """Gaussian mollification of the field and its variation measure,
     kernel bandwidth eps truncated at 4 eps and discretely normalized;
@@ -449,8 +472,6 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
         raise DimensionMismatch("mollify needs a planar field")
     if not (0 < eps < math.inf and 0 < h < math.inf):
         raise ValueError(f"mollify needs finite eps > 0 and h > 0, got {eps}, {h}")
-    from scipy.signal import fftconvolve
-
     pts = [v for c in f for v in c.vertices]
     if pts:
         xs = [p[0] for p in pts]
@@ -498,9 +519,7 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     K[np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2) > 4 * eps] = 0.0
     K /= K.sum() * h * h  # discrete normalization: sum K h^2 = 1
 
-    fx = fftconvolve(Mx, K, mode="same")
-    fy = fftconvolve(My, K, mode="same")
-    tau = fftconvolve(Mv, K, mode="same")
+    fx, fy, tau = _convolve_same((Mx, My, Mv), K)
 
     if pts:
         cx = sum(p[0] for p in pts) / len(pts)
@@ -518,17 +537,14 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
 
 
 def _velocity(gf: GridField, pts: np.ndarray, alive):
-    if alive is None:
-        return np.stack(gf.sigma_at(pts), axis=1), True
     *s, inside = gf.sigma_at_masked(pts, alive)
     return np.stack(s, axis=1), inside
 
 
-def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive=None):
+def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive):
     """The classical RK4 increment of x' = sigma(x) over one step dt
     from the (N, 2) points x, and the mask of points whose four stages
-    all lay inside the grid. Without `alive`, a stage outside the grid
-    raises LeftGrid; with it, dead or outside points have velocity 0."""
+    all lay inside the grid; dead or outside points have velocity 0."""
     k1, in1 = _velocity(gf, x, alive)
     k2, in2 = _velocity(gf, x + 0.5 * dt * k1, alive)
     k3, in3 = _velocity(gf, x + 0.5 * dt * k2, alive)
@@ -554,28 +570,66 @@ def _steps(T: float, dt: float) -> int:
     return round(T / dt)
 
 
-def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> np.ndarray:
-    """The (n + 1, 2) points of the fixed-step RK4 flow of x' = sigma(x)
-    from the seed, n = `_steps(T, dt)`. LeftGrid when the seed, a stage
+def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
+    """The n + 1 points of the fixed-step RK4 flow of x' = sigma(x) from
+    the seed, n = `_steps(T, dt)`. One point is stepped on Python floats:
+    `_sample`'s arithmetic with `_cell`'s stencil, its corners summed in
+    `_sample`'s order and the stages combined in `_rk4_step`'s, so every
+    point has the bits the batched step gives it. DimensionMismatch
+    unless the seed has two coordinates; LeftGrid when the seed, a stage
     or the final point leaves the grid; the seed is checked before T and
     dt."""
-    gf._sample(np.array([seed[:2]], dtype=float), ())
+    if len(seed) != 2:
+        raise DimensionMismatch(f"a flow needs a planar seed, not {len(seed)}-D")
+    nx, ny = gf.shape
+    ox, oy = gf.origin
+    h = gf.h
+    sx, sy = gf.sigx.ravel().tolist(), gf.sigy.ravel().tolist()
+
+    def grid_uv(x, y):
+        u, v = (x - ox) / h, (y - oy) / h
+        if not (0 <= u <= nx - 1 and 0 <= v <= ny - 1):
+            raise LeftGrid("point outside the sampled grid")
+        return u, v
+
+    def sigma(x, y):
+        u, v = grid_uv(x, y)
+        i = min(max(math.floor(u), 0), nx - 2)
+        j = min(max(math.floor(v), 0), ny - 2)
+        du, dv = u - i, v - j
+        cu, cv = 1 - du, 1 - dv
+        k = i * ny + j
+        a, b, c = k + ny, k + 1, k + ny + 1
+        return (
+            sx[k] * cu * cv + sx[a] * du * cv + sx[b] * cu * dv + sx[c] * du * dv,
+            sy[k] * cu * cv + sy[a] * du * cv + sy[b] * cu * dv + sy[c] * du * dv,
+        )
+
+    x, y = float(seed[0]), float(seed[1])
+    grid_uv(x, y)
     n = _steps(T, dt)
-    X = np.empty((n + 1, 2))
-    X[0] = seed[0], seed[1]
-    for k in range(n):
-        X[k + 1] = X[k] + _rk4_step(gf, X[k : k + 1], dt)[0][0]
-    gf._sample(X[n:], ())  # LeftGrid if the final point is outside
-    return X
+    half, sixth = 0.5 * dt, dt / 6.0
+    pts = [(x, y)]
+    for _ in range(n):
+        k1x, k1y = sigma(x, y)
+        k2x, k2y = sigma(x + half * k1x, y + half * k1y)
+        k3x, k3y = sigma(x + half * k2x, y + half * k2y)
+        k4x, k4y = sigma(x + dt * k3x, y + dt * k3y)
+        x += (k1x + 2 * k2x + 2 * k3x + k4x) * sixth
+        y += (k1y + 2 * k2y + 2 * k3y + k4y) * sixth
+        pts.append((x, y))
+    grid_uv(x, y)  # LeftGrid if the final point is outside
+    return pts
 
 
 def flow_trace(
     gf: GridField, seed: Point, T: float = 1.0, dt: float = 1e-3
 ) -> PolyCurve:
     """Fixed-step fourth-order integration of x' = sigma(x); vertices
-    recorded every step. LeftGrid when a stage or the final point leaves
-    the grid."""
-    return PolyCurve(_trajectory(gf, seed, T, dt).tolist(), 1.0)
+    recorded every step. DimensionMismatch unless the seed is planar;
+    LeftGrid when a stage or the final point leaves the grid."""
+    # the points lie inside the grid, so they are finite floats
+    return PolyCurve._of_points(_trajectory(gf, seed, T, dt), 1.0)
 
 
 def rotation(cx: float, cy: float, X: np.ndarray) -> np.ndarray:
@@ -649,9 +703,10 @@ def transport_invariant(
 ) -> float:
     """Maximum drift of log tau along a flow curve corrected by the
     accumulated divergence of sigma; zero for the exact continuity
-    equation, O(dt^2 + h^2) discretely. LeftGrid when a stage or the
-    final point leaves the grid."""
-    X = _trajectory(gf, seed, T, dt)
+    equation, O(dt^2 + h^2) discretely. DimensionMismatch unless the
+    seed is planar; LeftGrid when a stage or the final point leaves the
+    grid."""
+    X = np.array(_trajectory(gf, seed, T, dt))
     (tau, div), _ = gf._sample(X, (gf.tau, gf.div_sigma))
     # trapezoid rule, summed in step order (cumsum does not pair terms);
     # math.log, because np.log may differ from it by an ulp

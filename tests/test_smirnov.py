@@ -1,11 +1,15 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 from collections import deque
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dmfields import (
     CurveField,
@@ -762,6 +766,47 @@ def test_mollify_needs_finite_constants_and_grid(eps, h):
         mollify(CurveField([loop]), eps, h)
 
 
+def test_mollify_does_not_import_scipy_signal():
+    # importing scipy.signal takes about 0.5 s; mollify convolves
+    # through scipy.fft
+    code = (
+        "import sys\n"
+        "from dmfields import CurveField, PolyCurve, mollify\n"
+        "loop = PolyCurve([(0, 0), (1, 0), (1, 1), (0, 0)], 1.0)\n"
+        "mollify(CurveField([loop]), 0.1, 0.02)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(smirnov.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+@given(
+    st.tuples(st.integers(2, 40), st.integers(2, 40)),
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_convolve_same_equals_fftconvolve(shape, kshape, count, rng_seed):
+    from scipy.signal import fftconvolve  # the reference only
+
+    rng = np.random.default_rng(rng_seed)
+    Ms = [rng.normal(size=shape) for _ in range(count)]
+    K = rng.uniform(size=kshape)
+    got = smirnov._convolve_same(Ms, K)
+    assert len(got) == count
+    for M, C in zip(Ms, got):
+        assert _bits(C) == _bits(fftconvolve(M, K, mode="same"))
+
+
 @pytest.mark.parametrize(
     "T, dt",
     [(1.0, math.inf), (1.0, 5.0), (1.0, math.nan), (math.inf, 1e-3), (1e300, 1e-300)],
@@ -998,6 +1043,21 @@ def grids(ring_grid):
     return out
 
 
+@pytest.mark.parametrize("key", [(i, h) for i in range(3) for h in (0.02, 0.01)])
+def test_mollify_equals_fftconvolve_on_ac9_loops(monkeypatch, grids, key):
+    from scipy.signal import fftconvolve  # the reference only
+
+    monkeypatch.setattr(
+        smirnov,
+        "_convolve_same",
+        lambda Ms, K: [fftconvolve(M, K, mode="same") for M in Ms],
+    )
+    i, h = key
+    want = mollify(AC9_LOOPS[i], 0.1, h)
+    for name in ("fx", "fy", "tau", "sigx", "sigy", "div_sigma"):
+        assert _bits(getattr(grids[key], name)) == _bits(getattr(want, name))
+
+
 @pytest.mark.parametrize(
     "grid, seed, T, dt",
     [
@@ -1052,3 +1112,48 @@ def test_flow_trace_raises_when_a_stage_leaves_the_grid(T, dt):
 def test_transport_invariant_raises_when_the_trajectory_leaves_the_grid(seed, T, dt):
     with pytest.raises(LeftGrid):
         transport_invariant(STRETCH, seed, T=T, dt=dt)
+
+
+@pytest.mark.parametrize("seed", [(1.0, 0.5, 7.0), (1.0,)], ids=["3-d", "1-d"])
+def test_flows_need_a_planar_seed(seed):
+    # a 3-D seed used to be traced from its first two coordinates, and a
+    # 1-D one ended in an IndexError
+    with pytest.raises(DimensionMismatch):
+        flow_trace(STRETCH, seed, T=0.5, dt=0.1)
+    with pytest.raises(DimensionMismatch):
+        transport_invariant(STRETCH, seed, T=0.5, dt=0.1)
+
+
+def _old_flow(gf, seed, T, dt):
+    """The points of the old RK4 chain from the seed; LeftGrid when the
+    seed, a stage or the final point lies off the grid."""
+    x = np.array([seed])
+    _old_at(gf, gf.tau, x)
+    want = [seed]
+    for _ in range(round(T / dt)):
+        x = _old_rk4_step(gf, x, dt)
+        want.append((float(x[0, 0]), float(x[0, 1])))
+    _old_at(gf, gf.tau, x)
+    return want
+
+
+@pytest.mark.parametrize("gf", [SMALL_GRID, STRETCH], ids=["small", "stretch"])
+@given(data=st.data(), T=st.floats(0.0, 1.0), dt=st.floats(2e-3, 0.25))
+@settings(max_examples=200, deadline=None)
+def test_scalar_stepper_equals_the_old_rk4(gf, data, T, dt):
+    assume(0.5 < T / dt <= 250)
+    nx, ny = gf.shape
+    u, v = data.draw(_coord(nx)), data.draw(_coord(ny))
+    seed = (gf.origin[0] + u * gf.h, gf.origin[1] + v * gf.h)
+    try:
+        want = _old_flow(gf, seed, T, dt)
+    except LeftGrid:
+        for flow in (flow_trace, transport_invariant):
+            with pytest.raises(LeftGrid):
+                flow(gf, seed, T=T, dt=dt)
+        return
+    assert _bits(smirnov._trajectory(gf, seed, T, dt)) == _bits(want)
+    got = flow_trace(gf, seed, T=T, dt=dt).vertices
+    assert _bits(got) == _bits(PolyCurve(want).vertices)
+    want_drift = _old_transport_invariant(gf, seed, T, dt)
+    assert transport_invariant(gf, seed, T, dt) == want_drift
