@@ -2,8 +2,10 @@
 
 Nets and routing graphs (of the presets, of the square's complement in
 the box [-1, 2]^2 and of the annulus's two-component complement in the
-box [-3, 3]^2), lifts with provenance, the snapped graph and the
-decomposition of two seeded fields at scale, and the JSON of the
+box [-3, 3]^2), lifts with provenance (on the presets and on the
+annulus's complement, with atoms on both components), a divergence-free
+extension across the annulus that keeps its punctures, the snapped graph
+and the decomposition of two seeded fields at scale, and the JSON of the
 `trace`, `pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and
 `decompose` verbs are written through the deterministic JSON writer and
 hashed with SHA-256, so a change that moves any of them by one ulp fails
@@ -24,10 +26,11 @@ from dmfields.acceptance import _rand_boundary_measure
 from dmfields.domain import complement_region, domain_preset, routing_graph
 from dmfields.regions import box_region
 from dmfields.smirnov import graph_decompose, lift_solenoidal, snap_to_graph
-from dmfields.tracext import lift_config, lift_surject
+from dmfields.tracext import extend_divfree, lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
 NETS = (*PRESETS, "square-complement", "annulus-complement")
+LIFTS = (*PRESETS, "annulus-complement")
 FIELDS = ("pool", "lattice")
 
 GOLDEN = {
@@ -41,6 +44,8 @@ GOLDEN = {
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
     "lifts[koch2]": "6bf88538a183ce9f2988bddc5579e3970af783a6cad0bc9dae7ee74536a82b10",
+    "lifts[annulus-complement]": "68b2a3bd4bed4577cfcb93baeed55cc81aebff7cd7316afae94255e630707796",
+    "extend-divfree[annulus-complement]": "897c73ace354211cd638214b917d0afaec1530f182d358dbb2304ec9d18bb749",
     "decompose[pool]": "feea6f82b64034220c7527286fe5595e62e812788095cde66937473d707c952c",
     "decompose[lattice]": "e9484b06c45629bd1edb9a1fb0f6f43c792b50b3116bf9e802943c525fa5dd1e",
     "cli[trace]": "b5c9172ea49a4ae94ea3f9c84b6b2647af2b640f436f04c2f6940a72b3046b71",
@@ -106,15 +111,18 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _net_graph(name):
+def _config(name):
     if name == "square-complement":  # AC-5's frame around the square
         d = complement_region(domain_preset("square"), box_region(-1, -1, 2, 2))
-        cfg = lift_config(d, 0.02, 0.3)
-    elif name == "annulus-complement":  # two routing components
+        return lift_config(d, 0.02, 0.3)
+    if name == "annulus-complement":  # two routing components
         d = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
-        cfg = lift_config(d, 0.05, 0.3)
-    else:
-        cfg = lift_config(domain_preset(name), 0.02)
+        return lift_config(d, 0.05, 0.3)
+    return lift_config(domain_preset(name), 0.02)
+
+
+def _net_graph(name):
+    cfg = _config(name)
     g = routing_graph(cfg.domain, cfg.h)
     return {
         "lam": cfg.lam,
@@ -126,8 +134,8 @@ def _net_graph(name):
 
 
 def _lifts(name):
-    d = domain_preset(name)
-    cfg = lift_config(d, 0.02)
+    cfg = _config(name)
+    d = cfg.domain
     rng = np.random.default_rng(7)
     out = []
     for _ in range(12):
@@ -137,6 +145,24 @@ def _lifts(name):
         payload["provenance"] = prov
         out.append(payload)
     return out
+
+
+def _extend_divfree():
+    """Three curves across the annulus: their trace sits on both circles,
+    and its two halves lift in the complement's two components, to
+    different nets, so residual divergence stays as punctures."""
+    f = CurveField(
+        [
+            PolyCurve([(0.1, 0.2), (1.5, 0.4), (2.5, 0.7)], 1.0),
+            PolyCurve([(-2.5, -0.5), (-1.5, 0.2), (-0.3, 0.1)], 0.5),
+            PolyCurve([(0.3, -2.5), (0.5, -1.5), (1.9, 0.2), (2.6, 1.0)], 2.0),
+        ]
+    )
+    cfg = _config("annulus-complement")
+    g, punctures = extend_divfree(
+        f, domain_preset("annulus"), cfg, connected_complement=False
+    )
+    return {"field": fileio.field_to_json(g), "punctures": punctures}
 
 
 def _field(name):
@@ -208,9 +234,14 @@ def test_net_and_graph(name):
     assert _digest(_net_graph(name)) == GOLDEN[f"net-graph[{name}]"]
 
 
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", LIFTS)
 def test_lifts_with_provenance(name):
     assert _digest(_lifts(name)) == GOLDEN[f"lifts[{name}]"]
+
+
+def test_divergence_free_extension_with_punctures():
+    key = "extend-divfree[annulus-complement]"
+    assert _digest(_extend_divfree()) == GOLDEN[key]
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -234,8 +265,9 @@ if __name__ == "__main__":
 
     for name in NETS:
         show(f"net-graph[{name}]", _net_graph(name))
-    for name in PRESETS:
+    for name in LIFTS:
         show(f"lifts[{name}]", _lifts(name))
+    show("extend-divfree[annulus-complement]", _extend_divfree())
     for name in FIELDS:
         show(f"decompose[{name}]", _decompose(name))
     for verb in VERBS:
