@@ -287,6 +287,41 @@ class RoutingGraph:
                 return i
         raise Disconnected(f"no grid node visible from {p}")
 
+    def nearest_visible_many(self, P: Sequence[Point]) -> list[int]:
+        """`nearest_visible` for each point of P: one KD-tree query for
+        all of them, then one `segments_in_domain` batch per rank over
+        the points still unresolved. A point within `domain.tol` of a
+        node (by `dist`) takes it without a visibility test."""
+        if not self.nodes:
+            raise Disconnected("empty routing graph")
+        A = np.asarray(P, dtype=float).reshape(len(P), 2)
+        kk = min(40, len(self.nodes))
+        _, near = self._tree.query(A, kk)
+        near = near.reshape(len(A), kk)
+        hop = np.full(len(A), -1)
+        for r in range(kk):
+            todo = np.flatnonzero(hop < 0)
+            if not todo.size:
+                break
+            cand = near[todo, r]
+            seen = np.array(
+                [
+                    dist(P[s], self.nodes[i]) <= self.domain.tol
+                    for s, i in zip(todo.tolist(), cand.tolist())
+                ],
+                dtype=bool,
+            )
+            far = ~seen
+            if far.any():
+                seen[far] = segments_in_domain(
+                    self.domain, A[todo[far]], self._tree.data[cand[far]]
+                )
+            hop[todo[seen]] = cand[seen]
+        lost = np.flatnonzero(hop < 0)
+        if lost.size:
+            raise Disconnected(f"no grid node visible from {P[lost[0]]}")
+        return hop.tolist()
+
     def dijkstra(self, sources: Iterable[int]):
         INF = float("inf")
         dd = [INF] * len(self.nodes)
@@ -491,15 +526,9 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     return chosen
 
 
-def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> float:
-    """Upper-biased estimate of the worst geodesic distance from the
-    boundary to the net, whose points must be graph nodes: 400 evenly
-    spaced boundary samples hop to their nearest visible grid node and
-    continue by multi-source shortest path."""
-    if not lam:
-        raise Disconnected("empty net")
-    g = routing_graph(d, h)
-    dd, _ = g.dijkstra(g.node_ids(lam))
+def _boundary_samples(d: PolygonalDomain) -> list[Point]:
+    """400 points spaced evenly by arc length along the boundary edges,
+    the first half a step from the start."""
     edges = d.boundary_edges()
     total_len = sum(dist(a, b) for a, b in edges)
     samples: list[Point] = []
@@ -513,9 +542,21 @@ def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> flo
             samples.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
             target += step
         acc += L
+    return samples
+
+
+def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> float:
+    """Upper-biased estimate of the worst geodesic distance from the
+    boundary to the net, whose points must be graph nodes: 400 evenly
+    spaced boundary samples hop, in one batch, to their nearest visible
+    grid node and continue by multi-source shortest path."""
+    if not lam:
+        raise Disconnected("empty net")
+    g = routing_graph(d, h)
+    dd, _ = g.dijkstra(g.node_ids(lam))
+    samples = _boundary_samples(d)
     worst = 0.0
-    for s in samples:
-        i = g.nearest_visible(s)
+    for s, i in zip(samples, g.nearest_visible_many(samples)):
         if dd[i] == float("inf"):
             raise Disconnected(f"boundary sample {s} cannot reach the net")
         worst = max(worst, dist(s, g.nodes[i]) + dd[i])

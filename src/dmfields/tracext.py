@@ -10,6 +10,13 @@ representation of m:
   both endpoints far:    each endpoint joined to its nearest net point;
   base-point terms:      the lone boundary endpoint joined to the net.
 
+A nearest net point is found by a KD-tree over the net points of the
+boundary point's routing component (one tree per component, built on
+first use; a graph with one component needs no visibility query). The
+tree only proposes: every net point within r0 (1 + 1e-9), r0 the tree's
+nearest distance, goes to `dist` and the lexicographic tie-break, so the
+answer is the exact minimiser a scan over the net would pick.
+
 The same machinery extends a field across its domain boundary (the
 exterior lift cancels the boundary divergence atoms exactly) and, when
 the complement is connected and the net flux vanishes, produces a
@@ -20,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+
+from scipy.spatial import cKDTree
 
 from .errors import (
     AtomOffBoundary,
@@ -87,15 +96,41 @@ class LiftConfig:
             groups.setdefault(comp[i], []).append(q)
         return groups
 
+    @cached_property
+    def _lam_trees(self) -> dict[int | None, tuple[list[Point], cKDTree]]:
+        """A KD-tree over the whole net (key None) and, when the graph
+        has more than one component, one over each component's points."""
+        groups: dict[int | None, list[Point]] = {None: list(self.lam)}
+        if routing_graph(self.domain, self.h).n_components > 1:
+            groups.update(self._lam_comp)
+        return {c: (pts, cKDTree(pts)) for c, pts in groups.items()}
+
     def sep(self) -> float:
         return self._sep
 
     def nearest_lam(self, p: Point) -> Point:
         """Nearest net point in the same routing component as p,
-        Euclidean distance with lexicographic tie-break."""
+        Euclidean distance by `dist` with lexicographic tie-break. A
+        component without a net point falls back to the whole net.
+
+        p's component is that of its nearest visible grid node; with one
+        component the candidates are the whole net and no visibility
+        query runs, so a point that sees no grid node raises
+        `Disconnected` only when `route` falls back to the grid.
+
+        The candidates' KD-tree gives the nearest distance r0, and every
+        net point within r0 (1 + 1e-9) goes to `dist`. The tree's
+        distances and `dist` (which squares by `**`) differ by a few
+        ulps, far below the slack, wherever the squared distances are
+        normal floats; this holds under dyadic scaling and translation.
+        So the `dist`-minimiser and every point tied with it are among
+        the candidates, and the answer equals a scan over the net."""
         g = routing_graph(self.domain, self.h)
-        cands = self._lam_comp.get(g.comp[g.nearest_visible(p)], self.lam)
-        return min(cands, key=lambda q: (dist(p, q), q))
+        key = g.comp[g.nearest_visible(p)] if g.n_components > 1 else None
+        pts, tree = self._lam_trees.get(key, self._lam_trees[None])
+        r0, _ = tree.query(p)
+        near = tree.query_ball_point(p, r0 * (1.0 + 1e-9))
+        return min((pts[i] for i in near), key=lambda q: (dist(p, q), q))
 
 
 def lift_config(

@@ -26,6 +26,7 @@ from dmfields.acceptance import _rand_boundary_measure
 from dmfields.core import dist
 from dmfields.domain import (
     RoutingGraph,
+    _boundary_samples,
     _edge_blocks,
     polyline_in_domain,
     routing_graph,
@@ -319,6 +320,43 @@ def test_separation_requires_a_net():
 def test_separation_requires_net_points_on_the_grid():
     with pytest.raises(ValueError):
         separation(SQUARE, [(0.505, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [
+        ("square", 0.02),
+        ("annulus", 0.02),
+        ("lshape", 0.02),
+        ("koch2", 0.02),
+        ("square-complement", 0.02),
+        ("annulus-complement", 0.05),
+    ],
+)
+def test_batched_hops_equal_the_scalar_nearest_visible(name, h):
+    # separation's boundary samples, grid nodes, and points near both
+    if name == "square-complement":
+        d = complement_region(SQUARE, box_region(-1, -1, 2, 2))
+    elif name == "annulus-complement":
+        d = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
+    else:
+        d = domain_preset(name)
+    g = routing_graph(d, h)
+    pts = _boundary_samples(d)
+    pts += g.nodes[:: max(1, len(g.nodes) // 50)]
+    near = [(x + 0.3 * h, y - 0.7 * d.tol) for x, y in pts[::7]]
+    pts += [p for p in near if d.contains(p)]
+    assert g.nearest_visible_many(pts) == [g.nearest_visible(p) for p in pts]
+
+
+def test_a_batched_hop_that_sees_no_node_is_disconnected():
+    g = routing_graph(SQUARE, 0.02)
+    with pytest.raises(Disconnected):
+        g.nearest_visible((5.0, 5.0))
+    with pytest.raises(Disconnected):
+        g.nearest_visible_many([(0.0, 0.5), (5.0, 5.0)])
+    with pytest.raises(Disconnected):
+        routing_graph(PolygonalDomain(box_region(0, 0, 0.01, 0.01)), 0.02).nearest_visible_many([(0.0, 0.0)])
 
 
 def test_complement_region_frame_and_islands():

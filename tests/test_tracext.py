@@ -1,13 +1,16 @@
 from dataclasses import FrozenInstanceError, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     AEElement,
     AtomOffBoundary,
     AtomicMeasure,
     CurveField,
+    Disconnected,
     LiftConfig,
     MissingConstants,
     NonzeroNetFlux,
@@ -227,6 +230,92 @@ def test_nearest_lam_stays_in_the_component_of_its_point():
     # a component with no net point falls back to the whole net
     alone = replace(cfg, lam=(cfg.e,))
     assert {alone.nearest_lam(p) for p in points} == {cfg.e}
+
+
+def _scan(cfg, p):
+    """The scan `nearest_lam` replaced: p's component by its nearest
+    visible node, then a `min` over that component's net points."""
+    g = routing_graph(cfg.domain, cfg.h)
+    cands = cfg._lam_comp.get(g.comp[g.nearest_visible(p)], cfg.lam)
+    return min(cands, key=lambda q: (dist(p, q), q))
+
+
+# (domain, grid step, delta) at unit scale; dyadic steps on dyadic boxes
+# put net points on exact midpoints, so `dist` ties are exact
+NET_DOMAINS = {
+    "square": (SQUARE, 0.125, 0.4),
+    "annulus": (domain_preset("annulus"), 0.125, 0.4),
+    "lshape": (domain_preset("lshape"), 0.125, 0.4),
+    "koch2": (domain_preset("koch2"), 0.03125, 0.2),
+    "square-complement": (complement_region(SQUARE, box_region(-1, -1, 2, 2)), 0.125, 0.3),
+    "annulus-complement": (
+        complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3)),
+        0.125,
+        0.3,
+    ),
+}
+SHIFTS = ((1e8, -1e8), (-7.5e7, 3.3e7), (12345.678, -0.1), (0.3, 0.7))
+
+
+@lru_cache(maxsize=None)
+def _moved_config(name, scale, shift):
+    d, h, delta = NET_DOMAINS[name]
+
+    def ring(r):
+        return [(x * scale + shift[0], y * scale + shift[1]) for x, y in r]
+
+    moved = PolygonalDomain(
+        [PolyRegion(ring(p.outer), [ring(q) for q in p.holes]) for p in d.parts]
+    )
+    return lift_config(moved, h * scale, delta * scale)
+
+
+@st.composite
+def net_query(draw, name):
+    """A config on the named domain, scaled by 2^k (k in -10..6) or
+    translated by up to 1e8, maybe cut to its base point alone, and a
+    point on an edge, at a vertex, at a grid node or a net point, in the
+    box, or midway between a net point and its nearest other one."""
+    if draw(st.booleans()):
+        cfg = _moved_config(name, 2.0 ** draw(st.integers(-10, 6)), (0.0, 0.0))
+    else:
+        cfg = _moved_config(name, 1.0, draw(st.sampled_from(SHIFTS)))
+    if draw(st.booleans()):
+        cfg = replace(cfg, lam=(cfg.e,))
+    d = cfg.domain
+    kind = draw(st.sampled_from(["edge", "vertex", "node", "net", "box", "tie"]))
+    if kind in ("edge", "vertex"):
+        a, b = draw(st.sampled_from(d.boundary_edges()))
+        t = 0.0 if kind == "vertex" else draw(st.floats(0, 1))
+        return cfg, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    if kind == "node":
+        return cfg, draw(st.sampled_from(routing_graph(d, cfg.h).nodes))
+    if kind == "box":
+        x0, y0, x1, y1 = d.bbox()
+        fx, fy = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+        return cfg, (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+    q = draw(st.sampled_from(cfg.lam))
+    if kind == "net" or len(cfg.lam) == 1:
+        return cfg, q
+    r = min((r for r in cfg.lam if r != q), key=lambda r: (dist(q, r), r))
+    return cfg, ((q[0] + r[0]) / 2, (q[1] + r[1]) / 2)
+
+
+@pytest.mark.parametrize("name", NET_DOMAINS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nearest_lam_equals_the_scan(name, data):
+    cfg, p = data.draw(net_query(name))
+    try:
+        want = _scan(cfg, p)
+    except Disconnected:
+        # only a graph of several components still asks which node p sees
+        if routing_graph(cfg.domain, cfg.h).n_components > 1:
+            with pytest.raises(Disconnected):
+                cfg.nearest_lam(p)
+            return
+        want = min(cfg.lam, key=lambda q: (dist(p, q), q))
+    assert cfg.nearest_lam(p) == want
 
 
 def test_repeated_vertices_are_dropped_and_the_region_lifts():
