@@ -4,34 +4,55 @@ Nets and routing graphs (of the presets, of the square's complement in
 the box [-1, 2]^2 and of the annulus's two-component complement in the
 box [-3, 3]^2), lifts with provenance (on the presets and on the
 annulus's complement, with atoms on both components), a divergence-free
-extension across the annulus that keeps its punctures, the snapped graph
-and the decomposition of two seeded fields at scale, and the JSON of the
-`trace`, `pairing`, `ae-norm`, `lift`, `extend`, `extend-divfree` and
-`decompose` verbs are written through the deterministic JSON writer and
-hashed with SHA-256, so a change that moves any of them by one ulp fails
-here. When a change to one of them is intended, print the new digests
-with `PYTHONPATH=src python tests/test_golden.py` (each digest that
-differs from `GOLDEN` is marked) and record the reason in CHANGES.md.
+extension across the annulus that keeps its punctures, the routes on
+which `route` falls back to the grid, the snapped graph and the
+decomposition of two seeded fields at scale, flow curves, drifts and
+Monte-Carlo checks on AC-9's loops and on a grid that truncates
+trajectories, and the JSON of the `trace`, `pairing`, `ae-norm`, `lift`,
+`extend`, `extend-divfree`, `decompose` and `smirnov-sim` verbs are
+written through the deterministic JSON writer and hashed with SHA-256,
+so a change that moves any of them by one ulp fails here. When a change
+to one of them is intended, print the new digests with
+`PYTHONPATH=src python tests/test_golden.py` (each digest that differs
+from `GOLDEN` is marked) and record the reason in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
+from functools import partial
 
 import numpy as np
 import pytest
 
 from dmfields import CurveField, PolyCurve, cli, fileio
-from dmfields.acceptance import _rand_boundary_measure
-from dmfields.domain import complement_region, domain_preset, routing_graph
+from dmfields.acceptance import _preset_loops, _rand_boundary_measure
+from dmfields.domain import (
+    RoutingGraph,
+    complement_region,
+    domain_preset,
+    route,
+    routing_graph,
+)
 from dmfields.regions import box_region
-from dmfields.smirnov import graph_decompose, lift_solenoidal, snap_to_graph
+from dmfields.smirnov import (
+    GridField,
+    flow_trace,
+    graph_decompose,
+    lift_solenoidal,
+    mollify,
+    reconstruct_check,
+    rotation,
+    snap_to_graph,
+    transport_invariant,
+)
 from dmfields.tracext import extend_divfree, lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
 NETS = (*PRESETS, "square-complement", "annulus-complement")
 LIFTS = (*PRESETS, "annulus-complement")
 FIELDS = ("pool", "lattice")
+FLOWS = ("ac9-loops", "stretch")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
@@ -55,6 +76,10 @@ GOLDEN = {
     "cli[extend]": "96784b5b0fc9e947d539482425c5efbeb87430c8ef2a05a2205a16eabcef9bb3",
     "cli[extend-divfree]": "e12ae73b008e72cb6ae258f776a22b516b33820e804e057caf23b35de7b95773",
     "cli[decompose]": "3f6b6c0fb5228371e8a2db9611586e161d33b38ddcb0683059b477807da6a7af",
+    "routes[fallback]": "1131970c42313953af53d335efb2b2eed29e65c45ea1e7fb9fbbedd4ef0c6b30",
+    "flows[ac9-loops]": "af03a6e6a0b74ac91c094d7c055ec32775e190ac5817057569cdaae058abe415",
+    "flows[stretch]": "d6d5632810bef2c51d815dc18002ff01b31f7ba22e049382929e77d5e10cea47",
+    "cli[smirnov-sim]": "cbcc63add730eaa2eef382303f56ea8f69e1d6122e707bc17565f176ff22b0be",
 }
 VERBS = (
     "trace",
@@ -64,6 +89,7 @@ VERBS = (
     "extend",
     "extend-divfree",
     "decompose",
+    "smirnov-sim",
 )
 
 SQUARE = {
@@ -165,6 +191,79 @@ def _extend_divfree():
     return {"field": fileio.field_to_json(g), "punctures": punctures}
 
 
+# the (domain, p, q) of the routes that reach `route`'s grid fallback in
+# AC-4 (koch2) and AC-5 and AC-6 (the square's complement), grid step 0.02
+FALLBACK = (
+    (
+        "koch2",
+        (0.3701967223811453, 0.7059510961495126),
+        (0.21882841634776184, 0.5832285133952169),
+    ),
+    ("square-complement", (0.15422822158444902, 1.0), (0.0, 0.8576687915469355)),
+    ("square-complement", (0.0, 0.10594660115375287), (0.12500994726609244, 0.0)),
+    ("square-complement", (0.12479169643946353, 0.0), (0.0, 0.14005543224476613)),
+)
+
+
+def _fallback_routes():
+    """The routes in FALLBACK, and the number of grid searches run for
+    them."""
+    searches = 0
+    dijkstra = RoutingGraph.dijkstra
+
+    def counted(self, sources):
+        nonlocal searches
+        searches += 1
+        return dijkstra(self, sources)
+
+    out = []
+    for name, p, q in FALLBACK:
+        d = _config(name).domain
+        routing_graph(d, 0.02)  # built outside the count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RoutingGraph, "dijkstra", counted)
+            out.append([list(v) for v in route(d, p, q, 0.02).vertices])
+    return out, searches
+
+
+# sigma = (3x, 0) on [0, 16] x [0, 1] with tau = 1: particles seeded far
+# out leave the grid, so a Monte-Carlo check truncates some of them
+_IX = np.repeat(np.arange(17.0)[:, None], 2, axis=1)
+STRETCH = GridField(
+    (0.0, 0.0), 1.0, 0.1, 3.0 * _IX, np.zeros_like(_IX), np.ones_like(_IX)
+)
+
+
+def _flows(name):
+    if name == "stretch":
+        Phi = partial(rotation, 8.0, 0.5)
+        return reconstruct_check(STRETCH, Phi, 500, T=0.25, dt=0.05)
+    # AC-9's loops, Phi, seeds and steps, at shorter times and fewer
+    # particles
+    out = []
+    for f in _preset_loops():
+        gf = mollify(f, 0.1, 0.02)
+        gf2 = mollify(f, 0.1, 0.01)
+        vs = [v for c in f for v in c.vertices]
+        cx, cy = (sum(v[k] for v in vs) / len(vs) for k in (0, 1))
+        Phi = partial(rotation, cx, cy)
+        seed = f.curves[0].point_at(0.5)
+        out.append(
+            {
+                "trace": [list(v) for v in flow_trace(gf, seed, T=0.25).vertices],
+                "drift": [
+                    transport_invariant(gf, seed, T=0.25, dt=1e-3),
+                    transport_invariant(gf2, seed, T=0.25, dt=5e-4),
+                ],
+                "checks": [
+                    reconstruct_check(gf, Phi, 2000, T=0.2, dt=1e-3, rng_seed=s)
+                    for s in (0, 1)
+                ],
+            }
+        )
+    return out
+
+
 def _field(name):
     rng = np.random.default_rng(11)
     curves = []
@@ -219,6 +318,9 @@ def _cli(verb, tmp_path):
         args = ["--element", write("elem.json", ELEMENT), "--domain", square]
     elif verb == "decompose":
         args = ["--field", write("web.json", WEB)]
+    elif verb == "smirnov-sim":  # AC-9's triangle
+        tri = fileio.field_to_json(_preset_loops()[1])
+        args = ["--field", write("tri.json", tri), "--seed", "3", "--samples", "2000"]
     else:
         field = CHORDS if verb == "extend-divfree" else WEB
         args = ["--field", write("field.json", field), "--domain", square]
@@ -242,6 +344,20 @@ def test_lifts_with_provenance(name):
 def test_divergence_free_extension_with_punctures():
     key = "extend-divfree[annulus-complement]"
     assert _digest(_extend_divfree()) == GOLDEN[key]
+
+
+def test_routes_that_fall_back_to_the_grid():
+    routes, searches = _fallback_routes()
+    assert searches == len(FALLBACK)
+    assert _digest(routes) == GOLDEN["routes[fallback]"]
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_flows_and_monte_carlo_checks(name):
+    payload = _flows(name)
+    if name == "stretch":
+        assert 0 < payload[3] < 500  # some trajectories were truncated
+    assert _digest(payload) == GOLDEN[f"flows[{name}]"]
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -268,6 +384,9 @@ if __name__ == "__main__":
     for name in LIFTS:
         show(f"lifts[{name}]", _lifts(name))
     show("extend-divfree[annulus-complement]", _extend_divfree())
+    show("routes[fallback]", _fallback_routes()[0])
+    for name in FLOWS:
+        show(f"flows[{name}]", _flows(name))
     for name in FIELDS:
         show(f"decompose[{name}]", _decompose(name))
     for verb in VERBS:

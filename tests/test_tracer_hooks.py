@@ -3,9 +3,13 @@ dmfields' functions and methods by name from outside. A rename in
 dmfields would break that run without failing any other test."""
 
 import sys
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 import dmfields
+from dmfields.smirnov import GridField, rotation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import COUNTS, SPANS, Tracer  # noqa: E402
@@ -25,3 +29,25 @@ def test_tracer_installs_every_hook_and_uninstalls_cleanly():
         t.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner}.{attr}"
+
+
+def test_traced_sample_counts_follow_the_rk4_stages():
+    # four sigma samples of the whole cloud per step: a change to the
+    # sampler's signature that the tracer's argument hook misreads shows
+    # here, not only in a traced benchmark run
+    g = np.linspace(-1.0, 1.0, 9)
+    gf = GridField(
+        (-1.0, -1.0), 0.25, 0.1,
+        -np.tile(g, (9, 1)), np.tile(g[:, None], (1, 9)), np.ones((9, 9)),
+    )
+    N, steps = 50, 5
+    t = Tracer()
+    try:
+        t.install()
+        dmfields.smirnov.reconstruct_check(
+            gf, partial(rotation, 0.0, 0.0), N, T=0.05, dt=0.01
+        )
+    finally:
+        t.uninstall()
+    assert t.counts["smirnov.sample"] == 4 * steps
+    assert t.counts["smirnov.sample.points"] == 4 * N * steps
