@@ -26,16 +26,16 @@ sigma = f_eps / tau_eps on a grid, trace its flow with fixed-step RK4,
 and check the resulting curve decomposition by Monte-Carlo integration
 against grid integrals, including the mass-transport invariant
 tau(G_t(x)) det(grad G_t(x)) = const along trajectories. The
-bilinear stencil is `_cell`'s; it places mollify's deposits too. RK4
-comes in two steppers, chosen by the traffic: particle clouds
-(`reconstruct_check`) step all points at once with `_rk4_step`, whose
-stages read sigma through the batched sampler `GridField._sample`;
-single flow curves (`flow_trace`, `transport_invariant`) come from
-`_trajectory`, which steps one point on Python floats with the same
-stencil, corner order and stage order, so that IEEE arithmetic gives
-the same bits as the batched step. Tests pin the two equal bit for bit.
-The drift check reads tau and div sigma along the whole curve in one
-batched lookup.
+bilinear stencil is `_cell`'s; it places mollify's deposits too. The
+one RK4 step, `_rk4`, only adds and scales what its sigma returns, so it
+steps numpy arrays and Python floats alike. Particle clouds
+(`reconstruct_check`) keep x and y as two 1-D arrays and read sigma
+through the batched `GridField._sample`; single flow curves
+(`flow_trace`, `transport_invariant`) read it through `_trajectory`'s
+stencil on Python floats, about 20 times faster for one point. Both
+samplers share the stencil, corner order and arithmetic, so IEEE
+arithmetic gives them the same bits; tests pin them equal bit for bit.
+The drift check reads tau and div sigma along the whole curve at once.
 """
 
 from __future__ import annotations
@@ -371,7 +371,8 @@ class GridField:
     cell centers at origin + (ix, iy) * h. sigma, tau and div sigma are
     read between grid points by bilinear interpolation (`_sample`);
     `sigma_at`, `tau_at` and `div_sigma_at` raise LeftGrid off the grid,
-    `sigma_at_masked` gives 0 there and at points not alive."""
+    `sigma_at_masked` gives 0 there and at points not alive. ValueError
+    unless tau is positive everywhere."""
 
     origin: Point
     h: float
@@ -381,6 +382,8 @@ class GridField:
     tau: np.ndarray
 
     def __post_init__(self):
+        if not (m := float(self.tau.min())) > 0:
+            raise ValueError(f"min tau {m:.3g} <= 0: tau's floor is below round-off")
         self.sigx = self.fx / self.tau
         self.sigy = self.fy / self.tau
         gx = np.gradient(self.sigx, self.h, axis=0)
@@ -391,15 +394,15 @@ class GridField:
     def shape(self):
         return self.fx.shape
 
-    def _sample(self, pts: np.ndarray, arrays, alive=None):
-        """Bilinear values of each grid array at the (N, 2) points, and
+    def _sample(self, x: np.ndarray, y: np.ndarray, arrays, alive=None):
+        """Bilinear values of each grid array at the points (x, y), and
         the mask of points inside the grid. The cell and its weights are
         found once for all arrays. Without `alive`, a point outside the
         grid raises LeftGrid; with it, points that are dead or outside
         get 0."""
         nx, ny = self.shape
-        u = (pts[:, 0] - self.origin[0]) / self.h
-        v = (pts[:, 1] - self.origin[1]) / self.h
+        u = (x - self.origin[0]) / self.h
+        v = (y - self.origin[1]) / self.h
         inside = (u >= 0) & (u <= nx - 1) & (v >= 0) & (v <= ny - 1)
         ok = inside if alive is None else alive & inside
         every = bool(ok.all())
@@ -420,23 +423,23 @@ class GridField:
                 t *= wv
                 val += t
             if not every:
-                val, part = np.zeros(len(pts)), val
+                val, part = np.zeros(len(x)), val
                 val[ok] = part
             out.append(val)
         return tuple(out), inside
 
     def sigma_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._sample(pts, (self.sigx, self.sigy))[0]
+        return self._sample(pts[:, 0], pts[:, 1], (self.sigx, self.sigy))[0]
 
-    def sigma_at_masked(self, pts, alive):
-        (sx, sy), inside = self._sample(pts, (self.sigx, self.sigy), alive)
+    def sigma_at_masked(self, x, y, alive):
+        (sx, sy), inside = self._sample(x, y, (self.sigx, self.sigy), alive)
         return sx, sy, inside
 
     def tau_at(self, pts: np.ndarray) -> np.ndarray:
-        return self._sample(pts, (self.tau,))[0][0]
+        return self._sample(pts[:, 0], pts[:, 1], (self.tau,))[0][0]
 
     def div_sigma_at(self, pts: np.ndarray) -> np.ndarray:
-        return self._sample(pts, (self.div_sigma,))[0][0]
+        return self._sample(pts[:, 0], pts[:, 1], (self.div_sigma,))[0][0]
 
     def total_tau(self) -> float:
         return float(self.tau.sum()) * self.h * self.h
@@ -467,7 +470,7 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     centroid (renormalized so the floor integrates to eps exactly).
     DimensionMismatch for a field off the plane; ValueError unless eps
     and h are finite and positive and the grid's extent, in steps of h,
-    is finite."""
+    is finite; also when round-off leaves tau not positive somewhere."""
     if f.dimension not in (None, 2):
         raise DimensionMismatch("mollify needs a planar field")
     if not (0 < eps < math.inf and 0 < h < math.inf):
@@ -536,27 +539,19 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     return GridField((x0, y0), h, eps, fx, fy, tau)
 
 
-def _velocity(gf: GridField, pts: np.ndarray, alive):
-    *s, inside = gf.sigma_at_masked(pts, alive)
-    return np.stack(s, axis=1), inside
-
-
-def _rk4_step(gf: GridField, x: np.ndarray, dt: float, alive):
-    """The classical RK4 increment of x' = sigma(x) over one step dt
-    from the (N, 2) points x, and the mask of points whose four stages
-    all lay inside the grid; dead or outside points have velocity 0."""
-    k1, in1 = _velocity(gf, x, alive)
-    k2, in2 = _velocity(gf, x + 0.5 * dt * k1, alive)
-    k3, in3 = _velocity(gf, x + 0.5 * dt * k2, alive)
-    k4, in4 = _velocity(gf, x + dt * k3, alive)
-    # dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, in place
-    k2 *= 2
-    k1 += k2
-    k3 *= 2
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    return k1, in1 & in2 & in3 & in4
+def _rk4(sigma, x, y, dt):
+    """The RK4 increment (dx, dy) of (x, y)' = sigma(x, y) over one step
+    dt, dt / 6 (k1 + 2 k2 + 2 k3 + k4) summed in that order, for Python
+    floats or equal-length numpy arrays x and y alike."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1x, k1y = sigma(x, y)
+    k2x, k2y = sigma(x + half * k1x, y + half * k1y)
+    k3x, k3y = sigma(x + half * k2x, y + half * k2y)
+    k4x, k4y = sigma(x + dt * k3x, y + dt * k3y)
+    return (
+        (k1x + 2 * k2x + 2 * k3x + k4x) * sixth,
+        (k1y + 2 * k2y + 2 * k3y + k4y) * sixth,
+    )
 
 
 def _steps(T: float, dt: float) -> int:
@@ -572,10 +567,10 @@ def _steps(T: float, dt: float) -> int:
 
 def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
     """The n + 1 points of the fixed-step RK4 flow of x' = sigma(x) from
-    the seed, n = `_steps(T, dt)`. One point is stepped on Python floats:
-    `_sample`'s arithmetic with `_cell`'s stencil, its corners summed in
-    `_sample`'s order and the stages combined in `_rk4_step`'s, so every
-    point has the bits the batched step gives it. DimensionMismatch
+    the seed, n = `_steps(T, dt)`. One point is stepped by `_rk4` on
+    Python floats, sigma read with `_sample`'s arithmetic, `_cell`'s
+    stencil and its corners summed in `_sample`'s order, so every point
+    has the bits a particle cloud's step gives it. DimensionMismatch
     unless the seed has two coordinates; LeftGrid when the seed, a stage
     or the final point leaves the grid; the seed is checked before T and
     dt."""
@@ -586,14 +581,10 @@ def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
     h = gf.h
     sx, sy = gf.sigx.ravel().tolist(), gf.sigy.ravel().tolist()
 
-    def grid_uv(x, y):
+    def sigma(x, y):
         u, v = (x - ox) / h, (y - oy) / h
         if not (0 <= u <= nx - 1 and 0 <= v <= ny - 1):
             raise LeftGrid("point outside the sampled grid")
-        return u, v
-
-    def sigma(x, y):
-        u, v = grid_uv(x, y)
         i = min(max(math.floor(u), 0), nx - 2)
         j = min(max(math.floor(v), 0), ny - 2)
         du, dv = u - i, v - j
@@ -606,19 +597,14 @@ def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
         )
 
     x, y = float(seed[0]), float(seed[1])
-    grid_uv(x, y)
+    sigma(x, y)  # LeftGrid if the seed is outside
     n = _steps(T, dt)
-    half, sixth = 0.5 * dt, dt / 6.0
     pts = [(x, y)]
     for _ in range(n):
-        k1x, k1y = sigma(x, y)
-        k2x, k2y = sigma(x + half * k1x, y + half * k1y)
-        k3x, k3y = sigma(x + half * k2x, y + half * k2y)
-        k4x, k4y = sigma(x + dt * k3x, y + dt * k3y)
-        x += (k1x + 2 * k2x + 2 * k3x + k4x) * sixth
-        y += (k1y + 2 * k2y + 2 * k3y + k4y) * sixth
+        dx, dy = _rk4(sigma, x, y, dt)
+        x, y = x + dx, y + dy
         pts.append((x, y))
-    grid_uv(x, y)  # LeftGrid if the final point is outside
+    sigma(x, y)  # LeftGrid if the final point is outside
     return pts
 
 
@@ -675,22 +661,30 @@ def reconstruct_check(
     p = p / p.sum()
     pick = rng.choice(len(p), size=N, p=p)
     jitter = rng.uniform(-0.5, 0.5, size=(N, 2)) * h
-    x = cells[pick] + jitter
+    x, y = (cells[pick] + jitter).T.copy()
     # reflect jittered seeds back into the grid: on its edge sigma is
     # round-off and may point out of it
-    for col, g in zip(x.T, (gx, gy)):
+    for col, g in zip((x, y), (gx, gy)):
         np.copyto(col, 2 * g[0] - col, where=col < g[0])
         np.copyto(col, 2 * g[-1] - col, where=col > g[-1])
 
     alive = np.ones(N, dtype=bool)
+
+    def sigma(px, py):
+        # a point that leaves the grid at any stage is dead after the step
+        # either way, and alive masks every later use of its values
+        sx, sy, inside = gf.sigma_at_masked(px, py, alive)
+        np.logical_and(alive, inside, out=alive)
+        return sx, sy
+
     integral = np.zeros(N)
     for _ in range(nsteps):
-        step, inside = _rk4_step(gf, x, dt, alive)
-        alive &= inside
-        pv = Phi(x + 0.5 * step)
-        inc = pv[:, 0] * step[:, 0] + pv[:, 1] * step[:, 1]
+        dx, dy = _rk4(sigma, x, y, dt)
+        pv = Phi(np.stack([x + 0.5 * dx, y + 0.5 * dy], axis=1))
+        inc = pv[:, 0] * dx + pv[:, 1] * dy
         np.add(integral, inc, out=integral, where=alive)
-        np.add(x, step, out=x, where=alive[:, None])
+        np.add(x, dx, out=x, where=alive)
+        np.add(y, dy, out=y, where=alive)
     mass = gf.total_tau()
     estimate = mass * float(integral.mean()) / T
     stderr = mass * float(integral.std(ddof=1)) / math.sqrt(N) / T
@@ -706,8 +700,8 @@ def transport_invariant(
     equation, O(dt^2 + h^2) discretely. DimensionMismatch unless the
     seed is planar; LeftGrid when a stage or the final point leaves the
     grid."""
-    X = np.array(_trajectory(gf, seed, T, dt))
-    (tau, div), _ = gf._sample(X, (gf.tau, gf.div_sigma))
+    x, y = np.array(_trajectory(gf, seed, T, dt)).T
+    (tau, div), _ = gf._sample(x, y, (gf.tau, gf.div_sigma))
     # trapezoid rule, summed in step order (cumsum does not pair terms);
     # math.log, because np.log may differ from it by an ulp
     acc = np.cumsum(0.5 * (div[:-1] + div[1:]) * dt)

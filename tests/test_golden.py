@@ -219,7 +219,6 @@ def _fallback_routes():
     out = []
     for name, p, q in FALLBACK:
         d = _config(name).domain
-        routing_graph(d, 0.02)  # built outside the count
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(RoutingGraph, "dijkstra", counted)
             out.append([list(v) for v in route(d, p, q, 0.02).vertices])

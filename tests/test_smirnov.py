@@ -766,6 +766,23 @@ def test_mollify_needs_finite_constants_and_grid(eps, h):
         mollify(CurveField([loop]), eps, h)
 
 
+def test_mollify_rejects_a_tau_that_is_not_positive():
+    # on an L of side 10, FFT round-off outweighs the eps floor on 5,523
+    # cells and sigma = f / tau there was garbage; reconstruct_check then
+    # failed in rng.choice. On an L of side 5 the floor holds
+    def l_curve(L):
+        return CurveField([PolyCurve([(0, 0), (L, 0), (L, L)], 1.0)])
+
+    mollify(l_curve(5), 0.1, 0.02)
+    with pytest.raises(ValueError, match="tau"):
+        mollify(l_curve(10), 0.1, 0.02)
+    tau = np.ones((3, 3))
+    for bad in (0.0, -1e-16, math.nan):
+        tau[1, 1] = bad
+        with pytest.raises(ValueError, match="tau"):
+            GridField((0.0, 0.0), 1.0, 0.1, np.ones((3, 3)), np.ones((3, 3)), tau)
+
+
 def test_mollify_does_not_import_scipy_signal():
     # importing scipy.signal takes about 0.5 s; mollify convolves
     # through scipy.fft
@@ -885,8 +902,8 @@ def test_reconstruct_check_is_deterministic(ring_grid):
 
 
 # The bilinear sampler and RK4 step as they were written out before
-# `GridField._sample` and `smirnov._rk4_step` replaced them: references
-# that the shared versions must equal bit for bit.
+# `GridField._sample` and `smirnov._rk4` replaced them: references that
+# the shared versions must equal bit for bit.
 
 
 def _old_uv(gf, pts):
@@ -986,13 +1003,13 @@ def test_sample_equals_the_old_bilinear_bit_for_bit(rows):
     arrays = (gf.sigx, gf.sigy, gf.tau, gf.div_sigma)
     u, v, inside = _old_uv(gf, pts)
     ok = alive & inside
-    vals, got_inside = gf._sample(pts, arrays, alive)
+    vals, got_inside = gf._sample(pts[:, 0], pts[:, 1], arrays, alive)
     assert _bits(got_inside) == _bits(inside)
     for A, val in zip(arrays, vals):
         want = np.zeros(len(pts))
         want[ok] = _old_bilinear(A, u[ok], v[ok])
         assert _bits(val) == _bits(want)
-    sx, sy, got_inside = gf.sigma_at_masked(pts, alive)
+    sx, sy, got_inside = gf.sigma_at_masked(pts[:, 0], pts[:, 1], alive)
     assert _bits(sx) == _bits(vals[0]) and _bits(sy) == _bits(vals[1])
     if not inside.all():
         for at in (gf.sigma_at, gf.tau_at, gf.div_sigma_at):
@@ -1016,7 +1033,8 @@ def test_sample_equals_the_old_bilinear_on_a_mollified_grid(ring_grid, xy):
     gf = ring_grid
     pts = np.array(xy)
     u, v, inside = _old_uv(gf, pts)
-    (sx, sy), got_inside = gf._sample(pts, (gf.sigx, gf.sigy), np.ones(len(pts), bool))
+    alive = np.ones(len(pts), bool)
+    (sx, sy), got_inside = gf._sample(pts[:, 0], pts[:, 1], (gf.sigx, gf.sigy), alive)
     assert _bits(got_inside) == _bits(inside)
     want = np.zeros(len(pts))
     want[inside] = _old_bilinear(gf.sigx, u[inside], v[inside])
