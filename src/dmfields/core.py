@@ -24,12 +24,16 @@ from .errors import DimensionMismatch
 Point = tuple[float, ...]
 
 
-def as_point(coords: Iterable[float]) -> Point:
+def as_point(coords: Iterable[float], bound: float = math.inf) -> Point:
+    """The coordinates as a tuple of floats; ValueError below dimension
+    2, or for a coordinate that is not finite or exceeds bound in size."""
     p = tuple(float(c) for c in coords)
     if len(p) < 2:
         raise ValueError("points need dimension >= 2")
     if not all(math.isfinite(c) for c in p):
         raise ValueError(f"non-finite coordinate in {p}")
+    if bound < math.inf and not all(abs(c) <= bound for c in p):
+        raise ValueError(f"coordinate beyond {bound:g} in {p}")
     return p
 
 

@@ -34,15 +34,17 @@ from .errors import (
     LRCViolation,
     TopologyViolation,
 )
-from .core import Point, PolyCurve, dist
+from .core import Point, PolyCurve, as_point, dist
 from .regions import (
     EPS,
+    MAX_COORD,
     PolyRegion,
     _point_seg_dist,
     _seg_intersections,
     boundary_dist_many,
     box_region,
     hit_candidates,
+    near_edges,
 )
 
 
@@ -107,6 +109,11 @@ class PolygonalDomain:
     def boundary_edges(self) -> tuple[tuple[Point, Point], ...]:
         return self._edges
 
+    @cached_property
+    def edge_boxes(self) -> tuple[tuple, ...]:
+        """The parts' `edge_boxes` tables, concatenated in edge order."""
+        return sum((part.edge_boxes for part in self.parts), ())
+
     def boundary_dist(self, p: Point) -> float:
         return min(_point_seg_dist(p, a, b) for a, b in self._edges)
 
@@ -154,13 +161,17 @@ def segment_in_domain(d: PolygonalDomain, a: Point, b: Point) -> bool:
     collinearly (a `DegenerateGeometry` counts as blocked). An accepted
     open segment thus meets no edge and lies on one side of the
     boundary, and its midpoint decides which. The test is conservative:
-    a midpoint within `d.tol` of the boundary counts as outside."""
+    a midpoint within `d.tol` of the boundary counts as outside.
+
+    `_edge_blocks` runs only on the edges `near_edges` keeps at `d.tol`:
+    on every other edge it would return False."""
     if len(a) != 2 or len(b) != 2:
         raise DimensionMismatch("domains are planar")
     if a == b:
         return False
     L = dist(a, b)
-    if any(_edge_blocks(d, a, b, L, p, q) for p, q in d.boundary_edges()):
+    near = near_edges(d.edge_boxes, a, b, d.tol)
+    if any(_edge_blocks(d, a, b, L, p, q) for p, q in near):
         return False
     return d.contains((a[0] + 0.5 * (b[0] - a[0]), a[1] + 0.5 * (b[1] - a[1])))
 
@@ -322,7 +333,18 @@ class RoutingGraph:
             raise Disconnected(f"no grid node visible from {P[lost[0]]}")
         return hop.tolist()
 
-    def dijkstra(self, sources: Iterable[int]):
+    def dijkstra(self, sources: Iterable[int], target: int | None = None):
+        """Shortest-path distances and predecessors from the sources;
+        with a target, the search stops once the target is settled.
+
+        dd[target] and its `prev` chain are then those of the full run.
+        Popped distances never decrease, since each push adds a positive
+        weight to the distance just popped. So once a node is popped and
+        not stale, every later relaxation offers it more than its
+        distance, which `nd < dd[v] - 1e-15` never accepts: its `dd` and
+        `prev` are final. Each node on the target's chain was popped
+        before the node after it, so the whole chain is final when the
+        target is popped."""
         INF = float("inf")
         dd = [INF] * len(self.nodes)
         prev = [-1] * len(self.nodes)
@@ -335,6 +357,8 @@ class RoutingGraph:
             d0, u = heapq.heappop(heap)
             if d0 > dd[u] + 1e-15:
                 continue
+            if u == target:
+                break
             for v, w in self.adj[u]:
                 nd = d0 + w
                 if nd < dd[v] - 1e-15:
@@ -423,7 +447,7 @@ def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Poin
     b = g.nearest_visible(q)
     if g.comp[a] != g.comp[b]:
         raise Disconnected(f"{p} and {q} lie in different components")
-    dd, prev = g.dijkstra([a])
+    dd, prev = g.dijkstra([a], b)
     if dd[b] == float("inf"):
         raise Disconnected(f"no grid path between {p} and {q}")
     path = [b]
@@ -443,11 +467,11 @@ def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:
     """A polygonal path p -> q through the open domain. When convexity
     constants are declared and |p-q| <= delta, the length bound
     len <= |p-q|/eps is asserted (LRCViolation on failure).
-    DimensionMismatch for a point off the plane."""
+    DimensionMismatch for a point off the plane, ValueError for an
+    endpoint that is not finite or lies beyond `MAX_COORD`."""
     if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("domains are planar")
-    p = (float(p[0]), float(p[1]))
-    q = (float(q[0]), float(q[1]))
+    p, q = as_point(p, MAX_COORD), as_point(q, MAX_COORD)
     # symmetric by construction: always solve the lexicographically
     # smaller orientation
     flip = q < p

@@ -19,6 +19,11 @@ so lengths and offsets that small are out of range. At the other end,
 `_near_many`'s 4 tol^2 L2, up to 32 EPS^2 M^4 for a region's largest
 |coordinate| M, would overflow near M = 2.7e82 and put every point on
 the boundary: ring vertices must lie within `MAX_COORD` = 2^270.
+
+One box margin: the scalar predicates visit only the edges whose
+bounding box lies within `BOX_MARGIN` = 2^-6 times the query's and the
+edge's lengths, plus 4 tol, of the query's box (`near_edges`). Every
+edge farther away provably answers "no" in the full test.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .lipfun import LipFunc
 # inputs closer to a boundary line are ambiguous and rejected, not classified
 EPS = 1e-12
 MAX_COORD = 2.0**270  # there 4 tol^2 L2 stays below about 2^1005
+BOX_MARGIN = 2.0**-6  # of both lengths, around an edge's box; see `near_edges`
 
 
 def _signed_area(ring: Sequence[Point]) -> float:
@@ -61,6 +67,67 @@ def _near(p: Point, a: Point, b: Point, tol: float) -> bool:
         return qx * qx + qy * qy <= tol * tol
     c = dx * py - dy * px
     return c * c <= tol * tol * L2
+
+
+def _edge_boxes(edges: Iterable[tuple[Point, Point]]) -> tuple[tuple, ...]:
+    """Each edge (p, q) as a row (x0, y0, x1, y1, p, q) of Python floats:
+    its bounding box, widened on every side by `BOX_MARGIN` times its
+    length."""
+    rows = []
+    for p, q in edges:
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        w = BOX_MARGIN * math.sqrt(dx * dx + dy * dy)
+        x0, x1 = min(p[0], q[0]), max(p[0], q[0])
+        y0, y1 = min(p[1], q[1]), max(p[1], q[1])
+        rows.append((x0 - w, y0 - w, x1 + w, y1 + w, p, q))
+    return tuple(rows)
+
+
+def near_edges(boxes: Sequence[tuple], a: Point, b: Point, tol: float) -> list:
+    """The edges (p, q), in table order, of the `_edge_boxes` rows whose
+    box lies within m = `BOX_MARGIN` (L1 + L2) + 4 tol of the box of the
+    segment [a, b], with L1 = |b - a| and L2 = |q - p|; a point is the
+    segment a = b. On every edge left out, `_seg_intersections(a, b, p,
+    q, tol)` returns [] without raising and `_near(a, p, q, tol)` is
+    False. So `any` over either, and the sorted cuts of `_pieces`, come
+    out as from the full scan.
+
+    Why. Let u = 2^-53 and let D be the distance between the two
+    segments; their boxes are then at most D apart in x and in y.
+    - `_near` accepts only within tol + 8u (tol + L2) of [p, q].
+    - The parallel branch of `_seg_intersections` raises only where p
+      lies within tol of the line through a and b, at a sine of at most
+      EPS + 5u, and the projections overlap: D <= tol + EPS L2 plus a
+      few u (L1 + L2 + D).
+    - Otherwise |denom| > EPS L1 L2 as computed. The rounding of denom
+      is at most 5u L1 L2 and that of t's numerator at most 5u |ap| L2;
+      over |denom| these are below 5u / EPS < 5.6e-4 and 5.6e-4 |ap| /
+      L1. A returned t is at most 2 in size, so it lies within
+      5.6e-4 (2.01 + |ap| / L1) of the exact parameter of the crossing
+      X of the two lines; the other parameter likewise, with L2. The
+      clamps tol_t L1 and tol_u L2 are at most tol, so X lies within
+      tol + 5.6e-4 (2.01 L_i + |ap|) of each segment, and
+      D <= 2 tol + 5.6e-4 (2.01 (L1 + L2) + 2 |ap|). With
+      |ap| <= L1 + D + L2 that is D <= 2.003 tol + 2.3e-3 (L1 + L2).
+    So `BOX_MARGIN` = 1/64 leaves about 7x headroom, and 4 tol about 2x.
+    The skip tests `lo - m > hi` and the table's widening round by at
+    most u (|x| + m) at a box coordinate x. Where a gap is below m,
+    |x| is at most the region's largest |coordinate| plus 2 m, and that
+    coordinate is at most tol / EPS, so the rounding stays below
+    1.2e-4 tol + 3u m. A NaN or inf coordinate makes m NaN or inf, and
+    then no test skips: such input meets the full test as before."""
+    ax, ay = a
+    bx, by = b
+    dx, dy = bx - ax, by - ay
+    m = BOX_MARGIN * math.sqrt(dx * dx + dy * dy) + 4.0 * tol
+    lx, hx = (ax, bx) if ax <= bx else (bx, ax)
+    ly, hy = (ay, by) if ay <= by else (by, ay)
+    lx, ly = lx - m, ly - m
+    return [
+        (p, q)
+        for x0, y0, x1, y1, p, q in boxes
+        if not (x0 - m > hx or y0 - m > hy or lx > x1 or ly > y1)
+    ]
 
 
 def _point_seg_dist(p: Point, a: Point, b: Point) -> float:
@@ -235,6 +302,11 @@ class PolyRegion:
         return self._edges
 
     @cached_property
+    def edge_boxes(self) -> tuple[tuple, ...]:
+        """`_edge_boxes` of the boundary edges, in edge order."""
+        return _edge_boxes(self._edges)
+
+    @cached_property
     def tol(self) -> float:
         """The length tolerance: EPS times the largest |coordinate|."""
         return EPS * max(abs(c) for ring in self.rings() for p in ring for c in p)
@@ -245,7 +317,8 @@ class PolyRegion:
         if len(p) != 2:
             raise DimensionMismatch("regions are planar")
         tol = self.tol
-        return any(_near(p, a, b, tol) for a, b in self._edges)
+        near = near_edges(self.edge_boxes, p, p, tol)
+        return any(_near(p, a, b, tol) for a, b in near)
 
     def on_boundary_many(self, P: np.ndarray) -> np.ndarray:
         """`on_boundary` over the rows of a (P, 2) array."""
@@ -368,18 +441,19 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     into it. A curve lying on the boundary has no pieces. Raises
     DimensionMismatch for a curve off the plane, and DegenerateGeometry
     for overlaps, ambiguous pieces and interior vertices sitting on the
-    boundary."""
+    boundary. Each curve segment meets only the edges `near_edges` keeps
+    for it: the others cannot cut it or raise."""
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
     if _curve_on_boundary(c, E):
         return []
-    edges, tol = E.boundary_edges(), E.tol
+    boxes, tol = E.edge_boxes, E.tol
     for v in c.vertices[1:-1]:
         if E.on_boundary(v):
             raise DegenerateGeometry(f"interior curve vertex {v} lies on the boundary")
     cuts: list[float] = []
     for i, (a, b) in enumerate(c.segments()):
-        for p, q in edges:
+        for p, q in near_edges(boxes, a, b, tol):
             for t in _seg_intersections(a, b, p, q, tol):
                 cuts.append(i + t)
     n = len(c.vertices) - 1

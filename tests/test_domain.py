@@ -51,6 +51,32 @@ def test_route_rejects_points_off_the_plane(p, q):
         route(SQUARE, p, q)
 
 
+@pytest.mark.parametrize(
+    "p", [(math.nan, 0.5), (math.inf, 0.5), (1e300, 0.5), (0.5, -(2.0**271))]
+)
+def test_route_rejects_endpoints_not_finite_or_beyond_max_coord(p):
+    for a, b in ((p, (0.5, 0.5)), ((0.5, 0.5), p)):
+        with pytest.raises(ValueError, match="non-finite|beyond"):
+            route(SQUARE, a, b)
+
+
+def _chain(prev, a, b):
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return path
+
+
+def test_dijkstra_stopped_at_its_target_equals_the_full_run():
+    g = routing_graph(domain_preset("annulus"), 0.02)
+    pairs = np.random.default_rng(0).integers(0, len(g.nodes), (20, 2)).tolist()
+    for a, b in pairs:
+        full, full_prev = g.dijkstra([a])
+        dd, prev = g.dijkstra([a], b)
+        assert dd[b] == full[b] < math.inf
+        assert _chain(prev, a, b) == _chain(full_prev, a, b)
+
+
 def test_segment_in_domain_rejects_spatial_points():
     with pytest.raises(DimensionMismatch):
         segment_in_domain(SQUARE, (0.2, 0.2, 5.0), (0.4, 0.4, -3.0))

@@ -211,10 +211,10 @@ def _fallback_routes():
     searches = 0
     dijkstra = RoutingGraph.dijkstra
 
-    def counted(self, sources):
+    def counted(self, *args):
         nonlocal searches
         searches += 1
-        return dijkstra(self, sources)
+        return dijkstra(self, *args)
 
     out = []
     for name, p, q in FALLBACK:

@@ -2,23 +2,29 @@
 exactly: membership, on-boundary tests, boundary distance and segment
 visibility, on grid points and on points on or within a few length
 tolerances of edges and vertices, also one ulp either side of it, at
-unit scale, scaled up and translated far from the origin."""
+unit scale, scaled up and translated far from the origin. The scalar
+predicates' edge-box filter must give the full scan's answers."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmfields import (
     DegenerateGeometry,
+    PolyCurve,
     PolyRegion,
     PolygonalDomain,
     box_region,
     complement_region,
+    domain,
     domain_preset,
+    half_plane,
+    regions,
 )
 from dmfields.domain import segment_in_domain, segments_in_domain
-from dmfields.regions import EPS, _seg_intersections, hit_candidates
+from dmfields.regions import EPS, _pieces, _seg_intersections, hit_candidates
 
 HOLED = PolygonalDomain(
     PolyRegion(
@@ -161,3 +167,138 @@ def test_segment_batch_near_collinear():
     B = np.array([b for _, b in segs])
     want = [segment_in_domain(d, a, b) for a, b in segs]
     assert segments_in_domain(d, A, B).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# the scalar predicates' edge-box filter against the full scan
+
+
+def _every_edge(boxes, a, b, tol):
+    """The loop `near_edges` filters: every edge, in table order."""
+    return [(p, q) for *_, p, q in boxes]
+
+
+FILTER_DOMAINS = [
+    *(domain_preset(name) for name in ("square", "lshape", "koch2", "annulus")),
+    complement_region(SQUARE, box_region(-1, -1, 2, 2)),
+    complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3)),
+    PolygonalDomain(half_plane((0.6, -0.8), 0.3)),
+]
+
+
+@st.composite
+def filter_case(draw):
+    """A preset, a complement or a half-plane, scaled by 2^k (k in
+    -10..6) and translated by up to 1e8, and three points: the first on,
+    at or within a few length tolerances of an edge; the second likewise,
+    or near the first, or along a line at 0 or 1e-13..1e-3 radians to
+    the first's edge; the third anywhere near an edge."""
+    shift = draw(
+        st.just((0.0, 0.0)) | st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
+    )
+    scale = 2.0 ** draw(st.integers(-10, 6))
+    d = _moved(draw(st.sampled_from(FILTER_DOMAINS)), scale, shift)
+    edges = d.boundary_edges()
+
+    def point(kind, e):
+        p, q = edges[e]
+        L = _length(p, q)
+        t = 0.0 if kind == "vertex" else draw(st.just(0.5) | st.floats(0, 1))
+        x, y = p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+        if kind == "near":
+            r, th = L * draw(st.floats(0, 1)), draw(st.floats(0, 2 * math.pi))
+            return (x + r * math.cos(th), y + r * math.sin(th))
+        off = draw(st.sampled_from(OFFSETS)) * d.tol if kind != "edge" else 0.0
+        return (x + off * (p[1] - q[1]) / L, y + off * (q[0] - p[0]) / L)
+
+    def edge():
+        return draw(st.integers(0, len(edges) - 1))
+
+    kinds = st.sampled_from(["edge", "vertex", "off"])
+    e = edge()
+    a = point(draw(kinds), e)
+    how = draw(st.sampled_from(["point", "short", "parallel"]))
+    if how == "point":
+        b = point(draw(kinds), edge())
+    else:
+        p, q = edges[e]
+        L = _length(p, q)
+        th = math.atan2(q[1] - p[1], q[0] - p[0])
+        if how == "short":
+            r = L * 10.0 ** draw(st.floats(-8, -1))
+            th = draw(st.floats(0, 2 * math.pi))
+        else:
+            r = L * draw(st.sampled_from([0.3, 1.0, 2.0, 10.0]))
+            tilt = draw(st.just(0.0) | st.floats(-13, -3).map(lambda k: 10.0**k))
+            th += draw(st.sampled_from([0.0, math.pi]))
+            th += draw(st.sampled_from([1, -1])) * tilt
+        b = (a[0] + r * math.cos(th), a[1] + r * math.sin(th))
+    return d, a, b, point("near", edge())
+
+
+def _answers(d, a, b, c):
+    def pieces(part):
+        try:
+            return _pieces(PolyCurve([a, b, c], 1.0), part)
+        except DegenerateGeometry as err:
+            return str(err)
+
+    mid = (a[0] + 0.5 * (b[0] - a[0]), a[1] + 0.5 * (b[1] - a[1]))
+    out = [segment_in_domain(d, a, b), segment_in_domain(d, b, c)]
+    for part in d.parts:
+        out += [(part.on_boundary(x), part.classify(x)) for x in (a, b, c, mid)]
+        out.append(pieces(part))
+    return out
+
+
+@given(filter_case())
+@settings(max_examples=300, deadline=None)
+def test_edge_box_filter_answers_as_the_full_scan(case):
+    d, a, b, c = case
+    got = _answers(d, a, b, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "near_edges", _every_edge)
+        mp.setattr(domain, "near_edges", _every_edge)
+        want = _answers(d, a, b, c)
+    assert got == want
+
+
+def _meets_widened_box(d, a, b, p, q):
+    # the filter's box test, computed apart from it
+    m = (math.dist(a, b) + math.dist(p, q)) / 64 + 4 * d.tol
+    return all(
+        min(p[k], q[k]) - m <= max(a[k], b[k])
+        and min(a[k], b[k]) - m <= max(p[k], q[k])
+        for k in (0, 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, a, b",
+    [
+        ("koch2", (0.5, 0.3), (0.52, 0.31)),
+        ("koch2", (0.832, -0.031), (0.943, 0.161)),
+        ("koch2", (0.61, 0.609), (0.499, 0.801)),
+        ("koch2", (0.39, 0.609), (0.279, 0.417)),
+        ("annulus", (1.5, 0.0), (1.0, 1.0)),
+        ("annulus", (0.669, -0.815), (0.366, -1.064)),
+        ("annulus", (-0.93, 0.497), (-0.745, 0.843)),
+    ],
+)
+def test_edge_box_filter_stays_on(name, a, b):
+    # an accepted segment runs `_edge_blocks` on exactly the edges whose
+    # widened box meets its box, and on no other
+    d = domain_preset(name)
+    calls = 0
+    edge_blocks = domain._edge_blocks
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return edge_blocks(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain, "_edge_blocks", counted)
+        assert segment_in_domain(d, a, b)
+    want = sum(_meets_widened_box(d, a, b, p, q) for p, q in d.boundary_edges())
+    assert calls == want < len(d.boundary_edges())
