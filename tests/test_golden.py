@@ -8,7 +8,8 @@ extension across the annulus that keeps its punctures, the routes on
 which `route` falls back to the grid, the snapped graph and the
 decomposition of two seeded fields at scale, flow curves, drifts and
 Monte-Carlo checks on AC-9's loops and on a grid that truncates
-trajectories, and the JSON of the `trace`, `pairing`, `ae-norm`, `lift`,
+trajectories, checks of 10,000 particles on both (stepped in slices
+where there is more than one CPU), and the JSON of the `trace`, `pairing`, `ae-norm`, `lift`,
 `extend`, `extend-divfree`, `decompose` and `smirnov-sim` verbs are
 written through the deterministic JSON writer and hashed with SHA-256,
 so a change that moves any of them by one ulp fails here. When a change
@@ -52,7 +53,7 @@ PRESETS = ("square", "annulus", "lshape", "koch2")
 NETS = (*PRESETS, "square-complement", "annulus-complement")
 LIFTS = (*PRESETS, "annulus-complement")
 FIELDS = ("pool", "lattice")
-FLOWS = ("ac9-loops", "stretch")
+FLOWS = ("ac9-loops", "stretch", "split")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
@@ -79,6 +80,7 @@ GOLDEN = {
     "routes[fallback]": "1131970c42313953af53d335efb2b2eed29e65c45ea1e7fb9fbbedd4ef0c6b30",
     "flows[ac9-loops]": "af03a6e6a0b74ac91c094d7c055ec32775e190ac5817057569cdaae058abe415",
     "flows[stretch]": "d6d5632810bef2c51d815dc18002ff01b31f7ba22e049382929e77d5e10cea47",
+    "flows[split]": "695ed5f2746b00385fb00ffded1afff70c0374e094d712187a0fee219d62dc72",
     "cli[smirnov-sim]": "cbcc63add730eaa2eef382303f56ea8f69e1d6122e707bc17565f176ff22b0be",
 }
 VERBS = (
@@ -237,6 +239,25 @@ def _flows(name):
     if name == "stretch":
         Phi = partial(rotation, 8.0, 0.5)
         return reconstruct_check(STRETCH, Phi, 500, T=0.25, dt=0.05)
+    if name == "split":
+        # clouds of 10,000 particles, large enough to be stepped in
+        # slices on a machine with more than one CPU: AC-9's triangle at
+        # a shorter time, and the stretch grid, which truncates
+        # trajectories all over the cloud, so in every slice
+        f = _preset_loops()[1]
+        gf = mollify(f, 0.1, 0.02)
+        vs = [v for c in f for v in c.vertices]
+        cx, cy = (sum(v[k] for v in vs) / len(vs) for k in (0, 1))
+        Phi = partial(rotation, cx, cy)
+        return {
+            "triangle": [
+                reconstruct_check(gf, Phi, 10000, T=0.05, dt=1e-3, rng_seed=s)
+                for s in (0, 1)
+            ],
+            "stretch": reconstruct_check(
+                STRETCH, partial(rotation, 8.0, 0.5), 10000, T=0.25, dt=0.05
+            ),
+        }
     # AC-9's loops, Phi, seeds and steps, at shorter times and fewer
     # particles
     out = []
@@ -356,6 +377,8 @@ def test_flows_and_monte_carlo_checks(name):
     payload = _flows(name)
     if name == "stretch":
         assert 0 < payload[3] < 500  # some trajectories were truncated
+    if name == "split":
+        assert 0 < payload["stretch"][3] < 10000
     assert _digest(payload) == GOLDEN[f"flows[{name}]"]
 
 
