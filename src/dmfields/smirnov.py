@@ -35,12 +35,19 @@ through the batched `GridField._sample`; single flow curves
 stencil on Python floats, about 20 times faster for one point. Both
 samplers share the stencil, corner order and arithmetic, so IEEE
 arithmetic gives them the same bits; tests pin them equal bit for bit.
+A cloud of N particles is stepped in min(CPUs, N // 5,000) contiguous
+slices (at least one), each other than the first in a forked child
+process. Phi must be row-wise: each row of Phi(X) depends on that row
+of X alone. Then every particle's path depends on that particle alone,
+and the joined slices give the one-process bits.
 The drift check reads tau and div sigma along the whole curve at once.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -620,8 +627,83 @@ def flow_trace(
 
 def rotation(cx: float, cy: float, X: np.ndarray) -> np.ndarray:
     """The quarter-turn field (-(y - cy), x - cx) about (cx, cy); bound
-    by `functools.partial`, a Phi for `reconstruct_check` that pickles."""
+    by `functools.partial`, a Phi for `reconstruct_check`."""
     return np.stack([-(X[:, 1] - cy), X[:, 0] - cx], axis=1)
+
+
+# The fewest particles per slice. Two slices against one process on
+# AC-9's triangle (200 steps of 1e-3, 2-CPU host, medians of 7): 1.33x
+# the time at 50 particles, 1.02x at 1,000, 0.94x at 2,000, 0.75x at
+# 5,000 and 0.63x at 10,000. The fork, pipe and join cost 10-25 ms,
+# so below 1,000 per slice the split loses; 5,000 keeps it a clear
+# gain when the other CPU is busy, and keeps small checks (such as
+# the benchmark's 1,000-particle probes) in one process.
+_SLICE = 5000
+
+
+def _cloud(gf, Phi, x, y, nsteps, dt):
+    """Step the particles (x, y), two equal-length 1-D arrays, in place
+    by nsteps fixed RK4 steps of dt; return each particle's line
+    integral of Phi along its path, by the midpoint rule on each step,
+    and whether it stayed on the grid. A particle that leaves the grid
+    at any stage of a step stops there and keeps its integral so far."""
+    alive = np.ones(len(x), dtype=bool)
+
+    def sigma(px, py):
+        # a point that leaves the grid at any stage is dead after the step
+        # either way, and alive masks every later use of its values
+        sx, sy, inside = gf.sigma_at_masked(px, py, alive)
+        np.logical_and(alive, inside, out=alive)
+        return sx, sy
+
+    integral = np.zeros(len(x))
+    for _ in range(nsteps):
+        dx, dy = _rk4(sigma, x, y, dt)
+        pv = Phi(np.stack([x + 0.5 * dx, y + 0.5 * dy], axis=1))
+        inc = pv[:, 0] * dx + pv[:, 1] * dy
+        np.add(integral, inc, out=integral, where=alive)
+        np.add(x, dx, out=x, where=alive)
+        np.add(y, dy, out=y, where=alive)
+    return integral, alive
+
+
+def _child(conn, work):
+    """Send work()'s result through conn, or the exception it raised."""
+    try:
+        conn.send(work())
+    except BaseException as e:
+        conn.send(e)
+
+
+def _in_slices(work, cuts):
+    """[work(a, b) for consecutive cuts a, b]: the first in this process,
+    each other one in a forked child that sends its result back through
+    a pipe. Raises the first exception of this process's slice or of
+    the children's, in slice order; every child is terminated and
+    joined before this returns or raises."""
+    procs, conns = [], []
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            ctx = multiprocessing.get_context("fork")
+            r, w = ctx.Pipe(duplex=False)
+            conns.append(r)
+            p = ctx.Process(target=_child, args=(w, lambda a=a, b=b: work(a, b)))
+            p.start()
+            procs.append(p)
+            w.close()  # the child holds the only write end: EOF if it dies
+        out = [work(cuts[0], cuts[1])]
+        for r in conns:
+            got = r.recv()
+            if isinstance(got, BaseException):
+                raise got
+            out.append(got)
+        return out
+    finally:
+        for p in procs:
+            p.terminate()
+            p.join()
+        for r in conns:
+            r.close()
 
 
 def reconstruct_check(
@@ -638,8 +720,20 @@ def reconstruct_check(
     from tau-distributed seeds, scaled by total tau mass and divided by
     T, so it estimates lhs for every T. Seeds are jittered within their
     cell and reflected back into the grid where the jitter leaves it.
-    Phi maps an (N, 2) array to an (N, 2) array. Returns (lhs,
-    estimate, stderr, number of truncated trajectories)."""
+    Phi maps an (N, 2) array to an (N, 2) array, row-wise: each row of
+    Phi(X) depends on that row of X alone. Returns (lhs, estimate,
+    stderr, number of truncated trajectories).
+
+    All seeds are drawn here, from the one rng. The cloud is then
+    stepped in min(CPUs, N // 5,000) contiguous slices, at least one
+    (one in a daemonic process, which may not start children): the
+    first in this process, each other one in a forked child process,
+    so Phi need not pickle. A particle's step, its alive flag
+    and its line integral depend on that particle alone, so the slices'
+    arrays, joined in order, are the one-process arrays element for
+    element, and the statistics over them have the same bits for any
+    number of slices. An exception in any slice is raised here, and
+    every child has ended when this returns or raises."""
     if N < 2:
         raise ValueError(f"reconstruct_check needs N >= 2, got {N}")
     nsteps = _steps(T, dt)
@@ -668,23 +762,15 @@ def reconstruct_check(
         np.copyto(col, 2 * g[0] - col, where=col < g[0])
         np.copyto(col, 2 * g[-1] - col, where=col > g[-1])
 
-    alive = np.ones(N, dtype=bool)
-
-    def sigma(px, py):
-        # a point that leaves the grid at any stage is dead after the step
-        # either way, and alive masks every later use of its values
-        sx, sy, inside = gf.sigma_at_masked(px, py, alive)
-        np.logical_and(alive, inside, out=alive)
-        return sx, sy
-
-    integral = np.zeros(N)
-    for _ in range(nsteps):
-        dx, dy = _rk4(sigma, x, y, dt)
-        pv = Phi(np.stack([x + 0.5 * dx, y + 0.5 * dy], axis=1))
-        inc = pv[:, 0] * dx + pv[:, 1] * dy
-        np.add(integral, inc, out=integral, where=alive)
-        np.add(x, dx, out=x, where=alive)
-        np.add(y, dy, out=y, where=alive)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, N // _SLICE))
+    if multiprocessing.current_process().daemon:
+        parts = 1  # a daemonic process may not start children
+    cuts = [N * k // parts for k in range(parts + 1)]
+    slices = _in_slices(
+        lambda a, b: _cloud(gf, Phi, x[a:b], y[a:b], nsteps, dt), cuts
+    )
+    integral, alive = (np.concatenate(a) for a in zip(*slices))
     mass = gf.total_tau()
     estimate = mass * float(integral.mean()) / T
     stderr = mass * float(integral.std(ddof=1)) / math.sqrt(N) / T

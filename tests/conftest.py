@@ -1,4 +1,7 @@
+import multiprocessing
 import warnings
+
+import pytest
 
 # On a failing test, hypothesis's report hook imports this module, which
 # imports libcst, which warns that mypy_extensions.TypedDict is deprecated.
@@ -30,3 +33,21 @@ def pytest_terminal_summary(terminalreporter):
             passed, detail = RESULTS[name]
             verdict = "PASS" if passed else "FAIL"
             terminalreporter.write_line(f"{name}: {verdict} - {detail}")
+
+
+def pytest_sessionfinish(session):
+    # a child process still running after the tests means some call
+    # returned or raised without ending what it started: fail the
+    # session, then end the children so they do not outlive it
+    left = multiprocessing.active_children()
+    if not left:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line(
+            f"child processes left running: {[p.name for p in left]}", red=True
+        )
+    for p in left:
+        p.terminate()
+        p.join()
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
