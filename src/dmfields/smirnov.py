@@ -671,7 +671,7 @@ def _child(conn, work):
     """Send work()'s result through conn, or the exception it raised."""
     try:
         conn.send(work())
-    except BaseException as e:
+    except Exception as e:
         conn.send(e)
 
 
@@ -684,6 +684,7 @@ def _in_slices(work, cuts):
     procs, conns = [], []
     try:
         for a, b in zip(cuts[1:], cuts[2:]):
+            # forked, a child inherits work and all it refers to unpickled
             ctx = multiprocessing.get_context("fork")
             r, w = ctx.Pipe(duplex=False)
             conns.append(r)
@@ -728,12 +729,14 @@ def reconstruct_check(
     stepped in min(CPUs, N // 5,000) contiguous slices, at least one
     (one in a daemonic process, which may not start children): the
     first in this process, each other one in a forked child process,
-    so Phi need not pickle. A particle's step, its alive flag
-    and its line integral depend on that particle alone, so the slices'
-    arrays, joined in order, are the one-process arrays element for
-    element, and the statistics over them have the same bits for any
-    number of slices. An exception in any slice is raised here, and
-    every child has ended when this returns or raises."""
+    so Phi need not pickle. Fork copies only the calling thread, so a
+    Phi that takes a lock another thread may hold can hang a child. A
+    particle's step, its alive flag and its line integral depend on
+    that particle alone, so the slices' arrays, joined in order, are
+    the one-process arrays element for element, and the statistics
+    over them have the same bits for any number of slices. An
+    exception in any slice is raised here, and every child has ended
+    when this returns or raises."""
     if N < 2:
         raise ValueError(f"reconstruct_check needs N >= 2, got {N}")
     nsteps = _steps(T, dt)
@@ -762,6 +765,7 @@ def reconstruct_check(
         np.copyto(col, 2 * g[0] - col, where=col < g[0])
         np.copyto(col, 2 * g[-1] - col, where=col > g[-1])
 
+    # where the platform cannot say (macOS, Windows), one CPU: no fork
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, N // _SLICE))
     if multiprocessing.current_process().daemon:

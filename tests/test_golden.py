@@ -8,10 +8,11 @@ extension across the annulus that keeps its punctures, the routes on
 which `route` falls back to the grid, the snapped graph and the
 decomposition of two seeded fields at scale, flow curves, drifts and
 Monte-Carlo checks on AC-9's loops and on a grid that truncates
-trajectories, checks of 10,000 particles on both (stepped in slices
-where there is more than one CPU), and the JSON of the `trace`, `pairing`, `ae-norm`, `lift`,
-`extend`, `extend-divfree`, `decompose` and `smirnov-sim` verbs are
-written through the deterministic JSON writer and hashed with SHA-256,
+trajectories, checks of 10,000 particles on AC-9's triangle and on that
+grid (stepped in slices where there is more than one CPU), and the JSON
+of the `trace`, `pairing`, `ae-norm`, `lift`, `extend`,
+`extend-divfree`, `decompose` and `smirnov-sim` verbs are written
+through the deterministic JSON writer and hashed with SHA-256,
 so a change that moves any of them by one ulp fails here. When a change
 to one of them is intended, print the new digests with
 `PYTHONPATH=src python tests/test_golden.py` (each digest that differs

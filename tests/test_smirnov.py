@@ -902,94 +902,6 @@ def test_reconstruct_check_is_deterministic(ring_grid):
     assert a == b
 
 
-# sigma = (3x, 0) on [0, 16] x [0, 1] with tau = 1: particles seeded far
-# out leave the grid
-_IX = np.repeat(np.arange(17.0)[:, None], 2, axis=1)
-STRETCH = GridField(
-    (0.0, 0.0), 1.0, 0.1, 3.0 * _IX, np.zeros_like(_IX), np.ones_like(_IX)
-)
-
-
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.mark.parametrize("N, cpus", [(10000, 2), (10001, 2), (17000, 3), (17000, 8)])
-def test_slices_give_the_one_process_bits(monkeypatch, ring_grid, N, cpus):
-    # a closure, which does not pickle: the children are forked
-    def Phi(X):
-        return np.stack([-X[:, 1], X[:, 0] * X[:, 0]], axis=1)
-
-    cases = [(ring_grid, Phi, 0.02, 2e-3), (STRETCH, Phi, 0.25, 0.05)]
-    _cpus(monkeypatch, 1)
-    want = [reconstruct_check(g, P, N, T=T, dt=dt) for g, P, T, dt in cases]
-    _cpus(monkeypatch, cpus)
-    got = [reconstruct_check(g, P, N, T=T, dt=dt) for g, P, T, dt in cases]
-    assert got == want
-    assert 0 < want[1][3] < N  # the stretch grid truncates
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("N, cpus", [(9999, 64), (50000, 1)])
-def test_nothing_forks_below_two_slices(monkeypatch, N, cpus):
-    _cpus(monkeypatch, cpus)
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    *_, left = reconstruct_check(STRETCH, partial(smirnov.rotation, 8.0, 0.5), N, T=0.05, dt=0.05)
-    assert 0 < left < N
-
-
-def test_a_daemonic_process_steps_the_cloud_alone(monkeypatch):
-    # a daemonic process may not start children, so it takes one slice
-    _cpus(monkeypatch, 2)
-    Phi = partial(smirnov.rotation, 8.0, 0.5)
-    want = reconstruct_check(STRETCH, Phi, 10000, T=0.25, dt=0.05)
-    r, w = multiprocessing.Pipe(duplex=False)
-    p = multiprocessing.get_context("fork").Process(
-        target=lambda: w.send(reconstruct_check(STRETCH, Phi, 10000, T=0.25, dt=0.05)),
-        daemon=True,
-    )
-    p.start()
-    w.close()  # EOF here, not a hang, if the child fails
-    try:
-        assert r.recv() == want
-    finally:
-        p.join()
-
-
-def _raising(where):
-    """A Phi that raises ZeroDivisionError while stepping, only in a
-    child process or only in the caller, and that leaves a child
-    without a word in the "exit" case."""
-    pid = os.getpid()
-
-    def Phi(X):
-        child = os.getpid() != pid
-        if where == "child" and child:
-            raise ZeroDivisionError("in a child")
-        if where == "caller" and not child and len(X) == 5000:
-            raise ZeroDivisionError("in the caller's slice")
-        if where == "exit" and child:
-            os._exit(3)
-        return np.stack([-X[:, 1], X[:, 0]], axis=1)
-
-    return Phi
-
-
-@pytest.mark.parametrize(
-    "where, error",
-    [("child", ZeroDivisionError), ("caller", ZeroDivisionError), ("exit", EOFError)],
-)
-def test_an_error_in_any_slice_reaches_the_caller(monkeypatch, ring_grid, where, error):
-    _cpus(monkeypatch, 2)
-    with pytest.raises(error):
-        reconstruct_check(ring_grid, _raising(where), 10000, T=0.02, dt=2e-3)
-    assert multiprocessing.active_children() == []
-
-
 # The bilinear sampler and RK4 step as they were written out before
 # `GridField._sample` and `smirnov._rk4` replaced them: references that
 # the shared versions must equal bit for bit.
@@ -1264,3 +1176,89 @@ def test_scalar_stepper_equals_the_old_rk4(gf, data, T, dt):
     assert _bits(got) == _bits(PolyCurve(want).vertices)
     want_drift = _old_transport_invariant(gf, seed, T, dt)
     assert transport_invariant(gf, seed, T, dt) == want_drift
+
+
+# Clouds stepped in slices, on STRETCH, where particles seeded far out
+# leave the grid, and on the ring
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("N, cpus", [(10000, 2), (10001, 2), (17000, 3), (17000, 8)])
+def test_slices_give_the_one_process_bits(monkeypatch, ring_grid, N, cpus):
+    # a closure, which does not pickle: the children are forked
+    def Phi(X):
+        return np.stack([-X[:, 1], X[:, 0] * X[:, 0]], axis=1)
+
+    cases = [(ring_grid, Phi, 0.02, 2e-3), (STRETCH, Phi, 0.25, 0.05)]
+    _cpus(monkeypatch, 1)
+    want = [reconstruct_check(g, P, N, T=T, dt=dt) for g, P, T, dt in cases]
+    _cpus(monkeypatch, cpus)
+    got = [reconstruct_check(g, P, N, T=T, dt=dt) for g, P, T, dt in cases]
+    assert got == want
+    assert 0 < want[1][3] < N  # the stretch grid truncates
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("N, cpus", [(9999, 64), (50000, 1)])
+def test_nothing_forks_below_two_slices(monkeypatch, N, cpus):
+    _cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    *_, left = reconstruct_check(STRETCH, partial(smirnov.rotation, 8.0, 0.5), N, T=0.05, dt=0.05)
+    assert 0 < left < N
+
+
+def test_a_daemonic_process_steps_the_cloud_alone(monkeypatch):
+    # a daemonic process may not start children, so it takes one slice
+    _cpus(monkeypatch, 2)
+    Phi = partial(smirnov.rotation, 8.0, 0.5)
+    want = reconstruct_check(STRETCH, Phi, 10000, T=0.25, dt=0.05)
+    r, w = multiprocessing.Pipe(duplex=False)
+    p = multiprocessing.get_context("fork").Process(
+        target=lambda: w.send(reconstruct_check(STRETCH, Phi, 10000, T=0.25, dt=0.05)),
+        daemon=True,
+    )
+    p.start()
+    w.close()  # EOF here, not a hang, if the child fails
+    try:
+        assert r.poll(60)
+        assert r.recv() == want
+    finally:
+        p.join(60)
+    assert not p.is_alive()
+
+
+def _raising(where):
+    """A Phi that raises ZeroDivisionError while stepping, only in a
+    child process or only in the caller, and that leaves a child
+    without a word in the "exit" case."""
+    pid = os.getpid()
+
+    def Phi(X):
+        child = os.getpid() != pid
+        if where == "child" and child:
+            raise ZeroDivisionError("in a child")
+        if where == "caller" and not child and len(X) == 5000:
+            raise ZeroDivisionError("in the caller's slice")
+        if where == "exit" and child:
+            os._exit(3)
+        return np.stack([-X[:, 1], X[:, 0]], axis=1)
+
+    return Phi
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [("child", ZeroDivisionError), ("caller", ZeroDivisionError), ("exit", EOFError)],
+)
+def test_an_error_in_any_slice_reaches_the_caller(monkeypatch, ring_grid, where, error):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(error):
+        reconstruct_check(ring_grid, _raising(where), 10000, T=0.02, dt=2e-3)
+    assert multiprocessing.active_children() == []
