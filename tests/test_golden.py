@@ -9,7 +9,9 @@ which `route` falls back to the grid, the snapped graph and the
 decomposition of two seeded fields at scale, flow curves, drifts and
 Monte-Carlo checks on AC-9's loops and on a grid that truncates
 trajectories, checks of 10,000 particles on AC-9's triangle and on that
-grid (stepped in slices where there is more than one CPU), and the JSON
+grid (stepped in slices where there is more than one CPU), transport
+norms with their dipoles and duals (120-atom elements on the annulus, and
+elements on a dyadic lattice where distances tie), and the JSON
 of the `trace`, `pairing`, `ae-norm`, `lift`, `extend`,
 `extend-divfree`, `decompose` and `smirnov-sim` verbs are written
 through the deterministic JSON writer and hashed with SHA-256,
@@ -27,7 +29,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dmfields import CurveField, PolyCurve, cli, fileio
+from dmfields import (
+    AEElement,
+    AtomicMeasure,
+    CurveField,
+    PolyCurve,
+    ae_norm,
+    cli,
+    fileio,
+)
 from dmfields.acceptance import _preset_loops, _rand_boundary_measure
 from dmfields.domain import (
     RoutingGraph,
@@ -55,6 +65,7 @@ NETS = (*PRESETS, "square-complement", "annulus-complement")
 LIFTS = (*PRESETS, "annulus-complement")
 FIELDS = ("pool", "lattice")
 FLOWS = ("ac9-loops", "stretch", "split")
+NORMS = ("annulus-120", "ties")
 
 GOLDEN = {
     "net-graph[square]": "e51f4ecd59b549eacb94fa460628c17a149953cab2283fe8d9edf21ad0f43670",
@@ -83,6 +94,8 @@ GOLDEN = {
     "flows[stretch]": "d6d5632810bef2c51d815dc18002ff01b31f7ba22e049382929e77d5e10cea47",
     "flows[split]": "695ed5f2746b00385fb00ffded1afff70c0374e094d712187a0fee219d62dc72",
     "cli[smirnov-sim]": "cbcc63add730eaa2eef382303f56ea8f69e1d6122e707bc17565f176ff22b0be",
+    "ae[annulus-120]": "784f3d19da85d9bf31e2353fab1b1873b27b7b2073102f4648d0301651c5688e",
+    "ae[ties]": "83980ac28c9b73e9339168a7210a60e135b17dd67c39786f6ba029622d20f86c",
 }
 VERBS = (
     "trace",
@@ -321,6 +334,37 @@ def _decompose(name):
     }
 
 
+def _ae_payload(m):
+    value, rep, dual = ae_norm(m)
+    return {
+        "value": value,
+        "dipole": fileio.dipole_to_json(rep),
+        "dual": [
+            [fileio._node_to_json(k), v]
+            for k, v in sorted(dual.items(), key=lambda kv: str(kv[0]))
+        ],
+    }
+
+
+def _norms(name):
+    if name == "annulus-120":  # the size of the benchmark's transport norms
+        rng = np.random.default_rng(5)
+        d = domain_preset("annulus")
+        return [_ae_payload(_rand_boundary_measure(rng, d, 120)) for _ in range(3)]
+    # atoms on the lattice (Z/4)^2 in [0, 3]^2 with coefficients in Z/4:
+    # many pairs tie in distance, many are capped at 2, and some sit at
+    # exactly 1, the distance to the base point
+    rng = np.random.default_rng(13)
+    out = []
+    for _ in range(20):
+        k = int(rng.integers(2, 16))
+        ij = rng.integers(0, 13, (k, 2)).tolist()
+        cs = (rng.integers(1, 9, k) * rng.choice([-1, 1], k)).tolist()
+        atoms = [((i / 4, j / 4), c / 4) for (i, j), c in zip(ij, cs)]
+        out.append(_ae_payload(AEElement(AtomicMeasure(atoms))))
+    return out
+
+
 def _cli(verb, tmp_path):
     def write(name, payload):
         path = tmp_path / name
@@ -388,6 +432,11 @@ def test_graph_and_decomposition(name):
     assert _digest(_decompose(name)) == GOLDEN[f"decompose[{name}]"]
 
 
+@pytest.mark.parametrize("name", NORMS)
+def test_transport_norms_dipoles_and_duals(name):
+    assert _digest(_norms(name)) == GOLDEN[f"ae[{name}]"]
+
+
 @pytest.mark.parametrize("verb", VERBS)
 def test_cli_json(verb, tmp_path):
     assert _digest(_cli(verb, tmp_path)) == GOLDEN[f"cli[{verb}]"]
@@ -412,6 +461,8 @@ if __name__ == "__main__":
         show(f"flows[{name}]", _flows(name))
     for name in FIELDS:
         show(f"decompose[{name}]", _decompose(name))
+    for name in NORMS:
+        show(f"ae[{name}]", _norms(name))
     for verb in VERBS:
         with tempfile.TemporaryDirectory() as tmp:
             show(f"cli[{verb}]", _cli(verb, pathlib.Path(tmp)))
