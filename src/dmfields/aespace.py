@@ -6,11 +6,28 @@ distance 1 from everything that absorbs the net mass. The norm solver is
 successive shortest paths on the complete graph; its final potentials
 yield a feasible dual certificate whose objective matches the primal
 cost, so every answer ships with its own optimality proof.
+
+The solver reads pair costs from the dense rho matrix and takes the
+decisions of a generic residual-graph solver with a heap Dijkstra (pair
+edges of capacity sum|b| + 1, a source and a sink edge per node), in the
+same order, so the value, the dipoles and the dual keep every bit:
+- A pair edge carries at most the total flow sum|b| / 2, so its
+  residual stays at least sum|b| / 2 + 1, above every source edge's
+  capacity: it is never empty and never a path's minimum, and is not
+  stored. Only its twin's residual, the flow routed along it, is.
+- A node u settling at distance d0 cannot improve a settled node v:
+  d0 + rc >= d0 >= dd[v]. So u's pair edges are relaxed toward the
+  unsettled nodes only, in index order, between the twins toward lower
+  and toward higher nodes, and then u's sink edge: the order of the
+  generic solver's adjacency lists.
+- The heap pops the least (distance, index) pair, and a stale entry
+  carries a larger distance than its node's live one. The first
+  unsettled node of least distance, in index order, is the same node.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -74,81 +91,120 @@ def _nodes_and_imbalances(m: AEElement):
     return nodes, b
 
 
-class _MCMF:
-    """Min-cost flow by successive shortest paths with Johnson
-    potentials. Edges are stored with their residual twins; costs must
-    admit no negative cycles (here: all nonnegative)."""
+def _transport(C, b, TOL):
+    """Min-cost flow from the positive to the negative imbalances b over
+    the complete graph with costs C, by successive shortest paths with
+    Johnson potentials. Returns the cost, the routed pair flows
+    {(i, j): f} and the potentials. Pair nodes are 0..n-1, the source n
+    and the sink n + 1; see the module docstring for why this takes the
+    generic heap solver's decisions in its order."""
+    INF = float("inf")
+    n = len(b)
+    S, T = n, n + 1
+    sources = [i for i in range(n) if b[i] > 0]
+    sinks = [i for i in range(n) if b[i] < 0]
+    s_cap = {i: b[i] for i in sources}  # residual of S -> i
+    t_cap = {i: -b[i] for i in sinks}  # residual of i -> T
+    t_back = dict.fromkeys(sinks, 0.0)  # residual of its twin T -> i
+    flow: dict[tuple[int, int], float] = {}  # residual of the twin of i -> j
+    twins: list[list[int]] = [[] for _ in range(n)]  # sorted i of flows i -> u
+    pi = [0.0] * (n + 2)
+    total_cost = 0.0
+    while True:
+        dd = [INF] * (n + 2)
+        lim = [INF] * (n + 2)  # dd - 1e-15: a relaxation must beat it
+        pred = [S] * (n + 2)
+        kind = [""] * (n + 2)
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.cost: list[float] = []
+        def relax(v, d, rc, u, how):
+            if rc < 0.0:  # rounding guard
+                rc = 0.0
+            if d + rc < lim[v]:
+                dd[v] = d + rc
+                lim[v] = dd[v] - 1e-15
+                pred[v] = u
+                kind[v] = how
 
-    def add_edge(self, u: int, v: int, cap: float, cost: float) -> int:
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.cost.append(-cost)
-        return eid
-
-    def run(self, s: int, t: int) -> tuple[float, float, list[float]]:
-        INF = float("inf")
-        n = self.n
-        pi = [0.0] * n
-        total_flow = 0.0
-        total_cost = 0.0
-        TOL = 1e-13
+        d0 = dd[S] = 0.0
+        for i in sources:
+            if s_cap[i] > TOL:
+                relax(i, d0, 0.0 + pi[S] - pi[i], S, "source")
+        open_ = list(range(n))  # unsettled pair nodes, ascending
+        t_open = True
         while True:
-            dd = [INF] * n
-            prev_edge = [-1] * n
-            dd[s] = 0.0
-            heap = [(0.0, s)]
-            done = [False] * n
-            while heap:
-                d0, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                for eid in self.head[u]:
-                    if self.cap[eid] <= TOL:
-                        continue
-                    v = self.to[eid]
-                    rc = self.cost[eid] + pi[u] - pi[v]
-                    if rc < 0.0:  # rounding guard
-                        rc = 0.0
-                    if d0 + rc < dd[v] - 1e-15:
-                        dd[v] = d0 + rc
-                        prev_edge[v] = eid
-                        heapq.heappush(heap, (dd[v], v))
-            if dd[t] == INF:
+            # the heap's pop order: least distance, then least index
+            u = min(open_, key=dd.__getitem__, default=None)
+            if t_open and (u is None or dd[T] < dd[u]):
+                u = T
+            if u is None or dd[u] == INF:
                 break
-            reach_max = max(d for d in dd if d < INF)
-            for i in range(n):
-                pi[i] += dd[i] if dd[i] < INF else reach_max
-            amt = INF
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                amt = min(amt, self.cap[eid])
-                v = self.to[eid ^ 1]
-            if amt <= TOL or amt == INF:
-                break
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self.cap[eid] -= amt
-                self.cap[eid ^ 1] += amt
-                total_cost += amt * self.cost[eid]
-                v = self.to[eid ^ 1]
-            total_flow += amt
-        return total_flow, total_cost, pi
+            d0, pu = dd[u], pi[u]
+            if u == T:
+                t_open = False
+                for i in sinks:
+                    if t_back[i] > TOL:
+                        relax(i, d0, -0.0 + pu - pi[i], T, "twin")
+                continue
+            open_.remove(u)
+            tw = twins[u]
+            k = bisect.bisect(tw, u)
+            for i in tw[:k]:
+                if flow[i, u] > TOL:
+                    relax(i, d0, -C[i][u] + pu - pi[i], u, "twin")
+            Cu = C[u]
+            for v in open_:
+                rc = Cu[v] + pu - pi[v]
+                if rc < 0.0:  # rounding guard
+                    rc = 0.0
+                if d0 + rc < lim[v]:
+                    dd[v] = d0 + rc
+                    lim[v] = dd[v] - 1e-15
+                    pred[v] = u
+                    kind[v] = "pair"
+            for i in tw[k:]:
+                if flow[i, u] > TOL:
+                    relax(i, d0, -C[i][u] + pu - pi[i], u, "twin")
+            if b[u] < 0 and t_cap[u] > TOL:
+                relax(T, d0, 0.0 + pu - pi[T], u, "sink")
+        if dd[T] == INF:
+            break
+        # nodes settle by nondecreasing distance: the last one's d0 is the
+        # largest distance reached
+        pi = [p + (d if d < INF else d0) for p, d in zip(pi, dd)]
+        # a pair edge's residual stays above sum|b| / 2, every source
+        # edge's capacity: it is never the path's minimum
+        amt = INF
+        v = T
+        while v != S:
+            u = pred[v]
+            if kind[v] == "twin":
+                amt = min(amt, flow[v, u])
+            elif kind[v] == "source":
+                amt = min(amt, s_cap[v])
+            elif kind[v] == "sink":
+                amt = min(amt, t_cap[u])
+            v = u
+        if amt <= TOL:
+            break
+        # source and sink edges cost 0, and adding 0 never moves total_cost
+        v = T
+        while v != S:
+            u = pred[v]
+            if kind[v] == "pair":
+                if (u, v) not in flow:
+                    bisect.insort(twins[v], u)
+                flow[u, v] = flow.get((u, v), 0.0) + amt
+                total_cost += amt * C[u][v]
+            elif kind[v] == "twin":
+                flow[v, u] -= amt
+                total_cost += amt * -C[v][u]
+            elif kind[v] == "source":
+                s_cap[v] -= amt
+            else:
+                t_cap[u] -= amt
+                t_back[u] += amt
+            v = u
+    return total_cost, flow, pi
 
 
 def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
@@ -162,31 +218,16 @@ def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
     """
     nodes, b = _nodes_and_imbalances(m)
     n = len(nodes)
-    BIG = sum(abs(b[v]) for v in nodes) + 1.0
-    net = _MCMF(n + 2)
-    S, T = n, n + 1
-    pair_edges = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pair_edges[(i, j)] = net.add_edge(
-                    i, j, BIG, rho(nodes[i], nodes[j])
-                )
-    for i, v in enumerate(nodes):
-        if b[v] > 0:
-            net.add_edge(S, i, b[v], 0.0)
-        elif b[v] < 0:
-            net.add_edge(i, T, -b[v], 0.0)
-    _, value, pi = net.run(S, T)
-
     TOL = 1e-13
-    terms = []
-    for (i, j), eid in sorted(pair_edges.items()):
-        f = net.cap[eid ^ 1]  # residual of the twin equals routed flow
-        if f > TOL:
-            # flow i -> j carries f*(delta_{nodes[i]} - delta_{nodes[j]})
-            terms.append((f, nodes[j], nodes[i]))
-    base_pot = -pi[nodes.index(BASE)]
+    # rho is symmetric bit for bit: (a-b)**2 and (b-a)**2 square one magnitude
+    C = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            C[i][j] = C[j][i] = rho(nodes[i], nodes[j])
+    value, flow, pi = _transport(C, [b[v] for v in nodes], TOL)
+    # flow i -> j carries f*(delta_{nodes[i]} - delta_{nodes[j]})
+    terms = [(f, nodes[j], nodes[i]) for (i, j), f in sorted(flow.items()) if f > TOL]
+    base_pot = -pi[n - 1]
     dual = {nodes[i]: (-pi[i]) - base_pot for i in range(n)}
     return value, DipoleRep(tuple(terms), value), dual
 
