@@ -23,6 +23,12 @@ same order, so the value, the dipoles and the dual keep every bit:
 - The heap pops the least (distance, index) pair, and a stale entry
   carries a larger distance than its node's live one. The first
   unsettled node of least distance, in index order, is the same node.
+
+A residual at or below TOL = 1e-13 * sum|c|, the element's total
+variation times 1e-13, counts as empty. Rounding leaves residues of
+about ulp(sum|c|), far below it. Being relative, it scales with the
+element: at an absolute 1e-13, an element whose coefficients were all
+below it lost its mass and normed to 0.
 """
 
 from __future__ import annotations
@@ -218,7 +224,7 @@ def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
     """
     nodes, b = _nodes_and_imbalances(m)
     n = len(nodes)
-    TOL = 1e-13
+    TOL = 1e-13 * m.support.total_mass()
     # rho is symmetric bit for bit: (a-b)**2 and (b-a)**2 square one magnitude
     C = [[0.0] * n for _ in range(n)]
     for i in range(n):

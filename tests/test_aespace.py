@@ -95,6 +95,23 @@ def test_norm_dominates_admissible_pairings(atoms, shift):
     assert abs(val) <= v + 1e-9
 
 
+@given(st.lists(atom, min_size=1, max_size=12), st.integers(-60, 20))
+@example([((0.0, 0.0), 1.0), ((0.5, 0.0), -1.0), ((0.9, 0.3), 2.0)], -44)
+@settings(max_examples=150, deadline=None)
+def test_norm_scales_with_the_element(atoms, k):
+    """Scaling by a power of two scales the norm and the dipoles: no
+    mass is lost to a tolerance at small scales."""
+    s = 2.0**k
+    m = AEElement(AtomicMeasure(atoms))
+    sm = AEElement(AtomicMeasure([(p, s * c) for p, c in atoms]))
+    v, rep, _ = ae_norm(sm)
+    assert v == pytest.approx(s * ae_norm(m)[0], rel=1e-12, abs=0.0)
+    got, want = dict(rep.recombine().atoms), dict(sm.atoms())
+    tol = 1e-12 * sm.support.total_mass()
+    for p in got.keys() | want.keys():
+        assert abs(got.get(p, 0.0) - want.get(p, 0.0)) <= tol
+
+
 def test_dual_is_certificate():
     m = AEElement(
         AtomicMeasure([((0.0, 0.0), 1.5), ((0.2, 0.1), -0.5), ((3.0, 3.0), 0.25)])
@@ -182,10 +199,11 @@ class _MCMF:
 
 
 def _old_ae_norm(m):
-    """`ae_norm` on the generic solver, as it read before the dense one."""
+    """`ae_norm` on the generic solver, as it read before the dense one,
+    with the dense solver's tolerance relative to the total variation."""
     nodes, b = _nodes_and_imbalances(m)
     n = len(nodes)
-    TOL = 1e-13
+    TOL = 1e-13 * m.support.total_mass()
     BIG = sum(abs(b[v]) for v in nodes) + 1.0
     net = _MCMF(n + 2)
     S, T = n, n + 1
