@@ -7,28 +7,19 @@ successive shortest paths on the complete graph; its final potentials
 yield a feasible dual certificate whose objective matches the primal
 cost, so every answer ships with its own optimality proof.
 
-The solver reads pair costs from the dense rho matrix and takes the
-decisions of a generic residual-graph solver with a heap Dijkstra (pair
-edges of capacity sum|b| + 1, a source and a sink edge per node), in the
-same order, so the value, the dipoles and the dual keep every bit:
-- A pair edge carries at most the total flow sum|b| / 2, so its
-  residual stays at least sum|b| / 2 + 1, above every source edge's
-  capacity: it is never empty and never a path's minimum, and is not
-  stored. Only its twin's residual, the flow routed along it, is.
-- A node u settling at distance d0 cannot improve a settled node v:
-  d0 + rc >= d0 >= dd[v]. So u's pair edges are relaxed toward the
-  unsettled nodes only, in index order, between the twins toward lower
-  and toward higher nodes, and then u's sink edge: the order of the
-  generic solver's adjacency lists.
-- The heap pops the least (distance, index) pair, and a stale entry
-  carries a larger distance than its node's live one. The first
-  unsettled node of least distance, in index order, is the same node.
-
-A residual at or below TOL = 1e-13 * sum|c|, the element's total
-variation times 1e-13, counts as empty. Rounding leaves residues of
-about ulp(sum|c|), far below it. Being relative, it scales with the
-element: at an absolute 1e-13, an element whose coefficients were all
-below it lost its mass and normed to 0.
+The solver reads costs from the dense rho matrix, yet takes a generic
+residual-graph solver's decisions (heap Dijkstra; pair edges of capacity
+sum|b| + 1) in its order, so values, dipoles and duals keep every bit:
+- a pair edge carries at most sum|b| / 2, so its residual stays >= 1 and
+  above every source capacity: never empty, never a path's minimum, and
+  not stored; only its twin's, the flow routed along it, is;
+- a node settling at d0 cannot improve a settled v (d0 + rc >= d0 >=
+  dd[v]), so pair edges are relaxed toward unsettled nodes only, in index
+  order, between the twins toward lower and toward higher nodes;
+- the heap pops the least (distance, index), and stale entries carry
+  larger distances: the first unsettled node of least distance.
+A residual at most TOL = 1e-13 * sum|c| is empty. Rounding leaves about
+ulp(sum|c|); an absolute 1e-13 dropped all mass of small elements.
 """
 
 from __future__ import annotations
@@ -40,13 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportTooLarge
-from .core import AtomicMeasure, Point, dist
+from .core import AtomicMeasure, dist
 from .lipfun import LipFunc
 
 # the base point; compared by identity of this sentinel string
 BASE = "e"
-
-Node = "Point | str"
 
 
 def rho(p, q) -> float:
@@ -97,120 +86,89 @@ def _nodes_and_imbalances(m: AEElement):
     return nodes, b
 
 
-def _transport(C, b, TOL):
+def _transport(nodes, b, TOL):
     """Min-cost flow from the positive to the negative imbalances b over
-    the complete graph with costs C, by successive shortest paths with
-    Johnson potentials. Returns the cost, the routed pair flows
-    {(i, j): f} and the potentials. Pair nodes are 0..n-1, the source n
-    and the sink n + 1; see the module docstring for why this takes the
-    generic heap solver's decisions in its order."""
+    the rho-graph on nodes 0..n-1, with a source n and a sink n + 1.
+    Returns the cost, the residuals res and the potentials."""
     INF = float("inf")
-    n = len(b)
+    n = len(nodes)
     S, T = n, n + 1
-    sources = [i for i in range(n) if b[i] > 0]
-    sinks = [i for i in range(n) if b[i] < 0]
-    s_cap = {i: b[i] for i in sources}  # residual of S -> i
-    t_cap = {i: -b[i] for i in sinks}  # residual of i -> T
-    t_back = dict.fromkeys(sinks, 0.0)  # residual of its twin T -> i
-    flow: dict[tuple[int, int], float] = {}  # residual of the twin of i -> j
-    twins: list[list[int]] = [[] for _ in range(n)]  # sorted i of flows i -> u
+    C = [[0.0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):  # rho is symmetric
+        C[i][j] = C[j][i] = rho(nodes[i], nodes[j])
+    # residual of x -> y for the source edges S -> i, the sink edges i -> T
+    # and the twins: twin y -> x of a pair edge x -> y holds its flow
+    res = {(S, i): c for i, c in enumerate(b) if c > 0}
+    res.update({(i, T): -c for i, c in enumerate(b) if c < 0})
+    # out[x]: sorted y of the keys (x, y), and x itself for its pair edges
+    out = [[i] for i in range(n)] + [[], []]
+    for x, y in sorted(res):
+        out[x].append(y)
     pi = [0.0] * (n + 2)
     total_cost = 0.0
     while True:
-        dd = [INF] * (n + 2)
-        lim = [INF] * (n + 2)  # dd - 1e-15: a relaxation must beat it
-        pred = [S] * (n + 2)
-        kind = [""] * (n + 2)
-
-        def relax(v, d, rc, u, how):
-            if rc < 0.0:  # rounding guard
-                rc = 0.0
-            if d + rc < lim[v]:
-                dd[v] = d + rc
-                lim[v] = dd[v] - 1e-15
-                pred[v] = u
-                kind[v] = how
-
-        d0 = dd[S] = 0.0
-        for i in sources:
-            if s_cap[i] > TOL:
-                relax(i, d0, 0.0 + pi[S] - pi[i], S, "source")
-        open_ = list(range(n))  # unsettled pair nodes, ascending
-        t_open = True
-        while True:
+        # lim = dd - 1e-15, the bar a relaxation must beat; via[v] = (u,
+        # whether u -> v is an edge in res rather than a pair edge)
+        dd, lim, via = [INF] * (n + 2), [INF] * (n + 2), [None] * (n + 2)
+        dd[S], lim[S] = 0.0, -1e-15
+        open_, t_open = list(range(n + 1)), True  # unsettled, ascending
+        while open_ or t_open:
             # the heap's pop order: least distance, then least index
-            u = min(open_, key=dd.__getitem__, default=None)
-            if t_open and (u is None or dd[T] < dd[u]):
+            u = min(open_, key=dd.__getitem__, default=T)
+            if t_open and dd[T] < dd[u]:
                 u = T
-            if u is None or dd[u] == INF:
+            if dd[u] == INF:
                 break
-            d0, pu = dd[u], pi[u]
             if u == T:
                 t_open = False
-                for i in sinks:
-                    if t_back[i] > TOL:
-                        relax(i, d0, -0.0 + pu - pi[i], T, "twin")
-                continue
-            open_.remove(u)
-            tw = twins[u]
-            k = bisect.bisect(tw, u)
-            for i in tw[:k]:
-                if flow[i, u] > TOL:
-                    relax(i, d0, -C[i][u] + pu - pi[i], u, "twin")
-            Cu = C[u]
-            for v in open_:
-                rc = Cu[v] + pu - pi[v]
-                if rc < 0.0:  # rounding guard
-                    rc = 0.0
-                if d0 + rc < lim[v]:
-                    dd[v] = d0 + rc
-                    lim[v] = dd[v] - 1e-15
-                    pred[v] = u
-                    kind[v] = "pair"
-            for i in tw[k:]:
-                if flow[i, u] > TOL:
-                    relax(i, d0, -C[i][u] + pu - pi[i], u, "twin")
-            if b[u] < 0 and t_cap[u] > TOL:
-                relax(T, d0, 0.0 + pu - pi[T], u, "sink")
+            else:
+                open_.remove(u)
+            d0, pu = dd[u], pi[u]
+            for y in out[u]:
+                if y != u and res[u, y] > TOL:
+                    # costs 0 on the source and sink edges and their twins
+                    rc = (-C[y][u] if u < S and y < S else 0.0) + pu - pi[y]
+                    if rc < 0.0:  # rounding guard
+                        rc = 0.0
+                    if d0 + rc < lim[y]:
+                        dd[y], via[y] = d0 + rc, (u, True)
+                        lim[y] = dd[y] - 1e-15
+                elif y == u:
+                    Cu = C[u]
+                    for v in open_:
+                        rc = Cu[v] + pu - pi[v]
+                        if rc < 0.0:  # rounding guard
+                            rc = 0.0
+                        if d0 + rc < lim[v]:
+                            dd[v], via[v] = d0 + rc, (u, False)
+                            lim[v] = dd[v] - 1e-15
         if dd[T] == INF:
             break
-        # nodes settle by nondecreasing distance: the last one's d0 is the
-        # largest distance reached
+        # d0 is the last, so the largest, distance settled
         pi = [p + (d if d < INF else d0) for p, d in zip(pi, dd)]
-        # a pair edge's residual stays above sum|b| / 2, every source
-        # edge's capacity: it is never the path's minimum
-        amt = INF
-        v = T
-        while v != S:
-            u = pred[v]
-            if kind[v] == "twin":
-                amt = min(amt, flow[v, u])
-            elif kind[v] == "source":
-                amt = min(amt, s_cap[v])
-            elif kind[v] == "sink":
-                amt = min(amt, t_cap[u])
+        amt, v = INF, T
+        while v != S:  # a pair edge's residual is never the minimum
+            u, in_res = via[v]
+            if in_res:
+                amt = min(amt, res[u, v])
             v = u
         if amt <= TOL:
             break
-        # source and sink edges cost 0, and adding 0 never moves total_cost
         v = T
         while v != S:
-            u = pred[v]
-            if kind[v] == "pair":
-                if (u, v) not in flow:
-                    bisect.insort(twins[v], u)
-                flow[u, v] = flow.get((u, v), 0.0) + amt
-                total_cost += amt * C[u][v]
-            elif kind[v] == "twin":
-                flow[v, u] -= amt
-                total_cost += amt * -C[v][u]
-            elif kind[v] == "source":
-                s_cap[v] -= amt
-            else:
-                t_cap[u] -= amt
-                t_back[u] += amt
+            u, in_res = via[v]
+            pair = u < S and v < S
+            if in_res:
+                res[u, v] -= amt
+            if not (in_res and pair):  # the reverse edge is in res
+                if (v, u) not in res:
+                    res[v, u] = 0.0
+                    bisect.insort(out[v], u)
+                res[v, u] += amt
+            if pair:  # the other edges cost 0: nothing to add
+                total_cost += amt * (-C[v][u] if in_res else C[u][v])
             v = u
-    return total_cost, flow, pi
+    return total_cost, res, pi
 
 
 def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
@@ -225,17 +183,12 @@ def ae_norm(m: AEElement) -> tuple[float, DipoleRep, dict]:
     nodes, b = _nodes_and_imbalances(m)
     n = len(nodes)
     TOL = 1e-13 * m.support.total_mass()
-    # rho is symmetric bit for bit: (a-b)**2 and (b-a)**2 square one magnitude
-    C = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            C[i][j] = C[j][i] = rho(nodes[i], nodes[j])
-    value, flow, pi = _transport(C, [b[v] for v in nodes], TOL)
-    # flow i -> j carries f*(delta_{nodes[i]} - delta_{nodes[j]})
-    terms = [(f, nodes[j], nodes[i]) for (i, j), f in sorted(flow.items()) if f > TOL]
-    base_pot = -pi[n - 1]
-    dual = {nodes[i]: (-pi[i]) - base_pot for i in range(n)}
-    return value, DipoleRep(tuple(terms), value), dual
+    value, res, pi = _transport(nodes, [b[v] for v in nodes], TOL)
+    # the flow f on i -> j, held by its twin, carries f*(delta_i - delta_j)
+    flows = sorted(((i, j), f) for (j, i), f in res.items() if i < n and j < n)
+    terms = tuple((f, nodes[j], nodes[i]) for (i, j), f in flows if f > TOL)
+    dual = {nodes[i]: (-pi[i]) - (-pi[n - 1]) for i in range(n)}
+    return value, DipoleRep(terms, value), dual
 
 
 def ae_norm_oracle(m: AEElement) -> float:
