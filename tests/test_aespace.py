@@ -1,4 +1,5 @@
 import heapq
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -261,16 +262,18 @@ def lattice_elements(draw):
     """Atoms on the lattice (Z/4)^2 in [0, 3]^2 with coefficients in Z/4,
     so distances tie, cap at 2 and equal the base point's 1 exactly, and
     a balanced element has net mass exactly zero. An atom may have a
-    neighbour 1-3 ulps to its right: their pair edges cost less than the
-    1e-15 a relaxation must win by, so the order of relaxations shows."""
+    neighbour 1-3 ulps to its right (of 0.25 where x is 0): their pair
+    edges cost less than the 1e-15 a relaxation must win by, so the
+    order of relaxations shows."""
     ij = st.tuples(st.integers(0, 12), st.integers(0, 12))
     k = st.integers(-8, 8).filter(bool)
     drawn = draw(st.lists(st.tuples(ij, k, st.integers(0, 3), k), max_size=30))
     atoms = []
     for (i, j), c, near, c2 in drawn:
-        atoms.append(((i / 4, j / 4), c / 4))
+        x, y = i / 4, j / 4
+        atoms.append(((x, y), c / 4))
         if near:
-            atoms.append(((i / 4 + near * 2.0**-54 * max(i / 4, 1.0), j / 4), c2 / 4))
+            atoms.append(((x + near * math.ulp(max(x, 0.25)), y), c2 / 4))
     if atoms and draw(st.booleans()):
         atoms.append(((draw(st.integers(0, 12)) / 4, 0.0), -sum(c for _, c in atoms)))
     return AEElement(AtomicMeasure(atoms))
