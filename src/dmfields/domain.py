@@ -39,7 +39,6 @@ from .regions import (
     EPS,
     MAX_COORD,
     PolyRegion,
-    _point_seg_dist,
     _seg_intersections,
     boundary_dist_many,
     box_region,
@@ -114,11 +113,9 @@ class PolygonalDomain:
         """The parts' `edge_boxes` tables, concatenated in edge order."""
         return sum((part.edge_boxes for part in self.parts), ())
 
-    def boundary_dist(self, p: Point) -> float:
-        return min(_point_seg_dist(p, a, b) for a, b in self._edges)
-
     def boundary_dist_many(self, P: np.ndarray) -> np.ndarray:
-        """`boundary_dist` over the rows of a (P, 2) array."""
+        """Each row of a (P, 2) array's distance to the nearest boundary
+        edge (`regions.boundary_dist_many`)."""
         return boundary_dist_many(P, self.edge_array)
 
     def bbox(self) -> tuple[float, float, float, float]:

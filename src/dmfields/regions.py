@@ -7,6 +7,11 @@ outside, computed from exact segment intersections. Pairings and normal
 traces are then pure telescoping sums of test-function values, with no
 gradients and no quadrature.
 
+One membership rule: off the boundary, a point is inside when a ray
+from it crosses the whole edge table, all rings at once, an odd number
+of times. That is "in the outer ring and in no hole" because every hole
+must lie inside the outer ring and outside the other holes.
+
 One tolerance policy: lengths compare at `EPS` times the region's
 scale, its largest |coordinate| (`PolyRegion.tol`; a domain takes the
 largest over its parts); parameters and sines (the parallel test)
@@ -130,18 +135,6 @@ def near_edges(boxes: Sequence[tuple], a: Point, b: Point, tol: float) -> list:
     ]
 
 
-def _point_seg_dist(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    t = ((px - ax) * dx + (py - ay) * dy) / L2 if L2 != 0.0 else 0.0
-    t = min(max(t, 0.0), 1.0)
-    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
-    return math.sqrt(ex * ex + ey * ey)
-
-
 # ---------------------------------------------------------------------------
 # batched ring kernel: the scalar predicates' own IEEE arithmetic over
 # (P, 2) point arrays against (E, 4) edge rows (ax, ay, bx, by)
@@ -155,7 +148,8 @@ def _blocks(n: int, width: int) -> list[slice]:
 
 
 def _edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """(P, E) distances by the arithmetic of `_point_seg_dist`."""
+    """(P, E) distances from each point to each edge's nearest point: the
+    foot point at the projection parameter clamped to [0, 1]."""
     px, py = P[:, :1], P[:, 1:]
     ax, ay, bx, by = E.T
     dx, dy = bx - ax, by - ay
@@ -185,17 +179,20 @@ def _near_many(P: np.ndarray, E: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _crossing_parity(P: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """`_in_ring`'s even-odd ray cast, exactly, against one ring's edges."""
+def _crossing_parity(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Whether a ray from each row of P in the +x direction crosses an
+    odd number of the edge rows of E: `PolyRegion.classify`'s even-odd
+    ray cast, exactly, for every point at once."""
     x, y = P[:, :1], P[:, 1:]
-    x1, y1, x2, y2 = ring.T
+    x1, y1, x2, y2 = E.T
     with np.errstate(all="ignore"):
         xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     return (((y1 > y) != (y2 > y)) & (x < xi)).sum(axis=1) % 2 == 1
 
 
 def boundary_dist_many(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """min over the edge rows of E of `_point_seg_dist` for every row of P."""
+    """Each row of P's distance to the nearest edge row of E, by
+    `_edge_dists`."""
     return np.concatenate(
         [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
     )
@@ -227,21 +224,6 @@ def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray, tol: float):
     return ss, ee
 
 
-def _in_ring(p: Point, ring: Sequence[Point]) -> bool:
-    # even-odd ray cast; callers guarantee p is off the ring itself
-    x, y = p
-    inside = False
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                inside = not inside
-    return inside
-
-
 @dataclass(frozen=True)
 class PolyRegion:
     """A simple polygon with optional polygonal holes, in the plane.
@@ -249,6 +231,9 @@ class PolyRegion:
     Rings are stored without repeated consecutive vertices, cyclically
     (so without a repeated closing vertex either); the outer ring is
     normalized to counterclockwise orientation and holes to clockwise.
+    Membership is the module's even-odd rule, so each hole's first vertex
+    must classify strictly inside the outer ring and strictly outside
+    every other hole, else ValueError. Crossing rings are not supported.
     """
 
     outer: tuple[Point, ...]
@@ -281,6 +266,13 @@ class PolyRegion:
         object.__setattr__(
             self, "holes", tuple(norm(h, False) for h in holes)
         )
+        if self.holes:
+            outer, rings = PolyRegion(self.outer), [PolyRegion(h) for h in self.holes]
+            for i, h in enumerate(self.holes):
+                sides = [r.classify(h[0]) for r in rings[:i] + rings[i + 1 :]]
+                if outer.classify(h[0]) != 1 or any(c != -1 for c in sides):
+                    msg = "must lie inside the outer ring and outside the other holes"
+                    raise ValueError(f"hole {i} {msg}")
 
     def rings(self) -> list[tuple[Point, ...]]:
         return [self.outer, *self.holes]
@@ -329,13 +321,7 @@ class PolyRegion:
 
     def contains_many(self, P: np.ndarray) -> np.ndarray:
         """`contains` over the rows of a (P, 2) array."""
-        out = ~self.on_boundary_many(P)
-        start = 0
-        for k, ring in enumerate(self.rings()):
-            inside = _crossing_parity(P, self.edge_array[start : start + len(ring)])
-            out &= inside if k == 0 else ~inside
-            start += len(ring)
-        return out
+        return ~self.on_boundary_many(P) & _crossing_parity(P, self.edge_array)
 
     def contains(self, p: Point) -> bool:
         """Open-interior membership; boundary points are outside."""
@@ -346,7 +332,13 @@ class PolyRegion:
         DimensionMismatch (from `on_boundary`) for a point off the plane."""
         if self.on_boundary(p):
             return 0
-        inside = _in_ring(p, self.outer) and not any(_in_ring(p, h) for h in self.holes)
+        x, y = p
+        inside = False
+        for (x1, y1), (x2, y2) in self._edges:
+            if (y1 > y) != (y2 > y):
+                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+                if x < xi:
+                    inside = not inside
         return 1 if inside else -1
 
     def bbox(self) -> tuple[float, float, float, float]:

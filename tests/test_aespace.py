@@ -113,6 +113,24 @@ def test_norm_scales_with_the_element(atoms, k):
         assert abs(got.get(p, 0.0) - want.get(p, 0.0)) <= tol
 
 
+@given(st.lists(atom, min_size=1, max_size=12), st.integers(-60, 0))
+@example([((0.0, 0.0), 1.0), ((0.5, 0.0), -1.0), ((0.9, 0.3), 2.0)], -44)
+@settings(max_examples=150, deadline=None)
+def test_dual_check_verdicts_scale_with_the_element(atoms, k):
+    """The certificate's verdicts on the norm, on half of it and on 0 are
+    the same for m and for 2^k m: a small element's lost mass shows."""
+    m = AEElement(AtomicMeasure(atoms))
+    # a power of two brings the total variation to at most 1 exactly
+    e = math.ceil(math.log2(max(m.support.total_mass(), 1.0)))
+    m = AEElement(m.support.scaled(2.0**-e))
+    v, _, dual = ae_norm(m)
+    assert dual_check(m, dual, v)
+    s = 2.0**k
+    sm = AEElement(m.support.scaled(s))
+    for f in (1.0, 0.5, 0.0):
+        assert dual_check(sm, dual, s * v * f) == dual_check(m, dual, v * f)
+
+
 def test_dual_is_certificate():
     m = AEElement(
         AtomicMeasure([((0.0, 0.0), 1.5), ((0.2, 0.1), -0.5), ((3.0, 3.0), 0.25)])

@@ -228,6 +228,25 @@ def test_non_finite_numbers_are_invalid_input(files, capsys, verb, number):
     assert err.startswith("invalid input")
 
 
+@pytest.mark.parametrize(
+    "holes",
+    [
+        [[[5, 1], [6, 1], [6, 2]]],
+        [[[0.5, 0.5], [3.5, 0.5], [3.5, 2.5], [0.5, 2.5]], [[1, 1], [2, 1], [2, 2], [1, 2]]],
+    ],
+    ids=["outside", "nested"],
+)
+def test_malformed_holes_are_invalid_input(files, capsys, holes):
+    region = files["write"](
+        "holes.json", {"outer": [[0, 0], [4, 0], [4, 3], [0, 3]], "holes": holes}
+    )
+    rc = cli.main(["trace", "--field", files["field"], "--region", region])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input: ValueError: hole")
+
+
 def test_domain_preset_verb(files, capsys):
     rc = cli.main(["domain-preset", "--name", "lshape"])
     assert rc == 0

@@ -3,7 +3,10 @@ exactly: membership, on-boundary tests, boundary distance and segment
 visibility, on grid points and on points on or within a few length
 tolerances of edges and vertices, also one ulp either side of it, at
 unit scale, scaled up and translated far from the origin. The scalar
-predicates' edge-box filter must give the full scan's answers."""
+predicates' edge-box filter must give the full scan's answers. The
+even-odd pass over a region's whole edge table must give the per-ring
+rule it replaced, and a region whose holes break that rule's premise
+is rejected."""
 
 import math
 
@@ -35,8 +38,10 @@ HOLED = PolygonalDomain(
 SQUARE = domain_preset("square")
 
 
-def _moved(d, scale, shift):
+def _moved(d, scale, shift, quarter=0):
     def ring(r):
+        for _ in range(quarter):
+            r = [(-y, x) for x, y in r]
         return [(x * scale + shift[0], y * scale + shift[1]) for x, y in r]
 
     return PolygonalDomain(
@@ -57,6 +62,23 @@ DOMAINS = [
 # offsets from an edge, in units of the domain's length tolerance
 OFFSETS = [0.0, 1.0, -1.0, 0.1, -0.1, 0.5, 2.0, -2.0, 1e3, 1e6]
 OFFSETS += [s * (1.0 + e) for s in (1.0, -1.0) for e in (2.0**-52, -(2.0**-52))]
+
+
+def _old_point_seg_dist(p, a, b):
+    """The scalar boundary distance that `_edge_dists` batches."""
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    t = ((px - ax) * dx + (py - ay) * dy) / L2 if L2 != 0.0 else 0.0
+    t = min(max(t, 0.0), 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return math.sqrt(ex * ex + ey * ey)
+
+
+def _old_boundary_dist(d, p):
+    return min(_old_point_seg_dist(p, a, b) for a, b in d.boundary_edges())
 
 
 @st.composite
@@ -102,7 +124,7 @@ def test_point_predicates_match_scalar(case):
         assert part.contains_many(P).tolist() == [part.contains(p) for p in pts]
         assert part.on_boundary_many(P).tolist() == [part.on_boundary(p) for p in pts]
     assert d.contains_many(P).tolist() == [d.contains(p) for p in pts]
-    assert d.boundary_dist_many(P).tolist() == [d.boundary_dist(p) for p in pts]
+    assert d.boundary_dist_many(P).tolist() == [_old_boundary_dist(d, p) for p in pts]
 
 
 def _segments(d, pts, h):
@@ -302,3 +324,101 @@ def test_edge_box_filter_stays_on(name, a, b):
         assert segment_in_domain(d, a, b)
     want = sum(_meets_widened_box(d, a, b, p, q) for p, q in d.boundary_edges())
     assert calls == want < len(d.boundary_edges())
+
+
+# ---------------------------------------------------------------------------
+# membership: the even-odd pass over the whole edge table against the
+# per-ring rule it replaced
+
+
+def _old_in_ring(p, ring):
+    # even-odd ray cast against one ring; p is off the ring itself
+    x, y = p
+    inside = False
+    n = len(ring)
+    for i in range(n):
+        x1, y1 = ring[i]
+        x2, y2 = ring[(i + 1) % n]
+        if (y1 > y) != (y2 > y):
+            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xi:
+                inside = not inside
+    return inside
+
+
+def _old_classify(region, p):
+    """The per-ring rule: 0 on the boundary, else +1 in the outer ring
+    and in no hole, -1 otherwise."""
+    if region.on_boundary(p):
+        return 0
+    holes = region.holes
+    inside = _old_in_ring(p, region.outer) and not any(_old_in_ring(p, h) for h in holes)
+    return 1 if inside else -1
+
+
+MEMBERSHIP_DOMAINS = [*FILTER_DOMAINS[:6], HOLED]
+
+
+@st.composite
+def membership_case(draw):
+    """A preset, a complement or the two-hole region, turned by a
+    multiple of a quarter, scaled by 2^k (k in -10..6) and translated by
+    up to 1e8, and points: on lines of a grid over its box, on or within
+    a few length tolerances of an edge or a vertex, at a mix of one
+    ring's vertices (in and around holes and between them), or anywhere
+    in the box widened by a tenth."""
+    shift = draw(
+        st.just((0.0, 0.0)) | st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
+    )
+    scale = 2.0 ** draw(st.integers(-10, 6))
+    base = draw(st.sampled_from(MEMBERSHIP_DOMAINS))
+    d = _moved(base, scale, shift, draw(st.integers(0, 3)))
+    x0, y0, x1, y1 = d.bbox()
+    w, h = x1 - x0, y1 - y0
+    rings = [r for part in d.parts for r in part.rings()]
+
+    def point():
+        kind = draw(st.sampled_from(["grid", "edge", "ring", "free"]))
+        if kind == "grid":
+            n = draw(st.sampled_from([10, 20, 50]))
+            i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+            return (x0 + i * (w / n), y0 + j * (h / n))
+        if kind == "edge":
+            return draw(point_on(d))
+        if kind == "ring":
+            r = draw(st.sampled_from(rings))
+            k = draw(st.lists(st.integers(0, len(r) - 1), min_size=1, max_size=3))
+            return (sum(r[i][0] for i in k) / len(k), sum(r[i][1] for i in k) / len(k))
+        fx, fy = draw(st.integers(0, 10**6)) / 1e6, draw(st.integers(0, 10**6)) / 1e6
+        return (x0 - 0.1 * w + fx * 1.2 * w, y0 - 0.1 * h + fy * 1.2 * h)
+
+    return d, [point() for _ in range(draw(st.integers(1, 16)))]
+
+
+@given(membership_case())
+@settings(max_examples=200, deadline=None)
+def test_membership_equals_the_per_ring_rule(case):
+    d, pts = case
+    P = np.array(pts, dtype=float)
+    for part in d.parts:
+        want = [_old_classify(part, p) for p in pts]
+        assert [part.classify(p) for p in pts] == want
+        assert part.contains_many(P).tolist() == [c == 1 for c in want]
+
+
+OUTER = [(0, 0), (4, 0), (4, 3), (0, 3)]
+INNER = [(1, 1), (2, 1), (2, 2), (1, 2)]
+AROUND = [(0.5, 0.5), (3.5, 0.5), (3.5, 2.5), (0.5, 2.5)]
+MALFORMED_HOLES = {
+    "outside": [[(5, 1), (6, 1), (6, 2)]],
+    "nested": [AROUND, INNER],
+    "nesting": [INNER, AROUND],
+    # clockwise as given, so (0, 1) stays the first vertex
+    "first-vertex-on-the-outer-ring": [[(0, 1), (1, 2), (1, 1)]],
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_HOLES)
+def test_malformed_holes_are_rejected(name):
+    with pytest.raises(ValueError, match="hole"):
+        PolyRegion(OUTER, MALFORMED_HOLES[name])

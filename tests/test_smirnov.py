@@ -947,19 +947,37 @@ def _old_rk4_step(gf, pts, dt):
     return pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _old_transport_invariant(gf, seed, T, dt):
-    x = np.array([[float(seed[0]), float(seed[1])]])
-    log0 = math.log(float(_old_at(gf, gf.tau, x)[0]))
+def _old_flow(gf, seed, T, dt):
+    """The points of the old RK4 chain from the seed; LeftGrid when the
+    seed, a stage or the final point lies off the grid."""
+    x = np.array([seed])
+    _old_at(gf, gf.tau, x)
+    want = [seed]
+    for _ in range(round(T / dt)):
+        x = _old_rk4_step(gf, x, dt)
+        want.append((float(x[0, 0]), float(x[0, 1])))
+    _old_at(gf, gf.tau, x)
+    return want
+
+
+def _old_drift(gf, chain, dt):
+    """The old transport invariant's worst |drift| along the points of an
+    RK4 chain: tau and div sigma sampled at every point at once (the
+    bilinear sampler works row by row, so each row keeps its bits), the
+    trapezoid sum taken in step order."""
+    P = np.array(chain, dtype=float)
+    logs = [math.log(t) for t in _old_at(gf, gf.tau, P).tolist()]
+    div = _old_at(gf, gf.div_sigma, P).tolist()
     acc = 0.0
     worst = 0.0
-    for _ in range(int(round(T / dt))):
-        d0 = float(_old_at(gf, gf.div_sigma, x)[0])
-        x = _old_rk4_step(gf, x, dt)
-        d1 = float(_old_at(gf, gf.div_sigma, x)[0])
-        acc += 0.5 * (d0 + d1) * dt
-        drift = math.log(float(_old_at(gf, gf.tau, x)[0])) - log0 + acc
-        worst = max(worst, abs(drift))
+    for i in range(1, len(chain)):
+        acc += 0.5 * (div[i - 1] + div[i]) * dt
+        worst = max(worst, abs(logs[i] - logs[0] + acc))
     return worst
+
+
+def _old_transport_invariant(gf, seed, T, dt):
+    return _old_drift(gf, _old_flow(gf, (float(seed[0]), float(seed[1])), T, dt), dt)
 
 
 def _bits(a):
@@ -1143,19 +1161,6 @@ def test_flows_need_a_planar_seed(seed):
         transport_invariant(STRETCH, seed, T=0.5, dt=0.1)
 
 
-def _old_flow(gf, seed, T, dt):
-    """The points of the old RK4 chain from the seed; LeftGrid when the
-    seed, a stage or the final point lies off the grid."""
-    x = np.array([seed])
-    _old_at(gf, gf.tau, x)
-    want = [seed]
-    for _ in range(round(T / dt)):
-        x = _old_rk4_step(gf, x, dt)
-        want.append((float(x[0, 0]), float(x[0, 1])))
-    _old_at(gf, gf.tau, x)
-    return want
-
-
 @pytest.mark.parametrize("gf", [SMALL_GRID, STRETCH], ids=["small", "stretch"])
 @given(data=st.data(), T=st.floats(0.0, 1.0), dt=st.floats(2e-3, 0.25))
 @settings(max_examples=200, deadline=None)
@@ -1174,8 +1179,7 @@ def test_scalar_stepper_equals_the_old_rk4(gf, data, T, dt):
     assert _bits(smirnov._trajectory(gf, seed, T, dt)) == _bits(want)
     got = flow_trace(gf, seed, T=T, dt=dt).vertices
     assert _bits(got) == _bits(PolyCurve(want).vertices)
-    want_drift = _old_transport_invariant(gf, seed, T, dt)
-    assert transport_invariant(gf, seed, T, dt) == want_drift
+    assert transport_invariant(gf, seed, T, dt) == _old_drift(gf, want, dt)
 
 
 # Clouds stepped in slices, on STRETCH, where particles seeded far out

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
     AEElement,
@@ -141,7 +141,7 @@ def test_extend_field_cancels_boundary_divergence(cfg):
     div = field_divergence(g).coalesced(1e-9)
     # nothing remains on the old boundary
     for p, _ in div.atoms:
-        assert SQUARE.boundary_dist(p) > 1e-9
+        assert SQUARE.boundary_dist_many(np.array([p]))[0] > 1e-9
 
 
 def test_extend_divfree_is_globally_clean():
@@ -162,6 +162,39 @@ def test_extend_divfree_rejects_net_flux():
     cfg_out = lift_config(comp, 0.05, 0.3)
     with pytest.raises(NonzeroNetFlux):
         extend_divfree(src, SQUARE, cfg_out)
+
+
+FLUX_CURVES = {
+    "balanced": [(0.0, 0.3), (0.5, 0.5), (1.0, 0.7)],
+    "net-flux": [(0.5, 0.5), (1.0, 0.5)],
+}
+
+
+@lru_cache(maxsize=None)
+def _square_complement_cfg():
+    return lift_config(complement_region(SQUARE, box_region(-1, -1, 2, 2)), 0.05, 0.3)
+
+
+@given(st.sampled_from(sorted(FLUX_CURVES)), st.integers(-60, 0))
+@example("net-flux", -40)
+@settings(max_examples=60, deadline=None)
+def test_extend_divfree_scales_with_the_weight(name, k):
+    """A chord of weight 2^k extends as the chord of weight 1 does: the
+    balanced one divergence-free with its weights scaled by 2^k, the one
+    with net flux not at all, however small its flux."""
+
+    def extend(w):
+        f = CurveField([PolyCurve(FLUX_CURVES[name], w)])
+        try:
+            g, punctures = extend_divfree(f, SQUARE, _square_complement_cfg())
+        except NonzeroNetFlux:
+            return None
+        assert punctures == () and field_divergence(g).atoms == ()
+        return [(c.vertices, c.weight) for c in g]
+
+    s, want = 2.0**k, extend(1.0)
+    assert (want is None) == (name == "net-flux")
+    assert extend(s) == (None if want is None else [(v, s * w) for v, w in want])
 
 
 def test_extend_divfree_punctures_lie_on_the_exterior_net():
