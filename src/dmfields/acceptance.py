@@ -195,7 +195,7 @@ def ac_3() -> tuple[bool, str]:
 
 
 def _rand_boundary_measure(rng, d: PolygonalDomain, n_atoms: int) -> AEElement:
-    edges = [e for part in d.parts for e in part.boundary_edges()]
+    edges = d.boundary_edges()
     atoms = []
     for _ in range(n_atoms):
         a, b = edges[rng.integers(0, len(edges))]

@@ -1,7 +1,7 @@
 """Planar domains with holes: grid routing, net selection, separation.
 
 A domain is a disjoint union of polygonal parts (a complement of an
-annulus has two, so one outer ring is not enough). Routing runs on an
+annulus has two), one region over all their rings. Routing runs on an
 8-connected grid of strictly interior nodes. A route p -> q tries, in
 order: the straight segment; the first bow (one waypoint off the
 chord's midpoint) that works; one waypoint beside each nearby reflex
@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .regions import (
     MAX_COORD,
     PolyRegion,
     _seg_intersections,
-    boundary_dist_many,
     box_region,
     hit_candidates,
     near_edges,
@@ -48,12 +47,19 @@ from .regions import (
 
 
 @dataclass(frozen=True)
-class PolygonalDomain:
+class PolygonalDomain(PolyRegion):
     """A finite union of disjoint polygonal parts with optional declared
     local-convexity constants: any two points at distance <= delta join
-    through the open domain by a curve of length <= |p-q|/eps."""
+    through the open domain by a curve of length <= |p-q|/eps.
 
-    parts: tuple[PolyRegion, ...]
+    It is the `PolyRegion` over all its parts' rings, in part order, at
+    one length tolerance. The even-odd rule gives the union because each
+    part's first outer vertex must classify strictly outside every other
+    part, else ValueError: an island in another part's hole passes, a
+    nested or overlapping part does not. A domain among the parts gives
+    its own parts. `outer` and `holes` stay empty; `rings()` has them all."""
+
+    parts: tuple[PolyRegion, ...] = ()
     declared_eps: float | None = None
     declared_delta: float | None = None
 
@@ -65,62 +71,26 @@ class PolygonalDomain:
     ):
         if isinstance(parts, PolyRegion):
             parts = (parts,)
-        parts = tuple(parts)
+        flat = (p.parts if isinstance(p, PolygonalDomain) else (p,) for p in parts)
+        parts = tuple(q for ps in flat for q in ps)
         if not parts:
             raise ValueError("a domain needs at least one part")
         if declared_eps is not None and not (0.0 < declared_eps <= 1.0):
             raise ValueError("declared_eps must lie in (0, 1]")
         if declared_delta is not None and not 0.0 < declared_delta < math.inf:
             raise ValueError("declared_delta must lie in (0, inf)")
+        for i, part in enumerate(parts):
+            others = parts[:i] + parts[i + 1 :]
+            if any(q.classify(part.outer[0]) != -1 for q in others):
+                raise ValueError(f"part {i} must lie outside the other parts")
+        object.__setattr__(self, "outer", ())
+        object.__setattr__(self, "holes", ())
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "declared_eps", declared_eps)
         object.__setattr__(self, "declared_delta", declared_delta)
 
-    def contains(self, p: Point) -> bool:
-        return any(part.contains(p) for part in self.parts)
-
-    def contains_many(self, P: np.ndarray) -> np.ndarray:
-        """`contains` over the rows of a (P, 2) array."""
-        out = np.zeros(len(P), dtype=bool)
-        for part in self.parts:
-            out |= part.contains_many(P)
-        return out
-
-    @cached_property
-    def tol(self) -> float:
-        """The largest of the parts' length tolerances."""
-        return max(part.tol for part in self.parts)
-
-    def on_boundary(self, p: Point) -> bool:
-        return any(part.on_boundary(p) for part in self.parts)
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[Point, Point], ...]:
-        return sum((part.boundary_edges() for part in self.parts), ())
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """All parts' edges as read-only (E, 4) rows."""
-        arr = np.concatenate([part.edge_array for part in self.parts])
-        arr.flags.writeable = False
-        return arr
-
-    def boundary_edges(self) -> tuple[tuple[Point, Point], ...]:
-        return self._edges
-
-    @cached_property
-    def edge_boxes(self) -> tuple[tuple, ...]:
-        """The parts' `edge_boxes` tables, concatenated in edge order."""
-        return sum((part.edge_boxes for part in self.parts), ())
-
-    def boundary_dist_many(self, P: np.ndarray) -> np.ndarray:
-        """Each row of a (P, 2) array's distance to the nearest boundary
-        edge (`regions.boundary_dist_many`)."""
-        return boundary_dist_many(P, self.edge_array)
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        x0, y0, x1, y1 = zip(*(part.bbox() for part in self.parts))
-        return min(x0), min(y0), max(x1), max(y1)
+    def rings(self) -> list[tuple[Point, ...]]:
+        return [ring for part in self.parts for ring in part.rings()]
 
     def with_constants(self, eps: float, delta: float) -> "PolygonalDomain":
         return PolygonalDomain(self.parts, eps, delta)
@@ -257,22 +227,21 @@ class RoutingGraph:
         # reflex corners of the boundary (interior angle > pi), used as
         # route waypoints near notches
         self.reflex: list[tuple[Point, Point]] = []  # (vertex, inward dir)
-        for part in d.parts:
-            for ring in part.rings():
-                n = len(ring)
-                for k in range(n):
-                    a, v, b = ring[k - 1], ring[k], ring[(k + 1) % n]
-                    d1 = (v[0] - a[0], v[1] - a[1])
-                    d2 = (b[0] - v[0], b[1] - v[1])
-                    u1x, u1y = d1[0] / math.hypot(*d1), d1[1] / math.hypot(*d1)
-                    u2x, u2y = d2[0] / math.hypot(*d2), d2[1] / math.hypot(*d2)
-                    # a right turn on a CCW-interior walk (sine below -EPS)
-                    if u1x * u2y - u1y * u2x < -EPS:
-                        # the exterior notch bisects between -d1 and d2;
-                        # its opposite points into the domain bulk
-                        bis = (u1x - u2x, u1y - u2y)
-                        L = math.hypot(*bis)
-                        self.reflex.append((v, (bis[0] / L, bis[1] / L)))
+        for ring in d.rings():
+            n = len(ring)
+            for k in range(n):
+                a, v, b = ring[k - 1], ring[k], ring[(k + 1) % n]
+                d1 = (v[0] - a[0], v[1] - a[1])
+                d2 = (b[0] - v[0], b[1] - v[1])
+                u1x, u1y = d1[0] / math.hypot(*d1), d1[1] / math.hypot(*d1)
+                u2x, u2y = d2[0] / math.hypot(*d2), d2[1] / math.hypot(*d2)
+                # a right turn on a CCW-interior walk (sine below -EPS)
+                if u1x * u2y - u1y * u2x < -EPS:
+                    # the exterior notch bisects between -d1 and d2;
+                    # its opposite points into the domain bulk
+                    bis = (u1x - u2x, u1y - u2y)
+                    L = math.hypot(*bis)
+                    self.reflex.append((v, (bis[0] / L, bis[1] / L)))
 
     def node_ids(self, pts: Sequence[Point]) -> list[int]:
         """Indices of the given nodes; ValueError for a point that is not one."""

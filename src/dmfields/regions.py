@@ -7,23 +7,25 @@ outside, computed from exact segment intersections. Pairings and normal
 traces are then pure telescoping sums of test-function values, with no
 gradients and no quadrature.
 
-One membership rule: off the boundary, a point is inside when a ray
-from it crosses the whole edge table, all rings at once, an odd number
-of times. That is "in the outer ring and in no hole" because every hole
-must lie inside the outer ring and outside the other holes.
+One edge table, a region's rings or all its parts' rings for a domain,
+and one membership rule: off the boundary, a point is inside when a ray
+from it crosses the whole table, all rings at once, an odd number of
+times. That is "in the outer ring and in no hole", and for a domain "in
+one of its parts", because every hole must lie inside the outer ring
+and outside the other holes, and every part outside the other parts.
 
-One tolerance policy: lengths compare at `EPS` times the region's
-scale, its largest |coordinate| (`PolyRegion.tol`; a domain takes the
-largest over its parts); parameters and sines (the parallel test)
-compare at `EPS` alone. One length arithmetic: a length is the root of
-a sum of products, `sqrt(x*x + y*y)`, and `_near` decides "on the
-boundary" from the same products with no root at all. IEEE +, -, *, /
-and sqrt round correctly in Python and numpy alike, so the scalar and
-batched paths agree bit for bit. Squares underflow below about 1e-154,
-so lengths and offsets that small are out of range. At the other end,
-`_near_many`'s 4 tol^2 L2, up to 32 EPS^2 M^4 for a region's largest
-|coordinate| M, would overflow near M = 2.7e82 and put every point on
-the boundary: ring vertices must lie within `MAX_COORD` = 2^270.
+One tolerance policy: lengths compare at `EPS` times the table's scale,
+its largest |coordinate| (`PolyRegion.tol`, one per region or domain);
+parameters and sines (the parallel test) compare at `EPS` alone. One
+length arithmetic: a length is the root of a sum of products,
+`sqrt(x*x + y*y)`, and `_near` decides "on the boundary" from the same
+products with no root at all. IEEE +, -, *, / and sqrt round correctly
+in Python and numpy alike, so the scalar and batched paths agree bit
+for bit. Squares underflow below about 1e-154, so lengths and offsets
+that small are out of range. At the other end, `_near_many`'s
+4 tol^2 L2, up to 32 EPS^2 M^4 for a region's largest |coordinate| M,
+would overflow near M = 2.7e82 and put every point on the boundary:
+ring vertices must lie within `MAX_COORD` = 2^270.
 
 One box margin: the scalar predicates visit only the edges whose
 bounding box lies within `BOX_MARGIN` = 2^-6 times the query's and the
@@ -190,14 +192,6 @@ def _crossing_parity(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     return (((y1 > y) != (y2 > y)) & (x < xi)).sum(axis=1) % 2 == 1
 
 
-def boundary_dist_many(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Each row of P's distance to the nearest edge row of E, by
-    `_edge_dists`."""
-    return np.concatenate(
-        [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
-    )
-
-
 def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray, tol: float):
     """(segment, edge) index pairs on which `_seg_intersections` of
     (A[s], B[s]) and edge E[e] at length tolerance tol may return a
@@ -341,9 +335,19 @@ class PolyRegion:
                     inside = not inside
         return 1 if inside else -1
 
+    def boundary_dist_many(self, P: np.ndarray) -> np.ndarray:
+        """Each row of a (P, 2) array's distance to the nearest edge, by
+        `_edge_dists`."""
+        E = self.edge_array
+        return np.concatenate(
+            [_edge_dists(P[r], E).min(axis=1) for r in _blocks(len(P), len(E))]
+        )
+
     def bbox(self) -> tuple[float, float, float, float]:
-        xs = [p[0] for p in self.outer]
-        ys = [p[1] for p in self.outer]
+        """The box of every ring: a region's holes lie inside its outer
+        ring, so it is the outer ring's."""
+        xs = [p[0] for ring in self.rings() for p in ring]
+        ys = [p[1] for ring in self.rings() for p in ring]
         return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -419,11 +423,32 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> li
 
 
 def _curve_on_boundary(c: PolyCurve, E: PolyRegion) -> bool:
+    """Whether c rides the boundary: its vertices and midpoints lie on
+    it, and each segment is covered, up to `E.tol` at its ends, by the
+    edges whose both ends lie within tol of its line. Boundary points at
+    a segment's ends and middle alone do not put it on the boundary."""
     pts = list(c.vertices)
     mids = [
         ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in c.segments()
     ]
-    return all(E.on_boundary(p) for p in pts + mids)
+    if not all(E.on_boundary(p) for p in pts + mids):
+        return False
+    tol, E4 = E.tol, E.edge_array
+    for a, b in c.segments():
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        L, reach = math.sqrt(dx * dx + dy * dy), 0.0
+        if L * L == 0.0:
+            continue  # a point, on the boundary as checked
+        # both ends of every edge: position along the segment, offset off it
+        px, py = E4[:, 0::2] - a[0], E4[:, 1::2] - a[1]
+        t = (px * dx + py * dy) / L
+        along = (np.abs(px * dy - py * dx) <= tol * L).all(axis=1)
+        for lo, hi in sorted(zip(t[along].min(axis=1), t[along].max(axis=1))):
+            if lo <= reach + tol:
+                reach = max(reach, hi)
+        if reach < L - tol:
+            return False
+    return True
 
 
 def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:

@@ -226,11 +226,8 @@ def lift_surject(
 
 
 def domain_trace(f: CurveField, d: PolygonalDomain) -> AtomicMeasure:
-    """Normal trace of f on the full domain boundary, part by part."""
-    total = AtomicMeasure()
-    for part in d.parts:
-        total = total + normal_trace(f, part)
-    return total
+    """Normal trace of f on the full domain boundary, all parts at once."""
+    return normal_trace(f, d)
 
 
 def two_sided_lift(
@@ -269,9 +266,11 @@ def extend_divfree(
     domain."""
     m = AEElement(domain_trace(f, d_in))
     cfg = cfg_out
+    # relative to the trace's total variation: a small trace's flux and
+    # punctures count
+    tol = 1e-9 * min(1.0, m.support.total_mass())
     if connected_complement:
-        # relative to the trace's total variation: a small trace's flux counts
-        if abs(m.support.total()) > 1e-9 * min(1.0, m.support.total_mass()):
+        if abs(m.support.total()) > tol:
             raise NonzeroNetFlux(
                 f"net boundary flux {m.support.total():.3e} admits no "
                 "divergence-free extension over a connected complement"
@@ -281,6 +280,6 @@ def extend_divfree(
     out = f.union(g)
     if connected_complement:
         return out, ()
-    residual = field_divergence(out).coalesced(1e-9)
+    residual = field_divergence(out).coalesced(tol)
     punctures = tuple(residual.locations())
     return out, punctures

@@ -258,6 +258,23 @@ def test_missing_file_exits_1(files):
     assert cli.main(["trace", "--field", "nope.json", "--region", files["square"]]) == 1
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [[[0, 0], [2, 0], [2, 2], [0, 2]], [[1, 1], [3, 1], [3, 3], [1, 3]]],
+        [[[0, 0], [4, 0], [4, 4], [0, 4]], [[1, 1], [2, 1], [2, 2], [1, 2]]],
+        [[[0, 0], [2, 0], [2, 2], [0, 2]], [[2, 1], [3, 0], [3, 2]]],
+    ],
+    ids=["overlapping", "inside-another", "first-vertex-on-another-boundary"],
+)
+def test_trace_on_parts_not_outside_one_another_exits_1(files, parts, capsys):
+    region = files["write"](
+        "parts.json", {"regions": [{"outer": r, "holes": []} for r in parts]}
+    )
+    assert cli.main(["trace", "--field", files["field"], "--region", region]) == 1
+    assert "must lie outside the other parts" in capsys.readouterr().err
+
+
 def test_unknown_verb_exits_1(capsys):
     assert cli.main(["frobnicate"]) == 1
 

@@ -121,6 +121,42 @@ def test_domain_needs_parts_and_valid_constants():
         PolygonalDomain(box_region(0, 0, 1, 1), 0.5, math.inf)
 
 
+MALFORMED_PARTS = {
+    "overlapping": [box_region(0, 0, 2, 2), box_region(1, 1, 3, 3)],
+    "inside-another": [box_region(0, 0, 4, 4), box_region(1, 1, 2, 2)],
+    "first-vertex-on-another-boundary": [
+        box_region(0, 0, 2, 2),
+        PolyRegion([(2, 1), (3, 0), (3, 2)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_PARTS)
+def test_parts_that_are_not_outside_one_another_are_rejected(name):
+    # the even-odd rule over all rings is the union only for parts that
+    # lie outside one another; overlapping parts were once silently unioned
+    with pytest.raises(ValueError, match="part"):
+        PolygonalDomain(MALFORMED_PARTS[name])
+
+
+def test_an_island_in_another_parts_hole_is_a_part():
+    frame = PolyRegion(box_region(0, 0, 4, 4).outer, [box_region(1, 1, 3, 3).outer])
+    d = PolygonalDomain((frame, box_region(1.5, 1.5, 2.5, 2.5)))
+    assert d.contains((0.5, 0.5)) and d.contains((2.0, 2.0))
+    assert not d.contains((1.2, 1.2))
+
+
+def test_a_domain_given_as_parts_is_flattened():
+    two = PolygonalDomain((box_region(0, 0, 1, 1), box_region(2, 0, 3, 1)), 0.5, 0.4)
+    assert PolygonalDomain(two).parts == two.parts
+    assert PolygonalDomain((two, box_region(4, 0, 5, 1))).parts == (
+        *two.parts,
+        box_region(4, 0, 5, 1),
+    )
+    with pytest.raises(ValueError, match="part"):
+        PolygonalDomain((two, two))
+
+
 def test_membership_across_parts():
     two = PolygonalDomain((box_region(0, 0, 1, 1), box_region(2, 0, 3, 1)))
     assert two.contains((0.5, 0.5))

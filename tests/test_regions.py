@@ -154,6 +154,17 @@ def test_curve_on_boundary_contributes_nothing():
         assert clip_field(f, E).curves == ()
 
 
+def test_a_chord_through_three_boundary_points_keeps_its_trace():
+    # from the outer ring's corner to one hole's vertex, touching the
+    # other hole's vertex halfway: its ends and its midpoint lie on the
+    # boundary, yet it runs through the interior
+    holes = [[(0, 0), (0.5, -0.5), (0.6, -0.1)], [(1, 1), (1.5, 0.5), (2, 1)]]
+    E = PolyRegion([(-1, -1), (3, -1), (3, 3), (-1, 3)], holes)
+    f = CurveField([PolyCurve([(-1, -1), (1, 1)], 1.0)])
+    assert normal_trace(f, E).atoms == (((-1.0, -1.0), 1.0), ((1.0, 1.0), -1.0))
+    assert clip_field(f, E).curves == f.curves
+
+
 def test_large_box_trace_keeps_the_exit_atom():
     # the crossing point's rounding, about 1e-11, once exceeded an
     # absolute tolerance of 1e-12

@@ -6,15 +6,19 @@ unit scale, scaled up and translated far from the origin. The scalar
 predicates' edge-box filter must give the full scan's answers. The
 even-odd pass over a region's whole edge table must give the per-ring
 rule it replaced, and a region whose holes break that rule's premise
-is rejected."""
+is rejected. A domain's one pass over all its parts' rings must give
+the per-part rule it replaced, at the domain's one length tolerance, and
+its trace the per-part sum."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
+    AtomicMeasure,
+    CurveField,
     DegenerateGeometry,
     PolyCurve,
     PolyRegion,
@@ -23,11 +27,18 @@ from dmfields import (
     complement_region,
     domain,
     domain_preset,
+    domain_trace,
     half_plane,
     regions,
 )
 from dmfields.domain import segment_in_domain, segments_in_domain
-from dmfields.regions import EPS, _pieces, _seg_intersections, hit_candidates
+from dmfields.regions import (
+    EPS,
+    _pieces,
+    _seg_intersections,
+    hit_candidates,
+    normal_trace,
+)
 
 HOLED = PolygonalDomain(
     PolyRegion(
@@ -360,7 +371,7 @@ MEMBERSHIP_DOMAINS = [*FILTER_DOMAINS[:6], HOLED]
 
 
 @st.composite
-def membership_case(draw):
+def membership_case(draw, bases=MEMBERSHIP_DOMAINS):
     """A preset, a complement or the two-hole region, turned by a
     multiple of a quarter, scaled by 2^k (k in -10..6) and translated by
     up to 1e8, and points: on lines of a grid over its box, on or within
@@ -371,11 +382,11 @@ def membership_case(draw):
         st.just((0.0, 0.0)) | st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
     )
     scale = 2.0 ** draw(st.integers(-10, 6))
-    base = draw(st.sampled_from(MEMBERSHIP_DOMAINS))
+    base = draw(st.sampled_from(bases))
     d = _moved(base, scale, shift, draw(st.integers(0, 3)))
     x0, y0, x1, y1 = d.bbox()
     w, h = x1 - x0, y1 - y0
-    rings = [r for part in d.parts for r in part.rings()]
+    rings = d.rings()
 
     def point():
         kind = draw(st.sampled_from(["grid", "edge", "ring", "free"]))
@@ -422,3 +433,144 @@ MALFORMED_HOLES = {
 def test_malformed_holes_are_rejected(name):
     with pytest.raises(ValueError, match="hole"):
         PolyRegion(OUTER, MALFORMED_HOLES[name])
+
+
+# ---------------------------------------------------------------------------
+# domains: the even-odd pass over all parts' rings against the per-part
+# rule it replaced
+
+
+def _old_domain_parts(d):
+    """The domain's parts, each measuring lengths at the domain's one
+    tolerance: `tol` is a cached property, so the instance's own entry
+    stands in for it."""
+    parts = [PolyRegion(part.outer, part.holes) for part in d.parts]
+    for part in parts:
+        part.__dict__["tol"] = d.tol
+    return parts
+
+
+def _old_domain_on_boundary(parts, p):
+    return any(part.on_boundary(p) for part in parts)
+
+
+def _old_domain_contains(parts, p):
+    return any(part.contains(p) for part in parts)
+
+
+def _old_domain_classify(parts, p):
+    if _old_domain_on_boundary(parts, p):
+        return 0
+    return 1 if _old_domain_contains(parts, p) else -1
+
+
+def _old_domain_contains_many(parts, P):
+    out = np.zeros(len(P), dtype=bool)
+    for part in parts:
+        out |= part.contains_many(P)
+    return out
+
+
+def _old_domain_trace(f, parts):
+    total = AtomicMeasure()
+    for part in parts:
+        total = total + normal_trace(f, part)
+    return total
+
+
+TWO_PARTS = PolygonalDomain(
+    (box_region(0, 0, 1, 1), PolyRegion([(2, 0), (3, 0.5), (2.5, 1.5)]))
+)
+# a frame, its hole, and an island in the hole
+NESTED = PolygonalDomain(
+    (
+        PolyRegion([(-1, -1), (5, -1), (5, 4), (-1, 4)], [OUTER]),
+        PolyRegion([(1, 1), (3, 0.5), (3.5, 2.5), (1.5, 2)]),
+    )
+)
+# the four presets, both complements, and the two domains above
+DOMAIN_RULE_DOMAINS = [*FILTER_DOMAINS[:6], TWO_PARTS, NESTED]
+
+
+@given(membership_case(DOMAIN_RULE_DOMAINS))
+@settings(max_examples=200, deadline=None)
+def test_domain_membership_equals_the_per_part_rule(case):
+    d, pts = case
+    parts = _old_domain_parts(d)
+    P = np.array(pts, dtype=float)
+    want = [_old_domain_classify(parts, p) for p in pts]
+    assert [d.classify(p) for p in pts] == want
+    assert [d.contains(p) for p in pts] == [c == 1 for c in want]
+    assert [d.on_boundary(p) for p in pts] == [c == 0 for c in want]
+    assert d.contains_many(P).tolist() == _old_domain_contains_many(parts, P).tolist()
+    assert d.on_boundary_many(P).tolist() == [c == 0 for c in want]
+
+
+def _trace_or_error(trace, f, E):
+    try:
+        return trace(f, E).atoms
+    except DegenerateGeometry:
+        return DegenerateGeometry
+
+
+@st.composite
+def domain_and_field(draw):
+    """A case of `membership_case` over `DOMAIN_RULE_DOMAINS`, its points
+    strung into one to four polylines of dyadic weights."""
+    d, pts = draw(membership_case(DOMAIN_RULE_DOMAINS))
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=5))
+        curves.append(PolyCurve([pts[i] for i in k], 2.0 ** draw(st.integers(-3, 3))))
+    return d, CurveField(curves)
+
+
+@given(domain_and_field())
+# from the frame's corner through its hole's vertex to the island's: its
+# ends and midpoint lie on the boundary, yet it is no boundary curve
+@example((NESTED, CurveField([PolyCurve([(-1, -1), (1, 1)], 1.0)])))
+@settings(max_examples=200, deadline=None)
+def test_domain_trace_equals_the_per_part_sum(case):
+    d, f = case
+    want = _trace_or_error(_old_domain_trace, f, _old_domain_parts(d))
+    assert _trace_or_error(domain_trace, f, d) == want
+
+
+BAND_OFFSETS = [
+    s * o for s in (1, -1) for o in (0.2, 0.5, 0.8, 1, 1.5, 2, 2.5, 3, 4, 5)
+]
+
+
+def _left_of(a, b, o):
+    """The point o 1e-12 to the left of edge (a, b)'s midpoint."""
+    L = _length(a, b)
+    return (
+        (a[0] + b[0]) / 2 + o * 1e-12 * (a[1] - b[1]) / L,
+        (a[1] + b[1]) / 2 + o * 1e-12 * (b[0] - a[0]) / L,
+    )
+
+
+def test_the_island_band_follows_the_domain_tolerance():
+    # the annulus complement's island measured lengths at its own 1e-12;
+    # the domain measures at 3e-12. Probes 0.2-5e-12 off every edge's
+    # midpoint, both sides: only those 1e-12 to 3e-12 off the island's
+    # edges answer differently from each part at its own tolerance
+    comp = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
+    frame, island = comp.parts
+    assert (comp.tol, frame.tol, island.tol) == (3e-12, 3e-12, 1e-12)
+    moved_boundary, moved_contains = [], []
+    for k, part in enumerate(comp.parts):
+        for a, b in part.boundary_edges():
+            for o in BAND_OFFSETS:
+                p = _left_of(a, b, o)
+                if comp.on_boundary(p) != any(q.on_boundary(p) for q in comp.parts):
+                    moved_boundary.append((k, o))
+                if comp.contains(p) != any(q.contains(p) for q in comp.parts):
+                    moved_contains.append((k, o))
+    moved = moved_boundary + moved_contains
+    assert {k for k, _ in moved} == {1}
+    assert all(1.0 <= abs(o) <= 3.0 for _, o in moved)
+    assert (len(moved_boundary), len(moved_contains)) == (276, 136)
+    # inside the island, 1.5e-12 off an edge: now a boundary point
+    p = _left_of(*island.boundary_edges()[0], 1.5)
+    assert island.classify(p) == 1 and comp.classify(p) == 0

@@ -1,6 +1,8 @@
 """The benchmark's traced run (`perfbench/run.py --trace 1`) patches
 dmfields' functions and methods by name from outside. A rename in
-dmfields would break that run without failing any other test."""
+dmfields would break that run without failing any other test, and so
+would a move that leaves a patched method's count meaning something
+else."""
 
 import sys
 from functools import partial
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import dmfields
+from dmfields.regions import box_region
 from dmfields.smirnov import GridField, rotation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -51,3 +54,17 @@ def test_traced_sample_counts_follow_the_rk4_stages():
         t.uninstall()
     assert t.counts["smirnov.sample"] == 4 * steps
     assert t.counts["smirnov.sample.points"] == 4 * N * steps
+
+
+def test_a_domain_query_counts_once_through_the_inherited_predicates():
+    # a domain is one region over its parts' rings: one membership query
+    # is one `contains` and one `on_boundary`, whichever part holds the point
+    d = dmfields.PolygonalDomain((box_region(0, 0, 1, 1), box_region(2, 0, 3, 1)))
+    t = Tracer()
+    try:
+        t.install()
+        assert d.contains((2.5, 0.5))
+    finally:
+        t.uninstall()
+    assert t.counts["regions.contains.other"] == 1
+    assert t.counts["regions.on_boundary.other"] == 1

@@ -208,6 +208,25 @@ def test_extend_divfree_punctures_lie_on_the_exterior_net():
     assert div.locations() == sorted(punctures)
 
 
+@given(st.integers(-60, 0))
+@example(-30)
+@settings(max_examples=30, deadline=None)
+def test_extend_divfree_keeps_the_punctures_of_small_fields(k):
+    """The chord of weight 2^k, extended with its punctures kept, leaves
+    the punctures of the chord of weight 1 and its residual divergence
+    scaled by 2^k, however small the weight."""
+
+    def extend(w):
+        f = CurveField([PolyCurve(FLUX_CURVES["balanced"], w)])
+        cfg_out = _square_complement_cfg()
+        g, punctures = extend_divfree(f, SQUARE, cfg_out, connected_complement=False)
+        return punctures, field_divergence(g).atoms
+
+    s, (punctures, div) = 2.0**k, extend(1.0)
+    assert len(punctures) == 2
+    assert extend(s) == (punctures, tuple((p, s * c) for p, c in div))
+
+
 def test_lift_configs_stay_equal_once_one_caches_its_separation():
     a, b = lift_config(SQUARE, 0.02), lift_config(SQUARE, 0.02)
     a.sep()
