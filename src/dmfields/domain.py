@@ -19,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,11 +54,12 @@ class PolygonalDomain(PolyRegion):
     through the open domain by a curve of length <= |p-q|/eps.
 
     It is the `PolyRegion` over all its parts' rings, in part order, at
-    one length tolerance. The even-odd rule gives the union because each
-    part's first outer vertex must classify strictly outside every other
-    part, else ValueError: an island in another part's hole passes, a
-    nested or overlapping part does not. A domain among the parts gives
-    its own parts. `outer` and `holes` stay empty; `rings()` has them all."""
+    one length tolerance. The even-odd rule gives the union because the
+    parts must lie outside one another (`_apart`), else ValueError: an
+    island in another part's hole passes; nested, crossing and touching
+    parts do not. A domain among the parts gives its own parts. `outer`
+    and `holes` stay empty (`fileio.region_to_json` refuses a domain);
+    `rings()` has them all."""
 
     parts: tuple[PolyRegion, ...] = ()
     declared_eps: float | None = None
@@ -79,10 +81,10 @@ class PolygonalDomain(PolyRegion):
             raise ValueError("declared_eps must lie in (0, 1]")
         if declared_delta is not None and not 0.0 < declared_delta < math.inf:
             raise ValueError("declared_delta must lie in (0, inf)")
-        for i, part in enumerate(parts):
-            others = parts[:i] + parts[i + 1 :]
-            if any(q.classify(part.outer[0]) != -1 for q in others):
-                raise ValueError(f"part {i} must lie outside the other parts")
+        tol = max(part.tol for part in parts)
+        for i, j in combinations(range(len(parts)), 2):
+            if not _apart(parts[i], parts[j], tol):
+                raise ValueError(f"part {j} must lie outside the other parts")
         object.__setattr__(self, "outer", ())
         object.__setattr__(self, "holes", ())
         object.__setattr__(self, "parts", parts)
@@ -94,6 +96,23 @@ class PolygonalDomain(PolyRegion):
 
     def with_constants(self, eps: float, delta: float) -> "PolygonalDomain":
         return PolygonalDomain(self.parts, eps, delta)
+
+
+def _apart(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
+    """Whether r and s lie outside one another: each one's first outer
+    vertex classifies strictly outside the other, and no edge of r meets
+    one of s within tol (a collinear overlap counts; only the
+    `hit_candidates` pairs can meet)."""
+    if r.classify(s.outer[0]) != -1 or s.classify(r.outer[0]) != -1:
+        return False
+    A, E, F = r.edge_array, r.boundary_edges(), s.boundary_edges()
+    for i, j in zip(*hit_candidates(A[:, :2], A[:, 2:], s.edge_array, tol)):
+        try:
+            if _seg_intersections(*E[i], *F[j], tol):
+                return False
+        except DegenerateGeometry:
+            return False
+    return True
 
 
 def _edge_blocks(

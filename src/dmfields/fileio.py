@@ -92,6 +92,10 @@ def measure_from_json(d: dict) -> AtomicMeasure:
 
 
 def region_to_json(r: PolyRegion) -> dict:
+    """One region's rings; TypeError for a domain, whose `outer` and
+    `holes` are empty (it writes with `domain_to_json`)."""
+    if isinstance(r, PolygonalDomain):
+        raise TypeError("a domain writes with domain_to_json")
     return {
         "outer": [list(v) for v in r.outer],
         "holes": [[list(v) for v in h] for h in r.holes],

@@ -422,48 +422,29 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> li
     return []
 
 
-def _curve_on_boundary(c: PolyCurve, E: PolyRegion) -> bool:
-    """Whether c rides the boundary: its vertices and midpoints lie on
-    it, and each segment is covered, up to `E.tol` at its ends, by the
-    edges whose both ends lie within tol of its line. Boundary points at
-    a segment's ends and middle alone do not put it on the boundary."""
-    pts = list(c.vertices)
-    mids = [
-        ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in c.segments()
-    ]
-    if not all(E.on_boundary(p) for p in pts + mids):
-        return False
-    tol, E4 = E.tol, E.edge_array
-    for a, b in c.segments():
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        L, reach = math.sqrt(dx * dx + dy * dy), 0.0
-        if L * L == 0.0:
-            continue  # a point, on the boundary as checked
-        # both ends of every edge: position along the segment, offset off it
-        px, py = E4[:, 0::2] - a[0], E4[:, 1::2] - a[1]
-        t = (px * dx + py * dy) / L
-        along = (np.abs(px * dy - py * dx) <= tol * L).all(axis=1)
-        for lo, hi in sorted(zip(t[along].min(axis=1), t[along].max(axis=1))):
-            if lo <= reach + tol:
-                reach = max(reach, hi)
-        if reach < L - tol:
-            return False
-    return True
-
-
 def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     """Split the curve at every boundary intersection and classify each
     resulting piece by its midpoint: (t0, t1, +1 inside / -1 outside) in
     global parameter. A cut within `E.tol` of the last one kept is merged
-    into it. A curve lying on the boundary has no pieces. Raises
-    DimensionMismatch for a curve off the plane, and DegenerateGeometry
-    for overlaps, ambiguous pieces and interior vertices sitting on the
-    boundary. Each curve segment meets only the edges `near_edges` keeps
-    for it: the others cannot cut it or raise."""
+    into it. Raises DimensionMismatch for a curve off the plane, and
+    DegenerateGeometry for overlaps, ambiguous pieces and interior
+    vertices sitting on the boundary, unless the curve rides the
+    boundary: all its vertices and segment midpoints lie on it. Such a
+    curve has no pieces. A curve that splits cleanly does not ride it,
+    whatever points it shares with it. Each curve segment meets only the
+    edges `near_edges` keeps for it: the others cannot cut it or raise."""
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
-    if _curve_on_boundary(c, E):
-        return []
+    try:
+        return _split(c, E)
+    except DegenerateGeometry:
+        mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in c.segments()]
+        if all(E.on_boundary(p) for p in [*c.vertices, *mids]):
+            return []
+        raise
+
+
+def _split(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     boxes, tol = E.edge_boxes, E.tol
     for v in c.vertices[1:-1]:
         if E.on_boundary(v):

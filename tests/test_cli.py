@@ -264,8 +264,14 @@ def test_missing_file_exits_1(files):
         [[[0, 0], [2, 0], [2, 2], [0, 2]], [[1, 1], [3, 1], [3, 3], [1, 3]]],
         [[[0, 0], [4, 0], [4, 4], [0, 4]], [[1, 1], [2, 1], [2, 2], [1, 2]]],
         [[[0, 0], [2, 0], [2, 2], [0, 2]], [[2, 1], [3, 0], [3, 2]]],
+        [[[0, 1], [3, 1], [3, 2], [0, 2]], [[1, 0], [2, 0], [2, 3], [1, 3]]],
     ],
-    ids=["overlapping", "inside-another", "first-vertex-on-another-boundary"],
+    ids=[
+        "overlapping",
+        "inside-another",
+        "first-vertex-on-another-boundary",
+        "crossing",
+    ],
 )
 def test_trace_on_parts_not_outside_one_another_exits_1(files, parts, capsys):
     region = files["write"](

@@ -128,6 +128,9 @@ MALFORMED_PARTS = {
         box_region(0, 0, 2, 2),
         PolyRegion([(2, 1), (3, 0), (3, 2)]),
     ],
+    # neither first vertex lies in the other part
+    "crossing": [box_region(0, 1, 3, 2), box_region(1, 0, 2, 3)],
+    "touching": [box_region(0, 0, 1, 1), PolyRegion([(2, 0), (2, 1), (1, 0.5)])],
 }
 
 

@@ -56,6 +56,14 @@ def test_region_and_domain_roundtrip():
     assert back_d.declared_delta == 0.4
 
 
+def test_a_domain_does_not_write_as_a_region():
+    # a domain is a PolyRegion whose rings are its parts'; its empty
+    # `outer` and `holes` must not write as an empty region
+    d = PolygonalDomain(box_region(0, 0, 1, 1))
+    with pytest.raises(TypeError, match="domain_to_json"):
+        fileio.region_to_json(d)
+
+
 def test_bare_region_reads_as_domain():
     payload = fileio.region_to_json(box_region(0, 0, 1, 1))
     d = fileio.domain_from_json(payload)

@@ -154,6 +154,29 @@ def test_curve_on_boundary_contributes_nothing():
         assert clip_field(f, E).curves == ()
 
 
+@pytest.mark.parametrize(
+    "E, vertices",
+    [
+        # a tilt of 1e-7 along a 1e6-long edge, within tol of its line
+        (half_plane((0.0, 1.0), 0.0), [(0.0, 0.0), (1.0, 1e-7)]),
+        # a 1e-6-long segment tilted by 5e-7 against a unit edge
+        (UNIT, [(0.5, 0.0), (0.500001, 5e-13)]),
+        # a 1e-6-long edge tilted by 1e-7 under a unit segment
+        (
+            PolyRegion([(0, 0), (0.5, 0), (0.500001, 1e-13), (1, 0), (1, 1), (0, 1)]),
+            [(0.0, 0.0), (1.0, 0.0)],
+        ),
+    ],
+    ids=["tilted-on-half-plane", "short-tilted-segment", "short-tilted-edge"],
+)
+def test_curve_within_tol_of_the_boundary_contributes_nothing(E, vertices):
+    # a curve within tol of the boundary all along rides it, however its
+    # segments tilt against long edges or short ones
+    f = CurveField([PolyCurve(vertices, 1.0)])
+    assert normal_trace(f, E).atoms == ()
+    assert clip_field(f, E).curves == ()
+
+
 def test_a_chord_through_three_boundary_points_keeps_its_trace():
     # from the outer ring's corner to one hole's vertex, touching the
     # other hole's vertex halfway: its ends and its midpoint lie on the
