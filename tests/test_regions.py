@@ -146,35 +146,22 @@ def test_collinear_overlap_is_an_error():
 
 def test_curve_on_boundary_contributes_nothing():
     # the whole curve rides the boundary: no trace, no pairing, also on
-    # the half-plane, whose scale is 1e6
-    f = CurveField([PolyCurve([(0.0, 0.0), (1.0, 0.0)], 1.0)])
-    for E in (UNIT, half_plane((0.0, 1.0), 0.0)):
+    # the half-plane, whose scale is 1e6, and where a segment tilts by
+    # less than tol against a long edge, or a short edge against it
+    kinked = PolyRegion([(0, 0), (0.5, 0), (0.500001, 1e-13), (1, 0), (1, 1), (0, 1)])
+    H = half_plane((0.0, 1.0), 0.0)
+    cases = [
+        (UNIT, [(0.0, 0.0), (1.0, 0.0)]),
+        (H, [(0.0, 0.0), (1.0, 0.0)]),
+        (H, [(0.0, 0.0), (1.0, 1e-7)]),
+        (UNIT, [(0.5, 0.0), (0.500001, 5e-13)]),
+        (kinked, [(0.0, 0.0), (1.0, 0.0)]),
+    ]
+    for E, vertices in cases:
+        f = CurveField([PolyCurve(vertices, 1.0)])
         assert normal_trace(f, E).atoms == ()
         assert pairing_over_set(f, Linear((1.0, 0.0)), E) == 0.0
         assert clip_field(f, E).curves == ()
-
-
-@pytest.mark.parametrize(
-    "E, vertices",
-    [
-        # a tilt of 1e-7 along a 1e6-long edge, within tol of its line
-        (half_plane((0.0, 1.0), 0.0), [(0.0, 0.0), (1.0, 1e-7)]),
-        # a 1e-6-long segment tilted by 5e-7 against a unit edge
-        (UNIT, [(0.5, 0.0), (0.500001, 5e-13)]),
-        # a 1e-6-long edge tilted by 1e-7 under a unit segment
-        (
-            PolyRegion([(0, 0), (0.5, 0), (0.500001, 1e-13), (1, 0), (1, 1), (0, 1)]),
-            [(0.0, 0.0), (1.0, 0.0)],
-        ),
-    ],
-    ids=["tilted-on-half-plane", "short-tilted-segment", "short-tilted-edge"],
-)
-def test_curve_within_tol_of_the_boundary_contributes_nothing(E, vertices):
-    # a curve within tol of the boundary all along rides it, however its
-    # segments tilt against long edges or short ones
-    f = CurveField([PolyCurve(vertices, 1.0)])
-    assert normal_trace(f, E).atoms == ()
-    assert clip_field(f, E).curves == ()
 
 
 def test_a_chord_through_three_boundary_points_keeps_its_trace():
