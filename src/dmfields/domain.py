@@ -40,6 +40,7 @@ from .regions import (
     EPS,
     MAX_COORD,
     PolyRegion,
+    _apart,
     _seg_intersections,
     box_region,
     hit_candidates,
@@ -96,23 +97,6 @@ class PolygonalDomain(PolyRegion):
 
     def with_constants(self, eps: float, delta: float) -> "PolygonalDomain":
         return PolygonalDomain(self.parts, eps, delta)
-
-
-def _apart(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
-    """Whether r and s lie outside one another: each one's first outer
-    vertex classifies strictly outside the other, and no edge of r meets
-    one of s within tol (a collinear overlap counts; only the
-    `hit_candidates` pairs can meet)."""
-    if r.classify(s.outer[0]) != -1 or s.classify(r.outer[0]) != -1:
-        return False
-    A, E, F = r.edge_array, r.boundary_edges(), s.boundary_edges()
-    for i, j in zip(*hit_candidates(A[:, :2], A[:, 2:], s.edge_array, tol)):
-        try:
-            if _seg_intersections(*E[i], *F[j], tol):
-                return False
-        except DegenerateGeometry:
-            return False
-    return True
 
 
 def _edge_blocks(

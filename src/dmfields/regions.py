@@ -12,7 +12,8 @@ and one membership rule: off the boundary, a point is inside when a ray
 from it crosses the whole table, all rings at once, an odd number of
 times. That is "in the outer ring and in no hole", and for a domain "in
 one of its parts", because every hole must lie inside the outer ring
-and outside the other holes, and every part outside the other parts.
+and outside the other holes, every part outside the other parts, and
+no two rings may meet (`_rings_meet`).
 
 One tolerance policy: lengths compare at `EPS` times the table's scale,
 its largest |coordinate| (`PolyRegion.tol`, one per region or domain);
@@ -227,7 +228,8 @@ class PolyRegion:
     normalized to counterclockwise orientation and holes to clockwise.
     Membership is the module's even-odd rule, so each hole's first vertex
     must classify strictly inside the outer ring and strictly outside
-    every other hole, else ValueError. Crossing rings are not supported.
+    every other hole, and no hole's edges may meet the outer ring's or
+    another hole's within `tol` (`_rings_meet`), else ValueError.
     """
 
     outer: tuple[Point, ...]
@@ -263,10 +265,11 @@ class PolyRegion:
         if self.holes:
             outer, rings = PolyRegion(self.outer), [PolyRegion(h) for h in self.holes]
             for i, h in enumerate(self.holes):
-                sides = [r.classify(h[0]) for r in rings[:i] + rings[i + 1 :]]
-                if outer.classify(h[0]) != 1 or any(c != -1 for c in sides):
+                apart = [r.classify(h[0]) == -1 for r in rings[:i] + rings[i + 1 :]]
+                met = (_rings_meet(r, rings[i], self.tol) for r in [outer] + rings[:i])
+                if outer.classify(h[0]) != 1 or not all(apart) or any(met):
                     msg = "must lie inside the outer ring and outside the other holes"
-                    raise ValueError(f"hole {i} {msg}")
+                    raise ValueError(f"hole {i} {msg}, meeting no ring")
 
     def rings(self) -> list[tuple[Point, ...]]:
         return [self.outer, *self.holes]
@@ -420,6 +423,28 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> li
     if -tol_t <= t <= 1.0 + tol_t and -tol_u <= u <= 1.0 + tol_u:
         return [min(max(t, 0.0), 1.0)]
     return []
+
+
+def _rings_meet(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
+    """Whether an edge of r meets one of s within tol (a collinear
+    overlap counts; only the `hit_candidates` pairs can meet)."""
+    A, E, F = r.edge_array, r.boundary_edges(), s.boundary_edges()
+    for i, j in zip(*hit_candidates(A[:, :2], A[:, 2:], s.edge_array, tol)):
+        try:
+            if _seg_intersections(*E[i], *F[j], tol):
+                return True
+        except DegenerateGeometry:
+            return True
+    return False
+
+
+def _apart(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
+    """Whether r and s lie outside one another: each one's first outer
+    vertex classifies strictly outside the other, and their rings do not
+    meet within tol."""
+    if r.classify(s.outer[0]) != -1 or s.classify(r.outer[0]) != -1:
+        return False
+    return not _rings_meet(r, s, tol)
 
 
 def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:

@@ -31,8 +31,9 @@ one RK4 step, `_rk4`, only adds and scales what its sigma returns, so it
 steps numpy arrays and Python floats alike. Particle clouds
 (`reconstruct_check`) keep x and y as two 1-D arrays and read sigma
 through the batched `GridField._sample`; single flow curves
-(`flow_trace`, `transport_invariant`) read it through `_trajectory`'s
-stencil on Python floats, about 20 times faster for one point. Both
+(`flow_trace`, `transport_invariant`) read it through
+`_point_sampler`'s stencil on Python floats, about 50 times faster for
+one point; its per-call memo reads only the cells a curve visits. Both
 samplers share the stencil, corner order and arithmetic, so IEEE
 arithmetic gives them the same bits; tests pin them equal bit for bit.
 A cloud of N particles is stepped in min(CPUs, N // 5,000) contiguous
@@ -572,37 +573,52 @@ def _steps(T: float, dt: float) -> int:
     return round(T / dt)
 
 
+def _point_sampler(gf: GridField):
+    """sigma at one point of Python floats, LeftGrid off the grid:
+    `_sample`'s stencil, corner order and sums, so `_sample`'s bits. A
+    cell's 8 corner values, sigx's then sigy's, are read on its first
+    visit and kept in the sampler, so a flow reads only its own cells."""
+    nx, ny = gf.shape
+    (ox, oy), h, floor = gf.origin, gf.h, math.floor
+    ux, uy, ix, iy = nx - 1, ny - 1, nx - 2, ny - 2
+    cells = {}
+
+    def sigma(x, y):
+        u, v = (x - ox) / h, (y - oy) / h
+        if not (0 <= u <= ux and 0 <= v <= uy):
+            raise LeftGrid("point outside the sampled grid")
+        # u, v >= 0 here (NaN failed the test) and -0.0 floors to 0, so
+        # floor(u), floor(v) >= 0: the cell is clamped from above only
+        i, j = floor(u), floor(v)
+        if i > ix:
+            i = ix
+        if j > iy:
+            j = iy
+        if (c := cells.get(k := i * ny + j)) is None:
+            sx, sy = gf.sigx[i : i + 2, j : j + 2], gf.sigy[i : i + 2, j : j + 2]
+            c = cells[k] = sx.T.ravel().tolist() + sy.T.ravel().tolist()
+        s0, s1, s2, s3, t0, t1, t2, t3 = c
+        du, dv = u - i, v - j
+        cu, cv = 1 - du, 1 - dv
+        return (
+            s0 * cu * cv + s1 * du * cv + s2 * cu * dv + s3 * du * dv,
+            t0 * cu * cv + t1 * du * cv + t2 * cu * dv + t3 * du * dv,
+        )
+
+    return sigma
+
+
 def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
     """The n + 1 points of the fixed-step RK4 flow of x' = sigma(x) from
-    the seed, n = `_steps(T, dt)`. One point is stepped by `_rk4` on
-    Python floats, sigma read with `_sample`'s arithmetic, `_cell`'s
-    stencil and its corners summed in `_sample`'s order, so every point
-    has the bits a particle cloud's step gives it. DimensionMismatch
+    the seed, n = `_steps(T, dt)`: `_rk4` on Python floats, sigma read by
+    a `_point_sampler` whose cell memo lives for this call, so every
+    point has the bits a particle cloud's step gives it. DimensionMismatch
     unless the seed has two coordinates; LeftGrid when the seed, a stage
     or the final point leaves the grid; the seed is checked before T and
     dt."""
     if len(seed) != 2:
         raise DimensionMismatch(f"a flow needs a planar seed, not {len(seed)}-D")
-    nx, ny = gf.shape
-    ox, oy = gf.origin
-    h = gf.h
-    sx, sy = gf.sigx.ravel().tolist(), gf.sigy.ravel().tolist()
-
-    def sigma(x, y):
-        u, v = (x - ox) / h, (y - oy) / h
-        if not (0 <= u <= nx - 1 and 0 <= v <= ny - 1):
-            raise LeftGrid("point outside the sampled grid")
-        i = min(max(math.floor(u), 0), nx - 2)
-        j = min(max(math.floor(v), 0), ny - 2)
-        du, dv = u - i, v - j
-        cu, cv = 1 - du, 1 - dv
-        k = i * ny + j
-        a, b, c = k + ny, k + 1, k + ny + 1
-        return (
-            sx[k] * cu * cv + sx[a] * du * cv + sx[b] * cu * dv + sx[c] * du * dv,
-            sy[k] * cu * cv + sy[a] * du * cv + sy[b] * cu * dv + sy[c] * du * dv,
-        )
-
+    sigma = _point_sampler(gf)
     x, y = float(seed[0]), float(seed[1])
     sigma(x, y)  # LeftGrid if the seed is outside
     n = _steps(T, dt)
@@ -796,7 +812,4 @@ def transport_invariant(
     # math.log, because np.log may differ from it by an ulp
     acc = np.cumsum(0.5 * (div[:-1] + div[1:]) * dt)
     log0, *logs = map(math.log, tau.tolist())
-    worst = 0.0
-    for lg, a in zip(logs, acc.tolist()):
-        worst = max(worst, abs(lg - log0 + a))
-    return worst
+    return max(abs(lg - log0 + a) for lg, a in zip(logs, acc.tolist()))

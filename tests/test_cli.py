@@ -233,8 +233,10 @@ def test_non_finite_numbers_are_invalid_input(files, capsys, verb, number):
     [
         [[[5, 1], [6, 1], [6, 2]]],
         [[[0.5, 0.5], [3.5, 0.5], [3.5, 2.5], [0.5, 2.5]], [[1, 1], [2, 1], [2, 2], [1, 2]]],
+        # a plus sign; neither first vertex lies in the other hole
+        [[[0.5, 1.5], [3, 1.5], [3, 1], [0.5, 1]], [[1.5, 2.5], [2, 2.5], [2, 0.5], [1.5, 0.5]]],
     ],
-    ids=["outside", "nested"],
+    ids=["outside", "nested", "crossing"],
 )
 def test_malformed_holes_are_invalid_input(files, capsys, holes):
     region = files["write"](

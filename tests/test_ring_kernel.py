@@ -426,6 +426,11 @@ MALFORMED_HOLES = {
     "nesting": [INNER, AROUND],
     # clockwise as given, so (0, 1) stays the first vertex
     "first-vertex-on-the-outer-ring": [[(0, 1), (1, 2), (1, 1)]],
+    # the rest pass the first-vertex tests: only their edges meet
+    "touching-the-outer-ring": [[(1, 1), (0, 1.5), (1, 2)]],
+    # a plus sign, which the even-odd rule read as inside where they cross
+    "crossing": [box_region(0.5, 1, 3, 1.5).outer, box_region(1.5, 0.5, 2, 2.5).outer],
+    "touching": [INNER[::-1], [(2.5, 1), (2, 2), (3, 2)]],
 }
 
 

@@ -1008,6 +1008,44 @@ def _coord(n):
     )
 
 
+def _axis(o, n):
+    """Coordinates along one axis of SMALL_GRID, origin o and n lines:
+    `_coord`'s draws placed on the grid, the floats just beyond either
+    end of it, and NaN."""
+    h = SMALL_GRID.h
+    ends = [math.nextafter(o, -math.inf), math.nextafter(o + (n - 1) * h, math.inf)]
+    return st.one_of(
+        _coord(n).map(lambda u: o + u * h), st.sampled_from([*ends, math.nan])
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(_axis(SMALL_GRID.origin[0], _NX), _axis(SMALL_GRID.origin[1], _NY)),
+        min_size=1,
+        max_size=40,
+    )
+)
+# the last grid point, whose cell is clamped to the last one, then a
+# point inside that cell
+@example([(0.0, 0.625), (-0.0625, 0.5625)])
+@settings(max_examples=300, deadline=None)
+def test_point_sampler_equals_sample_bit_for_bit(xy):
+    gf = SMALL_GRID
+    sigma = smirnov._point_sampler(gf)
+    # twice over: each cell is read again from the memo after its first read
+    for x, y in xy + xy:
+        try:
+            (sx, sy), _ = gf._sample(np.array([x]), np.array([y]), (gf.sigx, gf.sigy))
+        except LeftGrid:
+            with pytest.raises(LeftGrid):
+                sigma(x, y)
+            continue
+        got = sigma(x, y)
+        assert all(type(c) is float for c in got)
+        assert _bits(got) == _bits([sx[0], sy[0]])
+
+
 @given(
     st.lists(
         st.tuples(_coord(_NX), _coord(_NY), st.booleans()), min_size=1, max_size=40
@@ -1060,16 +1098,6 @@ def test_sample_equals_the_old_bilinear_on_a_mollified_grid(ring_grid, xy):
     assert _bits(sx) == _bits(want)
 
 
-def test_flow_trace_equals_the_old_rk4(ring_grid):
-    c = flow_trace(ring_grid, (1.0, 0.0), T=1.0, dt=1e-3)
-    x = np.array([[1.0, 0.0]])
-    want = [(1.0, 0.0)]
-    for _ in range(1000):
-        x = _old_rk4_step(ring_grid, x, 1e-3)
-        want.append((float(x[0, 0]), float(x[0, 1])))
-    assert c.vertices == tuple(want)
-
-
 @pytest.fixture(scope="module")
 def grids(ring_grid):
     """The ring grid, and AC-9's loops at both of its resolutions."""
@@ -1095,22 +1123,33 @@ def test_mollify_equals_fftconvolve_on_ac9_loops(monkeypatch, grids, key):
         assert _bits(getattr(grids[key], name)) == _bits(getattr(want, name))
 
 
+# AC-9's drift checks, at T = 0.25
+AC9_FLOWS = [
+    pytest.param((i, h), f.curves[0].point_at(0.5), 0.25, dt, id=f"ac9-{i}-{h}")
+    for i, f in enumerate(AC9_LOOPS)
+    for h, dt in ((0.02, 1e-3), (0.01, 5e-4))
+]
+
+
+def test_flow_trace_equals_the_old_rk4(grids):
+    # the ring at T = 1, then AC-9's six grids
+    cases = [("ring", (1.0, 0.0), 1.0, 1e-3)] + [p.values for p in AC9_FLOWS]
+    for grid, seed, T, dt in cases:
+        got = flow_trace(grids[grid], seed, T=T, dt=dt).vertices
+        assert _bits(got) == _bits(_old_flow(grids[grid], seed, T, dt)), grid
+
+
 @pytest.mark.parametrize(
     "grid, seed, T, dt",
     [
         pytest.param("ring", (1.0, 0.0), 0.5, 1e-3, id="seed0-0.5-0.001"),
         pytest.param("ring", (0.0, -0.9), 0.3, 2e-3, id="seed1-0.3-0.002"),
     ]
-    + [
-        # AC-9's drift checks, at T = 0.25
-        pytest.param((i, h), f.curves[0].point_at(0.5), 0.25, dt, id=f"ac9-{i}-{h}")
-        for i, f in enumerate(AC9_LOOPS)
-        for h, dt in ((0.02, 1e-3), (0.01, 5e-4))
-    ],
+    + AC9_FLOWS,
 )
 def test_transport_invariant_equals_the_old_rk4(grids, grid, seed, T, dt):
     got = transport_invariant(grids[grid], seed, T=T, dt=dt)
-    assert got == _old_transport_invariant(grids[grid], seed, T, dt)
+    assert _bits(got) == _bits(_old_transport_invariant(grids[grid], seed, T, dt))
 
 
 # sigma = (3x, 0) on [0, 16] x [0, 1], exactly bilinear: the flow from
@@ -1179,7 +1218,8 @@ def test_scalar_stepper_equals_the_old_rk4(gf, data, T, dt):
     assert _bits(smirnov._trajectory(gf, seed, T, dt)) == _bits(want)
     got = flow_trace(gf, seed, T=T, dt=dt).vertices
     assert _bits(got) == _bits(PolyCurve(want).vertices)
-    assert transport_invariant(gf, seed, T, dt) == _old_drift(gf, want, dt)
+    got = transport_invariant(gf, seed, T, dt)
+    assert _bits(got) == _bits(_old_drift(gf, want, dt))
 
 
 # Clouds stepped in slices, on STRETCH, where particles seeded far out
