@@ -611,7 +611,8 @@ def _point_sampler(gf: GridField):
 def _trajectory(gf: GridField, seed: Point, T: float, dt: float) -> list[Point]:
     """The n + 1 points of the fixed-step RK4 flow of x' = sigma(x) from
     the seed, n = `_steps(T, dt)`: `_rk4` on Python floats, sigma read by
-    a `_point_sampler` whose cell memo lives for this call, so every
+    a `_point_sampler` (cells clamped from above only, the bounds test
+    having run first) whose cell memo lives for this call, so every
     point has the bits a particle cloud's step gives it. DimensionMismatch
     unless the seed has two coordinates; LeftGrid when the seed, a stage
     or the final point leaves the grid; the seed is checked before T and
