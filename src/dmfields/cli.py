@@ -114,7 +114,7 @@ def _run(args) -> int:
         f = fileio.field_from_json(fileio.load(args.field))
         phi = fileio.lipfunc_from_json(fileio.load(args.phi))
         d = fileio.domain_from_json(fileio.load(args.region))
-        value = sum(pairing_over_set(f, phi, part) for part in d.parts)
+        value = pairing_over_set(f, phi, d)
         _emit({"value": value}, args.out)
         return 0
 

@@ -19,7 +19,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,11 +39,11 @@ from .regions import (
     EPS,
     MAX_COORD,
     PolyRegion,
-    _apart,
     _seg_intersections,
     box_region,
     hit_candidates,
     near_edges,
+    ring_nesting,
 )
 
 
@@ -55,12 +54,11 @@ class PolygonalDomain(PolyRegion):
     through the open domain by a curve of length <= |p-q|/eps.
 
     It is the `PolyRegion` over all its parts' rings, in part order, at
-    one length tolerance. The even-odd rule gives the union because the
-    parts must lie outside one another (`_apart`), else ValueError: an
-    island in another part's hole passes; nested, crossing and touching
-    parts do not. A domain among the parts gives its own parts. `outer`
-    and `holes` stay empty (`fileio.region_to_json` refuses a domain);
-    `rings()` has them all."""
+    one length tolerance. The rings must form a valid table
+    (`ring_nesting`), else ValueError: an island in another part's hole
+    passes; nested, crossing and touching parts do not. A domain among
+    the parts gives its own parts. `outer` and `holes` stay empty
+    (`fileio.region_to_json` refuses a domain); `rings()` has them all."""
 
     parts: tuple[PolyRegion, ...] = ()
     declared_eps: float | None = None
@@ -82,13 +80,12 @@ class PolygonalDomain(PolyRegion):
             raise ValueError("declared_eps must lie in (0, 1]")
         if declared_delta is not None and not 0.0 < declared_delta < math.inf:
             raise ValueError("declared_delta must lie in (0, inf)")
-        tol = max(part.tol for part in parts)
-        for i, j in combinations(range(len(parts)), 2):
-            if not _apart(parts[i], parts[j], tol):
-                raise ValueError(f"part {j} must lie outside the other parts")
         object.__setattr__(self, "outer", ())
         object.__setattr__(self, "holes", ())
         object.__setattr__(self, "parts", parts)
+        # one part's rings were checked when the part was built
+        if len(parts) > 1 and ring_nesting(self.rings(), self.tol) is None:
+            raise ValueError("each part must lie outside the other parts, meeting none")
         object.__setattr__(self, "declared_eps", declared_eps)
         object.__setattr__(self, "declared_delta", declared_delta)
 
@@ -557,29 +554,31 @@ def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> flo
 
 
 def complement_region(d: PolygonalDomain, box: PolyRegion) -> PolygonalDomain:
-    """The domain box minus the closure of d: a frame part with one hole
-    per outer ring, plus one island part per hole of d. Requires the
-    closure of d strictly inside box and a boundary that genuinely
-    separates two sides everywhere (no slits)."""
-    bx0, by0, bx1, by1 = box.bbox()
-    dx0, dy0, dx1, dy1 = d.bbox()
-    if not (bx0 < dx0 and by0 < dy0 and dx1 < bx1 and dy1 < by1):
-        raise ValueError("domain closure must lie strictly inside the box")
-    for a, b in d.boundary_edges():
-        # probes 1e-6 edge lengths off the midpoint, one on each side
-        nx, ny = 1e-6 * (a[1] - b[1]), 1e-6 * (b[0] - a[0])
-        mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
-        side1 = d.contains((mx + nx, my + ny))
-        side2 = d.contains((mx - nx, my - ny))
-        if side1 == side2:
-            raise TopologyViolation(
-                f"boundary edge {a}->{b} does not separate two sides"
-            )
-    frame = PolyRegion(box.outer, [part.outer for part in d.parts])
-    islands = [
-        PolyRegion(hole[::-1]) for part in d.parts for hole in part.holes
-    ]
-    return PolygonalDomain((frame, *islands))
+    """The domain box minus the closure of d, from one ring table: the
+    box's rings, holes included, then d's rings reversed. The table must
+    be valid (`ring_nesting`), so d's closure lies strictly inside the
+    box and outside its holes, else ValueError. Each ring at even depth
+    bounds a part, holed by the rings one level deeper inside it: the
+    frame, and an island per hole of d. The boundary of d must separate
+    two sides everywhere (no slits), else TopologyViolation."""
+    rings = [*box.rings(), *(r[::-1] for r in d.rings())]
+    inside = ring_nesting(rings, max(box.tol, d.tol))
+    if inside is None:
+        raise ValueError("domain closure must lie strictly inside the box, off its holes")
+    # probes 1e-6 edge lengths off each edge's midpoint, one on each side
+    E = d.edge_array
+    off = 1e-6 * np.stack([E[:, 1] - E[:, 3], E[:, 2] - E[:, 0]], axis=1)
+    mid = (E[:, :2] + E[:, 2:]) / 2
+    side = d.contains_many(np.concatenate([mid + off, mid - off])).reshape(2, -1)
+    for (a, b), s, t in zip(d.boundary_edges(), *side):
+        if s == t:
+            raise TopologyViolation(f"boundary edge {a}->{b} does not separate two sides")
+    parts = []
+    for k, (r, up) in enumerate(zip(rings, inside)):
+        if len(up) % 2 == 0:
+            holes = [s for s, v in zip(rings, inside) if len(v) == len(up) + 1 and k in v]
+            parts.append(PolyRegion(r, holes))
+    return PolygonalDomain(parts)
 
 
 # ---------------------------------------------------------------------------

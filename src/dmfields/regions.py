@@ -7,13 +7,13 @@ outside, computed from exact segment intersections. Pairings and normal
 traces are then pure telescoping sums of test-function values, with no
 gradients and no quadrature.
 
-One edge table, a region's rings or all its parts' rings for a domain,
-and one membership rule: off the boundary, a point is inside when a ray
-from it crosses the whole table, all rings at once, an odd number of
-times. That is "in the outer ring and in no hole", and for a domain "in
-one of its parts", because every hole must lie inside the outer ring
-and outside the other holes, every part outside the other parts, and
-no two rings may meet (`_rings_meet`).
+One ring table, a region's rings or all its parts' rings for a domain,
+one nesting rule and one membership rule. The table is valid when no
+two rings meet, no ring's first vertex lies on another, and each ring
+runs counterclockwise exactly when an even number of the others
+enclose it (`ring_nesting`). Off the boundary, a point is inside when
+a ray from it crosses the whole table an odd number of times: "in the
+outer ring and in no hole", and for a domain "in one of its parts".
 
 One tolerance policy: lengths compare at `EPS` times the table's scale,
 its largest |coordinate| (`PolyRegion.tol`, one per region or domain);
@@ -172,7 +172,8 @@ def _near_many(P: np.ndarray, E: np.ndarray, tol: float) -> np.ndarray:
     dx, dy = E[:, 2] - E[:, 0], E[:, 3] - E[:, 1]
     L2, t2 = dx * dx + dy * dy, tol * tol
     c = dx * py - dy * px
-    i, j = np.nonzero(c * c <= 4.0 * t2 * L2)
+    with np.errstate(over="ignore"):  # c * c past 1e308: far from the line
+        i, j = np.nonzero(c * c <= 4.0 * t2 * L2)
     px, py, c, dx, dy, L2 = px[i, j], py[i, j], c[i, j], dx[j], dy[j], L2[j]
     qx, qy = P[i, 0] - E[j, 2], P[i, 1] - E[j, 3]
     s = px * dx + py * dy
@@ -219,6 +220,36 @@ def hit_candidates(A: np.ndarray, B: np.ndarray, E: np.ndarray, tol: float):
     return ss, ee
 
 
+def ring_nesting(rings: Sequence[Sequence[Point]], tol: float) -> list[list[int]] | None:
+    """Each ring's enclosing rings, as sorted indices, or None when the
+    table is not valid: when two rings meet within tol (`hit_candidates`
+    pairs confirmed by `_seg_intersections`, a collinear overlap
+    counting), a ring's first vertex lies within tol of another ring, or
+    a ring runs counterclockwise exactly when an odd number of the other
+    rings enclose its first vertex. Rings that do not meet nest, so the
+    first vertex tells which rings enclose a ring, and the even-odd rule
+    over a valid table is the union of its parts: each counterclockwise
+    ring less the clockwise rings one level inside it."""
+    edges = [[(p, r[(i + 1) % len(r)]) for i, p in enumerate(r)] for r in rings]
+    E = [np.array(e, dtype=float).reshape(-1, 4) for e in edges]
+    for j in range(1, len(rings)):
+        A, before = np.concatenate(E[:j]), [pq for ring in edges[:j] for pq in ring]
+        for s, e in zip(*hit_candidates(A[:, :2], A[:, 2:], E[j], tol)):
+            try:
+                if _seg_intersections(*before[s], *edges[j][e], tol):
+                    return None
+            except DegenerateGeometry:
+                return None
+    # row j, column k: whether ring j lies near, or encloses, ring k's first vertex
+    V, off = np.array([r[0] for r in rings], dtype=float), ~np.eye(len(E), dtype=bool)
+    near = np.array([_near_many(V, e, tol) for e in E]) & off
+    inside = np.array([_crossing_parity(V, e) for e in E]) & off
+    ccw = np.array([_signed_area(r) > 0 for r in rings])
+    if near.any() or (ccw != (inside.sum(axis=0) % 2 == 0)).any():
+        return None
+    return [np.flatnonzero(col).tolist() for col in inside.T]
+
+
 @dataclass(frozen=True)
 class PolyRegion:
     """A simple polygon with optional polygonal holes, in the plane.
@@ -226,10 +257,8 @@ class PolyRegion:
     Rings are stored without repeated consecutive vertices, cyclically
     (so without a repeated closing vertex either); the outer ring is
     normalized to counterclockwise orientation and holes to clockwise.
-    Membership is the module's even-odd rule, so each hole's first vertex
-    must classify strictly inside the outer ring and strictly outside
-    every other hole, and no hole's edges may meet the outer ring's or
-    another hole's within `tol` (`_rings_meet`), else ValueError.
+    The rings must form a valid table (`ring_nesting`), else ValueError:
+    the holes lie inside the outer ring and outside one another.
     """
 
     outer: tuple[Point, ...]
@@ -262,14 +291,8 @@ class PolyRegion:
         object.__setattr__(
             self, "holes", tuple(norm(h, False) for h in holes)
         )
-        if self.holes:
-            outer, rings = PolyRegion(self.outer), [PolyRegion(h) for h in self.holes]
-            for i, h in enumerate(self.holes):
-                apart = [r.classify(h[0]) == -1 for r in rings[:i] + rings[i + 1 :]]
-                met = (_rings_meet(r, rings[i], self.tol) for r in [outer] + rings[:i])
-                if outer.classify(h[0]) != 1 or not all(apart) or any(met):
-                    msg = "must lie inside the outer ring and outside the other holes"
-                    raise ValueError(f"hole {i} {msg}, meeting no ring")
+        if self.holes and ring_nesting(self.rings(), self.tol) is None:
+            raise ValueError("holes must lie strictly inside the outer ring and apart")
 
     def rings(self) -> list[tuple[Point, ...]]:
         return [self.outer, *self.holes]
@@ -423,28 +446,6 @@ def _seg_intersections(a: Point, b: Point, p: Point, q: Point, tol: float) -> li
     if -tol_t <= t <= 1.0 + tol_t and -tol_u <= u <= 1.0 + tol_u:
         return [min(max(t, 0.0), 1.0)]
     return []
-
-
-def _rings_meet(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
-    """Whether an edge of r meets one of s within tol (a collinear
-    overlap counts; only the `hit_candidates` pairs can meet)."""
-    A, E, F = r.edge_array, r.boundary_edges(), s.boundary_edges()
-    for i, j in zip(*hit_candidates(A[:, :2], A[:, 2:], s.edge_array, tol)):
-        try:
-            if _seg_intersections(*E[i], *F[j], tol):
-                return True
-        except DegenerateGeometry:
-            return True
-    return False
-
-
-def _apart(r: PolyRegion, s: PolyRegion, tol: float) -> bool:
-    """Whether r and s lie outside one another: each one's first outer
-    vertex classifies strictly outside the other, and their rings do not
-    meet within tol."""
-    if r.classify(s.outer[0]) != -1 or s.classify(r.outer[0]) != -1:
-        return False
-    return not _rings_meet(r, s, tol)
 
 
 def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:

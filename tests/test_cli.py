@@ -6,6 +6,7 @@ import pytest
 
 from dmfields import acceptance, cli, fileio
 from dmfields.core import field_divergence
+from dmfields.regions import PolyRegion, clip_field
 
 
 @pytest.fixture()
@@ -398,6 +399,29 @@ def test_extend_verb_clears_the_boundary(files):
     div = field_divergence(f).coalesced(1e-9)
     assert not div.restrict(d.on_boundary).atoms
     assert div.coefficient((0.5, 0.5)) == -0.5
+
+
+def test_extend_keeps_the_box_holes(files, capsys):
+    # the box's holes used to be dropped: the extension crossed this one
+    hole = [[1.3, 0.45], [1.6, 0.45], [1.6, 0.75], [1.3, 0.75]]
+    chord = {"weight": 1.0, "vertices": [[0.0, 0.3], [0.5, 0.45], [1.0, 0.7]]}
+    field = files["write"]("chord.json", {"curves": [chord]})
+    out = str(files["dir"] / "extend.json")
+
+    def extend(holes):
+        box = files["write"](
+            "box.json", {"outer": [[-1, -1], [2, -1], [2, 2], [-1, 2]], "holes": holes}
+        )
+        args = ["--field", field, "--domain", files["square"], "--box", box]
+        return cli.main(["extend", *args, "--out", out])
+
+    assert extend([hole]) == 0
+    f = fileio.field_from_json(_read(out))
+    assert len(f.curves) > 1
+    assert not clip_field(f, PolyRegion(hole)).curves
+    # a square inside the box's hole has no complement in the box
+    assert extend([[[-0.5, -0.5], [1.5, -0.5], [1.5, 1.5], [-0.5, 1.5]]]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: ValueError")
 
 
 def test_extend_divfree_verb_leaves_no_divergence(files):

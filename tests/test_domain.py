@@ -20,6 +20,7 @@ from dmfields import (
     lift_surject,
     route,
     select_lambda,
+    fileio,
     separation,
 )
 from dmfields.acceptance import _rand_boundary_measure
@@ -436,6 +437,47 @@ def test_complement_region_frame_and_islands():
     assert comp.contains((-0.5, -0.5))  # frame
     assert comp.contains((2.0, 2.0))  # island from the hole
     assert not comp.contains((0.5, 0.5))
+
+
+ISLAND = PolygonalDomain(
+    (
+        PolyRegion(box_region(0, 0, 4, 4).outer, [box_region(1, 1, 3, 3).outer]),
+        box_region(1.5, 1.5, 2.5, 2.5),
+    )
+)
+
+
+def test_the_complement_of_an_island_in_a_hole():
+    # the frame's holes used to be every part's outer ring, so the
+    # island's ring fell inside the ring of the hole around it
+    comp = complement_region(ISLAND, box_region(-1, -1, 5, 5))
+    assert len(comp.parts) == 2
+    points = [(-0.5, -0.5), (0.5, 0.5), (1.2, 1.2), (2.0, 2.0)]
+    assert [comp.contains(p) for p in points] == [True, False, True, False]
+    assert fileio.domain_from_json(fileio.domain_to_json(comp)).parts == comp.parts
+
+
+def test_the_complement_of_the_annulus_complement_is_the_annulus_and_a_frame():
+    annulus = domain_preset("annulus")
+    inner, outer = box_region(-3, -3, 3, 3), box_region(-4, -4, 4, 4)
+    comp = complement_region(complement_region(annulus, inner), outer)
+    assert comp.parts[0] == PolyRegion(outer.outer, [inner.outer])
+    assert comp.parts[1:] == annulus.parts
+    points = [(3.5, 0.0), (2.5, 0.0), (1.5, 0.0), (0.0, 0.0)]
+    assert [comp.contains(p) for p in points] == [True, False, True, False]
+
+
+def test_the_complement_keeps_the_box_holes():
+    # the box's holes used to be dropped without an error
+    frame = box_region(-2, -2, 3, 3).outer
+    box = PolyRegion(frame, [box_region(1.5, 1.5, 2.5, 2.5).outer])
+    comp = complement_region(SQUARE, box)
+    assert comp.parts[0].holes == (box.holes[0], SQUARE.parts[0].outer[::-1])
+    assert not comp.contains((2.0, 2.0)) and comp.contains((1.2, 1.2))
+    assert comp.on_boundary((1.5, 2.0))
+    around = PolyRegion(frame, [box_region(-0.5, -0.5, 1.5, 1.5).outer])
+    with pytest.raises(ValueError, match="inside the box"):
+        complement_region(SQUARE, around)
 
 
 def test_complement_rejects_overflow_and_slits():

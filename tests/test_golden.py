@@ -1,8 +1,9 @@
 """Golden digests of the deterministic outputs.
 
 Nets and routing graphs (of the presets, of the square's complement in
-the box [-1, 2]^2 and of the annulus's two-component complement in the
-box [-3, 3]^2), lifts with provenance (on the presets and on the
+the box [-1, 2]^2, of the annulus's two-component complement in the
+box [-3, 3]^2 and of the complement, in the box [-1, 5]^2, of a framed
+square hole with an island in it), lifts with provenance (on the presets and on the
 annulus's complement, with atoms on both components), a divergence-free
 extension across the annulus that keeps its punctures, the routes on
 which `route` falls back to the grid, the snapped graph and the
@@ -40,13 +41,14 @@ from dmfields import (
 )
 from dmfields.acceptance import _preset_loops, _rand_boundary_measure
 from dmfields.domain import (
+    PolygonalDomain,
     RoutingGraph,
     complement_region,
     domain_preset,
     route,
     routing_graph,
 )
-from dmfields.regions import box_region
+from dmfields.regions import PolyRegion, box_region
 from dmfields.smirnov import (
     GridField,
     flow_trace,
@@ -61,7 +63,7 @@ from dmfields.smirnov import (
 from dmfields.tracext import extend_divfree, lift_config, lift_surject
 
 PRESETS = ("square", "annulus", "lshape", "koch2")
-NETS = (*PRESETS, "square-complement", "annulus-complement")
+NETS = (*PRESETS, "square-complement", "annulus-complement", "island-complement")
 LIFTS = (*PRESETS, "annulus-complement")
 FIELDS = ("pool", "lattice")
 FLOWS = ("ac9-loops", "stretch", "split")
@@ -74,6 +76,7 @@ GOLDEN = {
     "net-graph[koch2]": "8d63658575eb48278da159f3ca728fe545f6cf193c9345b29c583499c7440815",
     "net-graph[square-complement]": "cf4b746cb158a9bd444559e4599d01d1d1c0bf80a5cec6eabad52ccee0743bd3",
     "net-graph[annulus-complement]": "1ea37f019fd06b30f62770c00cdc8be8077de42513e74e0585d6478f9ab41499",
+    "net-graph[island-complement]": "e1a956798342f22c0ee74ffba2d04be5062dce342ac0105d4cf31c0ec9a7384e",
     "lifts[square]": "b93b7172652bb24f0b671e9281b6f4bd84d5774ba2efb9632326ecffe5e19fb5",
     "lifts[annulus]": "510e7413858981386b7a9762a47f1e1e3258c49609642a46fe000c6c5f314e2e",
     "lifts[lshape]": "3ef6fbfc2871c1471e326ddafd744cee294387da555147a4ea098c1ce06b47ac",
@@ -160,6 +163,10 @@ def _config(name):
     if name == "annulus-complement":  # two routing components
         d = complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3))
         return lift_config(d, 0.05, 0.3)
+    if name == "island-complement":  # a frame and the ring between hole and island
+        frame = PolyRegion(box_region(0, 0, 4, 4).outer, [box_region(1, 1, 3, 3).outer])
+        d = PolygonalDomain((frame, box_region(1.5, 1.5, 2.5, 2.5)))
+        return lift_config(complement_region(d, box_region(-1, -1, 5, 5)), 0.05, 0.3)
     return lift_config(domain_preset(name), 0.02)
 
 

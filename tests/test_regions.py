@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -191,6 +192,9 @@ def test_huge_regions_keep_their_atoms_or_are_rejected():
         return normal_trace(f, box_region(0, 0, s, s))
 
     assert len(trace(1e80).atoms) == 2
+    # the batched test squared the cross product of far points past 1e308
+    P = np.array([[0.5e80, 0.5e80], [3e80, 0.5e80], [0.0, 0.0]])
+    assert box_region(0, 0, 1e80, 1e80).contains_many(P).tolist() == [True, False, False]
     with pytest.raises(ValueError):
         trace(1e90)
 

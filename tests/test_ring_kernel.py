@@ -8,9 +8,14 @@ even-odd pass over a region's whole edge table must give the per-ring
 rule it replaced, and a region whose holes break that rule's premise
 is rejected. A domain's one pass over all its parts' rings must give
 the per-part rule it replaced, at the domain's one length tolerance, and
-its trace the per-part sum."""
+its trace the per-part sum. The one nesting rule over a ring table must
+accept exactly the regions that the hole loop accepted and the domains
+that the pairwise part rule accepted, and a complement must answer the
+opposite of its domain."""
 
 import math
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -579,3 +584,176 @@ def test_the_island_band_follows_the_domain_tolerance():
     # inside the island, 1.5e-12 off an edge: now a boundary point
     p = _left_of(*island.boundary_edges()[0], 1.5)
     assert island.classify(p) == 1 and comp.classify(p) == 0
+
+
+# ---------------------------------------------------------------------------
+# ring tables: the one nesting rule against the hole loop and the pairwise
+# part rule it replaced
+
+
+def _old_rings_meet(r, s, tol):
+    """Whether an edge of r meets one of s within tol (a collinear
+    overlap counts; only the `hit_candidates` pairs can meet)."""
+    A, E, F = r.edge_array, r.boundary_edges(), s.boundary_edges()
+    for i, j in zip(*hit_candidates(A[:, :2], A[:, 2:], s.edge_array, tol)):
+        try:
+            if _seg_intersections(*E[i], *F[j], tol):
+                return True
+        except DegenerateGeometry:
+            return True
+    return False
+
+
+def _old_apart(r, s, tol):
+    """Whether r and s lie outside one another: each one's first outer
+    vertex classifies strictly outside the other, and their rings do not
+    meet within tol."""
+    if r.classify(s.outer[0]) != -1 or s.classify(r.outer[0]) != -1:
+        return False
+    return not _old_rings_meet(r, s, tol)
+
+
+def _old_holes_valid(outer, holes):
+    """The hole loop: each hole's first vertex strictly inside the outer
+    ring and outside every other hole, and no hole meeting the outer ring
+    or an earlier hole, at the region's length tolerance. A one-ring
+    region normalizes a hole counterclockwise; its reverse is the hole
+    as the region stores it."""
+    outer, rings = PolyRegion(outer), [PolyRegion(h) for h in holes]
+    stored = [r.outer[::-1] for r in rings]
+    tol = EPS * max(abs(c) for ring in [outer.outer, *stored] for p in ring for c in p)
+    for i, h in enumerate(stored):
+        apart = [r.classify(h[0]) == -1 for r in rings[:i] + rings[i + 1 :]]
+        met = (_old_rings_meet(r, rings[i], tol) for r in [outer] + rings[:i])
+        if outer.classify(h[0]) != 1 or not all(apart) or any(met):
+            return False
+    return True
+
+
+def _old_parts_valid(parts):
+    tol = max(part.tol for part in parts)
+    return all(_old_apart(r, s, tol) for r, s in combinations(parts, 2))
+
+
+def _accepts(build, *args):
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def lattice_ring(draw, box=(0, 0, 32, 32)):
+    """A box or a triangle, either way round, with its vertices on the
+    1/8 lattice in `box` (given in eighths); a triangle has a side on an
+    edge of the box and its third vertex on the opposite edge.
+    Where the box is wide enough, at times it is first inset by one
+    eighth to a third of its width on each side, and a box ring is then
+    the inset box itself."""
+    x0, y0, x1, y1 = box
+    inset = x1 - x0 > 2 and y1 - y0 > 2 and draw(st.booleans())
+    if inset:
+        mx, my = st.integers(1, (x1 - x0) // 3), st.integers(1, (y1 - y0) // 3)
+        x0, x1, y0, y1 = x0 + draw(mx), x1 - draw(mx), y0 + draw(my), y1 - draw(my)
+    else:
+        pair = partial(st.lists, min_size=2, max_size=2, unique=True)
+        x0, x1 = sorted(draw(pair(st.integers(x0, x1))))
+        y0, y1 = sorted(draw(pair(st.integers(y0, y1))))
+    if draw(st.booleans()):
+        ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    else:
+        ax, ay = draw(st.integers(x0, x1)), draw(st.integers(y0, y1))
+        sides = [
+            [(x0, y0), (x1, y0), (ax, y1)],
+            [(x0, y1), (x1, y1), (ax, y0)],
+            [(x0, y0), (x0, y1), (x1, ay)],
+            [(x1, y0), (x1, y1), (x0, ay)],
+        ]
+        ring = draw(st.sampled_from(sides))
+    if draw(st.booleans()):
+        ring = ring[::-1]
+    return [(x / 8, y / 8) for x, y in ring]
+
+
+def _eighths_box(ring):
+    xs, ys = [round(8 * x) for x, _ in ring], [round(8 * y) for _, y in ring]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+@st.composite
+def holed_ring_table(draw, holes=(1, 3), box=(0, 0, 32, 32)):
+    """An outer ring in `box` and holes drawn in its bounding box: holes
+    inside it, beside it, on it, nested, crossing or touching one
+    another."""
+    outer = draw(lattice_ring(box))
+    inner = lattice_ring(_eighths_box(outer))
+    return outer, draw(st.lists(inner, min_size=holes[0], max_size=holes[1]))
+
+
+# first vertices within tol of another ring, whose edges leave it at too
+# shallow an angle to meet that ring within tol
+GRAZING_HOLE = [(5e-13, 1.5), (0.001, 2.0), (2, 1.5), (0.001, 1.0)]
+GRAZING_PART = [(1 + 5e-13, 0.5), (1.001, -1000), (3, 0), (1.001, 1000)]
+
+
+@given(holed_ring_table())
+@example((OUTER, MALFORMED_HOLES["crossing"]))
+@example((OUTER, [GRAZING_HOLE]))
+@settings(max_examples=400, deadline=None)
+def test_the_nesting_rule_accepts_the_regions_the_hole_loop_accepted(case):
+    outer, holes = case
+    accepted = _accepts(PolyRegion, outer, holes)
+    assert accepted == _old_holes_valid(outer, holes)
+    if accepted:
+        region = PolyRegion(outer, holes)
+        assert regions.ring_nesting(region.rings(), region.tol) == [[]] + [[0]] * len(holes)
+
+
+@st.composite
+def parts_and_points(draw):
+    """The valid ones of two or three parts, each drawn in a cell 6 to 16
+    eighths wide: a box or a triangle, at times a ring with at most one
+    hole, and the cell's box with a hole; and mostly an island drawn in
+    a part's hole. Points on the 1/16 lattice."""
+
+    def cell():
+        x, y = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+        return x, y, x + draw(st.integers(6, 16)), y + draw(st.integers(6, 16))
+
+    x0, y0, x1, y1 = frame = cell()
+    tables = [(draw(lattice_ring(cell())), [])]
+    tables += [draw(holed_ring_table((0, 1), cell())) for _ in range(draw(st.integers(0, 1)))]
+    box = [(x0 / 8, y0 / 8), (x1 / 8, y0 / 8), (x1 / 8, y1 / 8), (x0 / 8, y1 / 8)]
+    tables.append((box, [draw(lattice_ring(frame))]))
+    parts = [PolyRegion(*t) for t in tables if _accepts(PolyRegion, *t)]
+    holed = [p for p in parts if p.holes]
+    if holed and draw(st.integers(0, 3)):
+        hole = draw(st.sampled_from(holed)).holes[0]
+        island = PolyRegion(draw(lattice_ring(_eighths_box(hole))))
+        parts.insert(draw(st.integers(0, len(parts))), island)
+    grid = st.tuples(st.integers(-8, 72), st.integers(-8, 72))
+    pts = [(x / 16, y / 16) for x, y in draw(st.lists(grid, min_size=10, max_size=10))]
+    return parts, pts
+
+
+@given(parts_and_points())
+@example(
+    (
+        [
+            PolyRegion(box_region(0, 0, 4, 4).outer, [box_region(1, 1, 3, 3).outer]),
+            box_region(1.5, 1.5, 2.5, 2.5),
+        ],
+        [(-0.5, -0.5), (0.5, 0.5), (1.2, 1.2), (2.0, 2.0), (3.0, 2.0)],
+    )
+)
+@example(([box_region(0, 0, 1, 1), PolyRegion(GRAZING_PART)], [(0.5, 0.5)]))
+@settings(max_examples=400, deadline=None)
+def test_the_nesting_rule_accepts_the_domains_the_part_rule_accepted(case):
+    parts, pts = case
+    accepted = _accepts(PolygonalDomain, parts)
+    assert accepted == _old_parts_valid(parts)
+    if accepted:
+        d = PolygonalDomain(parts)
+        comp = complement_region(d, box_region(-1, -1, 5, 5))
+        assert [comp.classify(p) for p in pts] == [-d.classify(p) for p in pts]
