@@ -474,11 +474,15 @@ def _convolve_same(arrays, K: np.ndarray) -> list[np.ndarray]:
 def mollify(f: CurveField, eps: float, h: float) -> GridField:
     """Gaussian mollification of the field and its variation measure,
     kernel bandwidth eps truncated at 4 eps and discretely normalized;
-    tau gets a floor of eps times a unit Gaussian bump at the support
-    centroid (renormalized so the floor integrates to eps exactly).
-    DimensionMismatch for a field off the plane; ValueError unless eps
-    and h are finite and positive and the grid's extent, in steps of h,
-    is finite; also when round-off leaves tau not positive somewhere."""
+    tau gets the floor eps spread evenly over the grid, so it integrates
+    to eps and no length but eps and h enters: scaling the field, eps
+    and h by a power of 2 scales fx, fy and tau by its inverse, bit for
+    bit. The floor divides by h twice, so where h * h underflows it is
+    inf, not a ZeroDivisionError. DimensionMismatch for a field off the
+    plane; ValueError unless eps and h are finite and positive and the
+    grid's extent, in steps of h, is finite; also when tau is not
+    positive somewhere, as when the field's weight is so large that the
+    convolution's round-off outweighs the floor."""
     if f.dimension not in (None, 2):
         raise DimensionMismatch("mollify needs a planar field")
     if not (0 < eps < math.inf and 0 < h < math.inf):
@@ -531,19 +535,7 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     K /= K.sum() * h * h  # discrete normalization: sum K h^2 = 1
 
     fx, fy, tau = _convolve_same((Mx, My, Mv), K)
-
-    if pts:
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-    else:
-        cx = cy = 0.0
-    gx = x0 + np.arange(nx) * h
-    gy = y0 + np.arange(ny) * h
-    beta = np.exp(
-        -((gx[:, None] - cx) ** 2 + (gy[None, :] - cy) ** 2) / 2.0
-    )
-    beta /= beta.sum() * h * h
-    tau = tau + eps * beta
+    tau += eps / (nx * ny) / h / h
     return GridField((x0, y0), h, eps, fx, fy, tau)
 
 

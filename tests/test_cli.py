@@ -158,6 +158,20 @@ def test_smirnov_sim_verb(files, capsys):
     assert payload["truncated"] == 0
 
 
+def test_smirnov_sim_runs_on_an_l_of_side_10(files, capsys):
+    # tau's floor used to be a unit-width bump at the centroid, which FFT
+    # round-off outweighed this far out: the verb exited 1
+    ell = files["write"](
+        "ell.json",
+        {"curves": [{"weight": 1.0, "vertices": [[0, 0], [10, 0], [10, 10]]}]},
+    )
+    rc = cli.main(
+        ["smirnov-sim", "--field", ell, "--samples", "200", "--dt", "0.05", "--seed", "0"]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["truncated"] == 0
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -93,10 +93,10 @@ GOLDEN = {
     "cli[extend-divfree]": "e12ae73b008e72cb6ae258f776a22b516b33820e804e057caf23b35de7b95773",
     "cli[decompose]": "3f6b6c0fb5228371e8a2db9611586e161d33b38ddcb0683059b477807da6a7af",
     "routes[fallback]": "1131970c42313953af53d335efb2b2eed29e65c45ea1e7fb9fbbedd4ef0c6b30",
-    "flows[ac9-loops]": "af03a6e6a0b74ac91c094d7c055ec32775e190ac5817057569cdaae058abe415",
+    "flows[ac9-loops]": "f571e35e364269f68143b518e69420125b098c33dec701df04a3b647ffc7ad6e",
     "flows[stretch]": "d6d5632810bef2c51d815dc18002ff01b31f7ba22e049382929e77d5e10cea47",
-    "flows[split]": "695ed5f2746b00385fb00ffded1afff70c0374e094d712187a0fee219d62dc72",
-    "cli[smirnov-sim]": "cbcc63add730eaa2eef382303f56ea8f69e1d6122e707bc17565f176ff22b0be",
+    "flows[split]": "91ba79808c16a89c3c05b08c4d57983ab4d5c7e98caac822795cef4850368d0c",
+    "cli[smirnov-sim]": "2424220b0be5897a0c80fe716f37a24e70f8b647eb9df51fb0ba45ccb40e5965",
     "ae[annulus-120]": "784f3d19da85d9bf31e2353fab1b1873b27b7b2073102f4648d0301651c5688e",
     "ae[ties]": "83980ac28c9b73e9339168a7210a60e135b17dd67c39786f6ba029622d20f86c",
 }

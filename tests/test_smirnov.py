@@ -5,7 +5,7 @@ import pickle
 import subprocess
 import sys
 from collections import deque
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -768,20 +768,31 @@ def test_mollify_needs_finite_constants_and_grid(eps, h):
 
 
 def test_mollify_rejects_a_tau_that_is_not_positive():
-    # on an L of side 10, FFT round-off outweighs the eps floor on 5,523
-    # cells and sigma = f / tau there was garbage; reconstruct_check then
-    # failed in rng.choice. On an L of side 5 the floor holds
-    def l_curve(L):
-        return CurveField([PolyCurve([(0, 0), (L, 0), (L, L)], 1.0)])
+    # the floor used to be a unit-width bump at the support's centroid:
+    # on the L of side 8 (17 cells) and of side 10 (5,523 cells) FFT
+    # round-off outweighed it. The even floor holds there; at weight
+    # 1e12 round-off outweighs eps, and sigma = f / tau would be garbage
+    def l_curve(L, w=1.0):
+        return CurveField([PolyCurve([(0, 0), (L, 0), (L, L)], w)])
 
-    mollify(l_curve(5), 0.1, 0.02)
+    for L in (5, 8, 10):
+        assert mollify(l_curve(L), 0.1, 0.02).tau.min() > 0
     with pytest.raises(ValueError, match="tau"):
-        mollify(l_curve(10), 0.1, 0.02)
+        mollify(l_curve(10, 1e12), 0.1, 0.02)
     tau = np.ones((3, 3))
     for bad in (0.0, -1e-16, math.nan):
         tau[1, 1] = bad
         with pytest.raises(ValueError, match="tau"):
             GridField((0.0, 0.0), 1.0, 0.1, np.ones((3, 3)), np.ones((3, 3)), tau)
+
+
+def test_mollify_where_h_squared_underflows_rejects_tau():
+    # at this scale h * h is 0.0; the floor divides by h twice, so it is
+    # inf, tau NaN and GridField raises, not a ZeroDivisionError
+    s = 2.0**-560
+    loop = PolyCurve([(0, 0), (s, 0), (s, s), (0, 0)], 1.0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="tau"):
+        mollify(CurveField([loop]), 0.1 * s, 0.02 * s)
 
 
 def test_mollify_does_not_import_scipy_signal():
@@ -1150,6 +1161,50 @@ def test_flow_trace_equals_the_old_rk4(grids):
 def test_transport_invariant_equals_the_old_rk4(grids, grid, seed, T, dt):
     got = transport_invariant(grids[grid], seed, T=T, dt=dt)
     assert _bits(got) == _bits(_old_transport_invariant(grids[grid], seed, T, dt))
+
+
+def _ac9_at_scale(i, s):
+    """AC-9's loop i with the field, eps, h, T, dt, the flow's seed and
+    Phi's centre scaled by s: the grid, a check of 300 particles over
+    T 0.05 s, and the flow and its drift over T 0.25 s."""
+    loop = AC9_LOOPS[i]
+    f = CurveField(
+        [PolyCurve([(s * x, s * y) for x, y in c.vertices], c.weight) for c in loop]
+    )
+    gf = mollify(f, 0.1 * s, 0.02 * s)
+    check = reconstruct_check(
+        gf, _rotation_about_centroid(f), 300, T=0.05 * s, dt=1e-3 * s
+    )
+    seed = tuple(s * c for c in loop.curves[0].point_at(0.5))
+    flow = flow_trace(gf, seed, T=0.25 * s, dt=1e-3 * s).vertices
+    return gf, check, flow, transport_invariant(gf, seed, T=0.25 * s, dt=1e-3 * s)
+
+
+_ac9_at_unit_scale = cache(partial(_ac9_at_scale, s=1.0))
+
+
+@given(st.integers(0, 2), st.integers(-10, 10))
+@example(0, 3)
+@example(2, 10)
+@example(1, -10)
+@settings(max_examples=40, deadline=None)
+def test_the_flow_side_is_covariant_under_dyadic_scaling(i, k):
+    # the tau floor used to be a bump of width 1 at the centroid: off
+    # unit scale the statistics drifted, and from s = 8 on the floor
+    # fell below FFT round-off and mollify raised. With the even floor,
+    # s = 2^k scales every length and time exactly
+    s = 2.0**k
+    gf1, (lhs1, est1, se1, left1), flow1, drift1 = _ac9_at_unit_scale(i)
+    gf, (lhs, est, se, left), flow, drift = _ac9_at_scale(i, s)
+    assert gf.shape == gf1.shape
+    for name in ("fx", "fy", "tau"):
+        assert _bits(getattr(gf, name) * s) == _bits(getattr(gf1, name)), name
+    assert _bits(gf.sigx) == _bits(gf1.sigx)
+    assert _bits(gf.sigy) == _bits(gf1.sigy)
+    assert (lhs, est, se) == (lhs1 * s * s, est1 * s * s, se1 * s * s)
+    assert left == left1 == 0
+    assert _bits(flow) == _bits(np.multiply(flow1, s))
+    assert drift == pytest.approx(drift1, rel=1e-12, abs=0)
 
 
 # sigma = (3x, 0) on [0, 16] x [0, 1], exactly bilinear: the flow from
