@@ -14,6 +14,7 @@ from .errors import (
     Disconnected,
     DMFieldError,
     InfeasibleDelta,
+    InvalidInput,
     LeftGrid,
     LRCViolation,
     MalformedLift,

@@ -224,12 +224,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _run(args)
-    except DMFieldError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    # before DMFieldError: InvalidInput is both
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"invalid input: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except DMFieldError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

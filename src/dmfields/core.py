@@ -19,21 +19,21 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 
 Point = tuple[float, ...]
 
 
 def as_point(coords: Iterable[float], bound: float = math.inf) -> Point:
-    """The coordinates as a tuple of floats; ValueError below dimension
+    """The coordinates as a tuple of floats; InvalidInput below dimension
     2, or for a coordinate that is not finite or exceeds bound in size."""
     p = tuple(float(c) for c in coords)
     if len(p) < 2:
-        raise ValueError("points need dimension >= 2")
+        raise InvalidInput("points need dimension >= 2")
     if not all(math.isfinite(c) for c in p):
-        raise ValueError(f"non-finite coordinate in {p}")
+        raise InvalidInput(f"non-finite coordinate in {p}")
     if bound < math.inf and not all(abs(c) <= bound for c in p):
-        raise ValueError(f"coordinate beyond {bound:g} in {p}")
+        raise InvalidInput(f"coordinate beyond {bound:g} in {p}")
     return p
 
 
@@ -78,7 +78,7 @@ class PolyCurve:
 
     def _build(self, pts: list[Point], weight: float) -> None:
         if len(pts) < 2:
-            raise ValueError("a curve needs at least two vertices")
+            raise InvalidInput("a curve needs at least two vertices")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise DimensionMismatch("mixed vertex dimensions in curve")

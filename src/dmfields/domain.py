@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     InfeasibleDelta,
+    InvalidInput,
     LRCViolation,
     TopologyViolation,
 )
@@ -55,7 +56,7 @@ class PolygonalDomain(PolyRegion):
 
     It is the `PolyRegion` over all its parts' rings, in part order, at
     one length tolerance. The rings must form a valid table
-    (`ring_nesting`), else ValueError: an island in another part's hole
+    (`ring_nesting`), else InvalidInput: an island in another part's hole
     passes; nested, crossing and touching parts do not. A domain among
     the parts gives its own parts. `outer` and `holes` stay empty
     (`fileio.region_to_json` refuses a domain); `rings()` has them all."""
@@ -75,17 +76,17 @@ class PolygonalDomain(PolyRegion):
         flat = (p.parts if isinstance(p, PolygonalDomain) else (p,) for p in parts)
         parts = tuple(q for ps in flat for q in ps)
         if not parts:
-            raise ValueError("a domain needs at least one part")
+            raise InvalidInput("a domain needs at least one part")
         if declared_eps is not None and not (0.0 < declared_eps <= 1.0):
-            raise ValueError("declared_eps must lie in (0, 1]")
+            raise InvalidInput("declared_eps must lie in (0, 1]")
         if declared_delta is not None and not 0.0 < declared_delta < math.inf:
-            raise ValueError("declared_delta must lie in (0, inf)")
+            raise InvalidInput("declared_delta must lie in (0, inf)")
         object.__setattr__(self, "outer", ())
         object.__setattr__(self, "holes", ())
         object.__setattr__(self, "parts", parts)
         # one part's rings were checked when the part was built
         if len(parts) > 1 and ring_nesting(self.rings(), self.tol) is None:
-            raise ValueError("each part must lie outside the other parts, meeting none")
+            raise InvalidInput("each part must lie outside the other parts, meeting none")
         object.__setattr__(self, "declared_eps", declared_eps)
         object.__setattr__(self, "declared_delta", declared_delta)
 
@@ -175,11 +176,20 @@ class RoutingGraph:
     classified at once, every node's clearance is measured at once, and
     the grid edges that come closer to the boundary than their length
     are checked by one `segments_in_domain` batch. The nodes are indexed
-    by a KD-tree for nearest-node and radius queries."""
+    by a KD-tree for nearest-node queries, and by grid position:
+    `index[i, j]` is the node at (x0 + i h, y0 + j h), numbered in (i, j)
+    order, or -1 off the nodes and in a one-step pad beyond ni and nj.
+    `coord_max`, the largest coordinate magnitude on the grid, bounds
+    its rounding.
+
+    `adj[u]` holds u's (neighbour, weight) pairs in the order of the grid
+    edges (a, k), step k from node a, by a * 4 + k, each edge added at
+    both ends: one lexsort on (node, a * 4 + k). As tuples of numbers,
+    unlike lists, they drop out of CPython's cyclic collector."""
 
     def __init__(self, d: PolygonalDomain, h: float):
         if not 0.0 < h < math.inf:
-            raise ValueError(f"grid step h must lie in (0, inf), got {h}")
+            raise InvalidInput(f"grid step h must lie in (0, inf), got {h}")
         self.domain = d
         self.h = h
         x0, y0, x1, y1 = d.bbox()
@@ -188,38 +198,40 @@ class RoutingGraph:
         # grid points in (i, j) lexicographic order, p = (x0 + i h, y0 + j h)
         gi, gj = np.divmod(np.arange((ni + 1) * (nj + 1)), nj + 1)
         grid = np.stack([x0 + gi * h, y0 + gj * h], axis=1)
+        # each coordinate is monotone in i or j, so the corners hold the largest
+        self.coord_max = float(np.abs(grid[[0, -1]]).max())
         ids = np.flatnonzero(d.contains_many(grid))
         pts = grid[ids]
-        self.nodes: list[Point] = [tuple(p) for p in pts.tolist()]
+        self.nodes: list[Point] = list(zip(pts[:, 0].tolist(), pts[:, 1].tolist()))
         self.clearance: list[float] = d.boundary_dist_many(pts).tolist()
         n = len(ids)
         # padded with -1 beyond i = ni and j = nj, which also catches j = -1
         index = np.full((ni + 2, nj + 2), -1)
         gi, gj = gi[ids], gj[ids]
         index[gi, gj] = np.arange(n)
+        self.index = index
         steps = [(1, 0), (0, 1), (1, 1), (1, -1)]
         nbr = np.stack([index[gi + di, gj + dj] for di, dj in steps], axis=1)
         diag = h * math.sqrt(2.0)
-        weights = (h, h, diag, diag)
+        weights = np.array([h, h, diag, diag])
         # a short edge between nodes with enough clearance cannot meet the
         # boundary; only near-boundary edges get checked
         keep = nbr >= 0
         clear = np.asarray(self.clearance)
         u, k = np.nonzero(keep)
         v = nbr[u, k]
-        near = np.minimum(clear[u], clear[v]) < np.asarray(weights)[k]
+        near = np.minimum(clear[u], clear[v]) < weights[k]
         u, k, v = u[near], k[near], v[near]
         keep[u, k] = segments_in_domain(d, pts[u], pts[v])
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for a, (row, kept) in enumerate(zip(nbr.tolist(), keep.tolist())):
-            for b, w, ok in zip(row, weights, kept):
-                if ok:
-                    adj[a].append((b, w))
-                    adj[b].append((a, w))
-        self.adj = adj
+        a, k = np.nonzero(keep)
+        b = nbr[a, k]
+        ends, other, step = np.r_[a, b], np.r_[b, a], np.r_[k, k]
+        o = np.lexsort((np.r_[a, a] * 4 + step, ends))
+        pairs = list(zip(other[o].tolist(), weights[step[o]].tolist()))
+        cuts = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        self.adj = [tuple(pairs[s:e]) for s, e in zip([0, *cuts], cuts)]
         # components are numbered in order of their lowest node
-        u, k = np.nonzero(keep)
-        edges = coo_matrix((np.ones(len(u)), (u, nbr[u, k])), shape=(n, n))
+        edges = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
         c, comp = connected_components(edges, directed=False)
         self.comp: list[int] = comp.tolist()
         self.n_components = int(c)
@@ -244,11 +256,11 @@ class RoutingGraph:
                     self.reflex.append((v, (bis[0] / L, bis[1] / L)))
 
     def node_ids(self, pts: Sequence[Point]) -> list[int]:
-        """Indices of the given nodes; ValueError for a point that is not one."""
+        """Indices of the given nodes; InvalidInput for a point that is not one."""
         P = np.asarray(pts, dtype=float).reshape(len(pts), 2)
         gap, idx = self._tree.query(P)
         if (gap != 0).any() or (self._tree.data[idx] != P).any():
-            raise ValueError("net points must be routing-grid nodes")
+            raise InvalidInput("net points must be routing-grid nodes")
         return idx.tolist()
 
     def nearest_visible(self, p: Point) -> int:
@@ -433,7 +445,7 @@ def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:
     """A polygonal path p -> q through the open domain. When convexity
     constants are declared and |p-q| <= delta, the length bound
     len <= |p-q|/eps is asserted (LRCViolation on failure).
-    DimensionMismatch for a point off the plane, ValueError for an
+    DimensionMismatch for a point off the plane, InvalidInput for an
     endpoint that is not finite or lies beyond `MAX_COORD`."""
     if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("domains are planar")
@@ -466,13 +478,21 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     component within delta that has clearance >= delta/2. The result
     covers every interior grid node and touches every component.
 
-    The nodes within delta of a scan point or a pick come from the
-    graph's KD-tree, queried with a radius slack; `dist` decides for
-    every node whose numpy distance sits near delta."""
+    A node v lies within delta of a node c when r = hypot(v - c) <= delta,
+    `dist` deciding where |r - delta| <= 1e-9 delta. The ball is one
+    stencil of grid offsets (di, dj), cut at the grid's size, with rho =
+    h hypot(di, dj) and margin m = 1e-6 delta + 16 ulp(M), M the graph's
+    `coord_max`. Offsets with rho <= delta - m are taken with no float
+    test, those beyond delta + m dropped, and the ring between gets the
+    test above on the nodes' coordinates. The margin keeps the test's
+    answer: a grid coordinate x0 + i h is rounded twice, so it lies
+    within 3 u M of its exact value (u = 2^-53), a difference of two
+    within 8 u M of di h, and r within 12 u M + 5 u delta of rho near
+    delta, less than m - 1e-9 delta at any scale or translation."""
     if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must lie in (0, inf), got {delta}")
+        raise InvalidInput(f"delta must lie in (0, inf), got {delta}")
     if d.declared_delta is not None and delta > d.declared_delta + d.tol:
-        raise ValueError("delta exceeds the declared constant")
+        raise InvalidInput("delta exceeds the declared constant")
     g = routing_graph(d, h)
     if not g.nodes:
         raise InfeasibleDelta("no interior grid nodes")
@@ -480,15 +500,27 @@ def select_lambda(d: PolygonalDomain, delta: float, h: float = 0.02) -> list[Poi
     clear = np.asarray(g.clearance)
     comp = np.asarray(g.comp)
     deep = clear >= delta / 2
+    m = 1e-6 * delta + 16 * math.ulp(g.coord_max)
+    # the stencil's half-widths, and the grid index padded by them with -1
+    ni, nj = (s - 2 for s in g.index.shape)
+    reach = (delta + m) / h
+    Ri, Rj = (n if reach >= n else int(reach) + 1 for n in (ni, nj))
+    pad = np.pad(g.index[: ni + 1, : nj + 1], ((Ri, Ri), (Rj, Rj)), constant_values=-1)
+    di, dj = np.indices((2 * Ri + 1, 2 * Rj + 1)).reshape(2, -1) - [[Ri], [Rj]]
+    rho, off = h * np.hypot(di, dj), di * pad.shape[1] + dj
+    sure, ring = off[rho <= delta - m], off[(delta - m < rho) & (rho <= delta + m)]
+    pad = pad.ravel()
+    base = np.flatnonzero(pad >= 0)  # each node's place in pad, in node order
 
     def within_delta(c: int) -> np.ndarray:
-        idx = g._tree.query_ball_point(pts[c], delta * (1.0 + 1e-9))
-        idx = np.asarray(idx, dtype=int)
-        r = np.hypot(*(pts[idx] - pts[c]).T)
+        idx = pad[base[c] + sure]
+        near = pad[base[c] + ring]
+        idx, near = idx[idx >= 0], near[near >= 0]
+        r = np.hypot(*(pts[near] - pts[c]).T)
         inside = r <= delta
-        for m in np.flatnonzero(np.abs(r - delta) <= 1e-9 * delta):
-            inside[m] = dist(g.nodes[idx[m]], g.nodes[c]) <= delta
-        return idx[inside]
+        for k in np.flatnonzero(np.abs(r - delta) <= 1e-9 * delta):
+            inside[k] = dist(g.nodes[near[k]], g.nodes[c]) <= delta
+        return np.concatenate([idx, near[inside]])
 
     order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
     covered = np.zeros(len(g.nodes), dtype=bool)
@@ -557,14 +589,14 @@ def complement_region(d: PolygonalDomain, box: PolyRegion) -> PolygonalDomain:
     """The domain box minus the closure of d, from one ring table: the
     box's rings, holes included, then d's rings reversed. The table must
     be valid (`ring_nesting`), so d's closure lies strictly inside the
-    box and outside its holes, else ValueError. Each ring at even depth
+    box and outside its holes, else InvalidInput. Each ring at even depth
     bounds a part, holed by the rings one level deeper inside it: the
     frame, and an island per hole of d. The boundary of d must separate
     two sides everywhere (no slits), else TopologyViolation."""
     rings = [*box.rings(), *(r[::-1] for r in d.rings())]
     inside = ring_nesting(rings, max(box.tol, d.tol))
     if inside is None:
-        raise ValueError("domain closure must lie strictly inside the box, off its holes")
+        raise InvalidInput("domain closure must lie strictly inside the box, off its holes")
     # probes 1e-6 edge lengths off each edge's midpoint, one on each side
     E = d.edge_array
     off = 1e-6 * np.stack([E[:, 1] - E[:, 3], E[:, 2] - E[:, 0]], axis=1)
@@ -589,7 +621,7 @@ def koch_preset(iterations: int) -> PolygonalDomain:
     """Koch-snowflake prefix on a unit-side equilateral triangle;
     3 * 4^iterations boundary edges."""
     if not (0 <= iterations <= 7):
-        raise ValueError("iterations must lie in 0..7")
+        raise InvalidInput("iterations must lie in 0..7")
     s3 = math.sqrt(3.0)
     ring: list[Point] = [(0.0, 0.0), (1.0, 0.0), (0.5, s3 / 2)]
     for _ in range(iterations):
@@ -633,4 +665,4 @@ def domain_preset(name: str) -> PolygonalDomain:
     if name == "koch2":
         d = koch_preset(2)
         return d.with_constants(0.25, 0.2)
-    raise ValueError(f"unknown preset {name!r}")
+    raise InvalidInput(f"unknown preset {name!r}")

@@ -9,6 +9,10 @@ class DimensionMismatch(DMFieldError):
     pass
 
 
+class InvalidInput(DMFieldError, ValueError):
+    """Input out of its documented range, or malformed; a ValueError too."""
+
+
 class DegenerateGeometry(DMFieldError):
     """A curve segment overlaps a region boundary edge, or an interior
     vertex lies exactly on the boundary, making crossing classification

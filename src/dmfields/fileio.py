@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AtomicMeasure, CurveField, PolyCurve
+from .errors import InvalidInput
 from .lipfun import (
     Clamp,
     Const,
@@ -47,7 +48,7 @@ def save(path: str, obj) -> None:
 def _finite(text: str) -> float:
     if math.isfinite(x := float(text)):
         return x
-    raise ValueError(f"non-finite number {text} in JSON input")
+    raise InvalidInput(f"non-finite number {text} in JSON input")
 
 
 def load(path: str):
@@ -164,7 +165,7 @@ def lipfunc_from_json(d: dict) -> LipFunc:
     k = d["kind"]
     cls = next((c for kind, c in _LIPFUNCS.items() if k == kind), None)
     if cls is None:
-        raise ValueError(f"unknown LipFunc kind: {k!r}")
+        raise InvalidInput(f"unknown LipFunc kind: {k!r}")
     return cls(
         *(
             lipfunc_from_json(d[fld.name]) if fld.type == "LipFunc" else d[fld.name]

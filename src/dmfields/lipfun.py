@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .core import Point
 
 
@@ -165,7 +165,7 @@ class Wave(LipFunc):
         dd = tuple(float(c) for c in d)
         n = math.sqrt(sum(c * c for c in dd))
         if n == 0:
-            raise ValueError("Wave direction must be nonzero")
+            raise InvalidInput("Wave direction must be nonzero")
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "k", float(k))
         object.__setattr__(self, "d", tuple(c / n for c in dd))
@@ -195,10 +195,10 @@ def weakstar_sequence(kind: str, k: int, base: LipFunc) -> LipFunc:
     converging pointwise to the indicator of {x1 > 0} away from 0.
     """
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise InvalidInput("k must be a positive integer")
     e1 = (1.0, 0.0)
     if kind == "wave-perturbation":
         return Sum(base, Wave(1.0 / k, float(k), e1))
     if kind == "mollified-ramp":
         return Clamp(Scale(float(k), Linear(e1)), 0.0, 1.0)
-    raise ValueError(f"unknown weak-* sequence kind: {kind!r}")
+    raise InvalidInput(f"unknown weak-* sequence kind: {kind!r}")

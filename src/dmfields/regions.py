@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch
+from .errors import DegenerateGeometry, DimensionMismatch, InvalidInput
 from .core import AtomicMeasure, CurveField, Point, PolyCurve, dist
 from .lipfun import LipFunc
 
@@ -257,7 +257,7 @@ class PolyRegion:
     Rings are stored without repeated consecutive vertices, cyclically
     (so without a repeated closing vertex either); the outer ring is
     normalized to counterclockwise orientation and holes to clockwise.
-    The rings must form a valid table (`ring_nesting`), else ValueError:
+    The rings must form a valid table (`ring_nesting`), else InvalidInput:
     the holes lie inside the outer ring and outside one another.
     """
 
@@ -274,12 +274,12 @@ class PolyRegion:
             if any(len(p) != 2 for p in pts):
                 raise DimensionMismatch("regions are planar")
             if not all(abs(c) <= MAX_COORD for p in pts for c in p):
-                raise ValueError("ring vertices must be finite and within 2^270")
+                raise InvalidInput("ring vertices must be finite and within 2^270")
             pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts.pop()
             if len(pts) < 3:
-                raise ValueError("a ring needs at least 3 distinct vertices")
+                raise InvalidInput("a ring needs at least 3 distinct vertices")
             area = _signed_area(pts)
             if area == 0.0:
                 raise DegenerateGeometry("zero-area ring")
@@ -292,7 +292,7 @@ class PolyRegion:
             self, "holes", tuple(norm(h, False) for h in holes)
         )
         if self.holes and ring_nesting(self.rings(), self.tol) is None:
-            raise ValueError("holes must lie strictly inside the outer ring and apart")
+            raise InvalidInput("holes must lie strictly inside the outer ring and apart")
 
     def rings(self) -> list[tuple[Point, ...]]:
         return [self.outer, *self.holes]
@@ -388,7 +388,7 @@ def half_plane(normal: Sequence[float], offset: float) -> PolyRegion:
     nx, ny = float(normal[0]), float(normal[1])
     L = math.hypot(nx, ny)
     if L == 0.0:
-        raise ValueError("normal must be nonzero")
+        raise InvalidInput("normal must be nonzero")
     nx, ny = nx / L, ny / L
     off = float(offset) / L
     tx, ty = -ny, nx
@@ -455,18 +455,26 @@ def _pieces(c: PolyCurve, E: PolyRegion) -> list[tuple[float, float, int]]:
     into it. Raises DimensionMismatch for a curve off the plane, and
     DegenerateGeometry for overlaps, ambiguous pieces and interior
     vertices sitting on the boundary, unless the curve rides the
-    boundary: all its vertices and segment midpoints lie on it. Such a
-    curve has no pieces. A curve that splits cleanly does not ride it,
-    whatever points it shares with it. Each curve segment meets only the
-    edges `near_edges` keeps for it: the others cannot cut it or raise."""
+    boundary: all its vertices and segment midpoints lie on one ring.
+    Such a curve has no pieces. Rings meet nowhere, so a curve whose
+    points lie on two rings leaves the boundary between them. A curve
+    that splits cleanly does not ride it, whatever points it shares with
+    it. Each curve segment meets only the edges `near_edges` keeps for
+    it: the others cannot cut it or raise."""
     if c.dimension != 2:
         raise DimensionMismatch("regions are planar")
     try:
         return _split(c, E)
     except DegenerateGeometry:
         mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in c.segments()]
-        if all(E.on_boundary(p) for p in [*c.vertices, *mids]):
-            return []
+        pts, tol, lo = [*c.vertices, *mids], E.tol, 0
+        for ring in E.rings():
+            boxes, lo = E.edge_boxes[lo : lo + len(ring)], lo + len(ring)
+            if all(
+                any(_near(p, a, b, tol) for a, b in near_edges(boxes, p, p, tol))
+                for p in pts
+            ):
+                return []
         raise
 
 

@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LeftGrid, MalformedLift
+from .errors import DimensionMismatch, InvalidInput, LeftGrid, MalformedLift
 from .core import (
     CurveField,
     Point,
@@ -154,10 +154,10 @@ def _interior_nodes(segs, reps, tol):
 def snap_to_graph(f: CurveField, tol: float = 1e-9) -> FlowGraph:
     """Merge vertices within tol, split edges at nodes lying on them,
     cancel antiparallel overlaps, drop zero weight. Node imbalances then
-    equal the field's divergence coefficients. ValueError unless
+    equal the field's divergence coefficients. InvalidInput unless
     0 <= tol < inf."""
     if not 0 <= tol < math.inf:
-        raise ValueError(f"snap_to_graph needs 0 <= tol < inf, got {tol}")
+        raise InvalidInput(f"snap_to_graph needs 0 <= tol < inf, got {tol}")
     # each vertex, in sorted order, goes to the first earlier
     # representative within tol, or becomes one; representatives are
     # appended in sorted order, so x never decreases and index order is
@@ -206,7 +206,7 @@ def graph_decompose(g: FlowGraph) -> list[PolyCurve]:
     cycles; each extraction removes the minimum weight along its walk,
     and weights and imbalances at or below 1e-12 count as spent.
     Deterministic: lexicographically smallest choices throughout.
-    ValueError unless every node passes `as_point`; the nodes are
+    InvalidInput unless every node passes `as_point`; the nodes are
     checked once, not again in each curve."""
     tol = 1e-12
     nodes = [as_point(p) for p in g.nodes]
@@ -379,7 +379,7 @@ class GridField:
     cell centers at origin + (ix, iy) * h. sigma, tau and div sigma are
     read between grid points by bilinear interpolation (`_sample`);
     `sigma_at`, `tau_at` and `div_sigma_at` raise LeftGrid off the grid,
-    `sigma_at_masked` gives 0 there and at points not alive. ValueError
+    `sigma_at_masked` gives 0 there and at points not alive. InvalidInput
     unless tau is positive everywhere."""
 
     origin: Point
@@ -391,7 +391,7 @@ class GridField:
 
     def __post_init__(self):
         if not (m := float(self.tau.min())) > 0:
-            raise ValueError(f"min tau {m:.3g} <= 0: tau's floor is below round-off")
+            raise InvalidInput(f"min tau {m:.3g} <= 0: tau's floor is below round-off")
         self.sigx = self.fx / self.tau
         self.sigy = self.fy / self.tau
         gx = np.gradient(self.sigx, self.h, axis=0)
@@ -479,14 +479,14 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     and h by a power of 2 scales fx, fy and tau by its inverse, bit for
     bit. The floor divides by h twice, so where h * h underflows it is
     inf, not a ZeroDivisionError. DimensionMismatch for a field off the
-    plane; ValueError unless eps and h are finite and positive and the
+    plane; InvalidInput unless eps and h are finite and positive and the
     grid's extent, in steps of h, is finite; also when tau is not
     positive somewhere, as when the field's weight is so large that the
     convolution's round-off outweighs the floor."""
     if f.dimension not in (None, 2):
         raise DimensionMismatch("mollify needs a planar field")
     if not (0 < eps < math.inf and 0 < h < math.inf):
-        raise ValueError(f"mollify needs finite eps > 0 and h > 0, got {eps}, {h}")
+        raise InvalidInput(f"mollify needs finite eps > 0 and h > 0, got {eps}, {h}")
     pts = [v for c in f for v in c.vertices]
     if pts:
         xs = [p[0] for p in pts]
@@ -496,7 +496,7 @@ def mollify(f: CurveField, eps: float, h: float) -> GridField:
     else:
         x0, y0, x1, y1 = -4 * eps, -4 * eps, 4 * eps, 4 * eps
     if not math.isfinite((x1 - x0) / h + (y1 - y0) / h):
-        raise ValueError(f"mollify's grid has no finite extent at eps {eps}, h {h}")
+        raise InvalidInput(f"mollify's grid has no finite extent at eps {eps}, h {h}")
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
 
@@ -555,11 +555,11 @@ def _rk4(sigma, x, y, dt):
 
 
 def _steps(T: float, dt: float) -> int:
-    """The number of fixed steps, round(T / dt); ValueError unless T and
+    """The number of fixed steps, round(T / dt); InvalidInput unless T and
     dt are finite and positive and make at least one step, which for
     positive T and dt means 0.5 < T / dt < inf."""
     if not (0 < T < math.inf and 0 < dt < math.inf and 0.5 < T / dt < math.inf):
-        raise ValueError(
+        raise InvalidInput(
             f"a flow needs finite T, dt > 0 with round(T / dt) >= 1, got {T}, {dt}"
         )
     return round(T / dt)
@@ -747,7 +747,7 @@ def reconstruct_check(
     exception in any slice is raised here, and every child has ended
     when this returns or raises."""
     if N < 2:
-        raise ValueError(f"reconstruct_check needs N >= 2, got {N}")
+        raise InvalidInput(f"reconstruct_check needs N >= 2, got {N}")
     nsteps = _steps(T, dt)
     h = gf.h
     nx, ny = gf.shape

@@ -261,7 +261,7 @@ def test_malformed_holes_are_invalid_input(files, capsys, holes):
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err.startswith("invalid input: ValueError: hole")
+    assert err.startswith("invalid input: InvalidInput: hole")
 
 
 def test_domain_preset_verb(files, capsys):
@@ -435,7 +435,7 @@ def test_extend_keeps_the_box_holes(files, capsys):
     assert not clip_field(f, PolyRegion(hole)).curves
     # a square inside the box's hole has no complement in the box
     assert extend([[[-0.5, -0.5], [1.5, -0.5], [1.5, 1.5], [-0.5, 1.5]]]) == 1
-    assert capsys.readouterr().err.startswith("invalid input: ValueError")
+    assert capsys.readouterr().err.startswith("invalid input: InvalidInput")
 
 
 def test_extend_divfree_verb_leaves_no_divergence(files):

@@ -3,14 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dmfields as dm
 from dmfields import (
     AtomicMeasure,
     CurveField,
     DimensionMismatch,
+    DMFieldError,
+    InvalidInput,
     PolyCurve,
     field_divergence,
     field_mass,
+    fileio,
     pair_vector,
+    smirnov,
 )
 from dmfields.core import dist
 
@@ -29,6 +34,25 @@ def test_polycurve_needs_two_vertices():
     # a repeated point collapses to a degenerate (still two-vertex) curve
     c = PolyCurve([(2, 3), (2, 3)], 1.0)
     assert c.length() == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PolyCurve([(2, 3)], 1.0),
+        lambda: dm.domain_preset("pentagon"),
+        lambda: dm.select_lambda(dm.domain_preset("square"), 0.5),
+        lambda: dm.box_region(0, 0, math.inf, 1),
+        lambda: smirnov.mollify(CurveField([PolyCurve([(0, 0), (1, 0)])]), 0.0, 0.1),
+        lambda: fileio.lipfunc_from_json({"kind": "spline"}),
+        lambda: dm.weakstar_sequence("wave", 0, dm.Const(0.0)),
+    ],
+    ids=["core", "preset", "net", "regions", "smirnov", "fileio", "lipfun"],
+)
+def test_bad_input_is_one_typed_error_and_still_a_value_error(call):
+    with pytest.raises(InvalidInput) as e:
+        call()
+    assert isinstance(e.value, DMFieldError) and isinstance(e.value, ValueError)
 
 
 def test_length_and_endpoints():

@@ -1,8 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmfields import (
     DimensionMismatch,
@@ -32,6 +33,7 @@ from dmfields.domain import (
     polyline_in_domain,
     routing_graph,
     segment_in_domain,
+    segments_in_domain,
 )
 
 SQUARE = domain_preset("square")
@@ -358,6 +360,101 @@ def test_select_lambda_matches_greedy_scan(d, delta, h):
     assert select_lambda(d, delta, h) == _greedy_scan(d, delta, h)
 
 
+def _old_select_lambda(d, delta, h):
+    """select_lambda before the grid stencil: each node's delta-ball is a
+    KD-tree radius query with a slack, `np.hypot` over every node found,
+    and `dist` deciding where the distance sits near delta."""
+    g = routing_graph(d, h)
+    pts = g._tree.data
+    clear = np.asarray(g.clearance)
+    comp = np.asarray(g.comp)
+    deep = clear >= delta / 2
+
+    def within_delta(c):
+        idx = g._tree.query_ball_point(pts[c], delta * (1.0 + 1e-9))
+        idx = np.asarray(idx, dtype=int)
+        r = np.hypot(*(pts[idx] - pts[c]).T)
+        inside = r <= delta
+        for m in np.flatnonzero(np.abs(r - delta) <= 1e-9 * delta):
+            inside[m] = dist(g.nodes[idx[m]], g.nodes[c]) <= delta
+        return idx[inside]
+
+    order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i])
+    covered = np.zeros(len(g.nodes), dtype=bool)
+    chosen = []
+    for u in order:
+        if covered[u]:
+            continue
+        cands = within_delta(u)
+        cands = cands[deep[cands] & (comp[cands] == comp[u])]
+        if not cands.size:
+            raise InfeasibleDelta(
+                f"no node with clearance >= {delta / 2} within {delta} of {g.nodes[u]}"
+            )
+        pick = max(
+            cands[clear[cands] == clear[cands].max()].tolist(),
+            key=lambda i: (dist(g.nodes[i], g.nodes[u]), tuple(-c for c in g.nodes[i])),
+        )
+        chosen.append(g.nodes[pick])
+        covered[within_delta(pick)] = True
+    return chosen
+
+
+def _net_or_error(select, d, delta, h):
+    try:
+        return select(d, delta, h)
+    except InfeasibleDelta as e:
+        return str(e)
+
+
+# (domain, grid step at scale 1): a few thousand grid points each
+NET_DOMAINS = {
+    "square": (SQUARE, 0.025),
+    "lshape": (LSHAPE, 0.04),
+    "koch2": (domain_preset("koch2"), 0.02),
+    "annulus": (domain_preset("annulus"), 0.05),
+    "square-complement": (complement_region(SQUARE, box_region(-1, -1, 2, 2)), 0.05),
+    "annulus-complement": (
+        complement_region(domain_preset("annulus"), box_region(-3, -3, 3, 3)),
+        0.1,
+    ),
+    "two-parts": (PolygonalDomain((box_region(0, 0, 1, 1), box_region(2, 0, 3, 1))), 0.025),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@example(name="square", k=-6, t=1e8, steps=4.99999)
+@example(name="annulus", k=-6, t=1e8, steps=4.000008)
+@given(
+    name=st.sampled_from(sorted(NET_DOMAINS)),
+    k=st.integers(-6, 6),
+    t=st.one_of(st.sampled_from([0.0, -12345.678, 1e4, 1e6, 1e8]), st.floats(-1e8, 1e8)),
+    # delta / h: an integer puts lattice points at delta, so `dist` decides
+    # them; a lattice distance times 1 + 4e-6 or less puts them within the
+    # rounding of coordinates near 1e8 of delta, as in the examples
+    steps=st.one_of(
+        st.integers(2, 12).map(float),
+        st.floats(1.5, 12.0),
+        st.builds(
+            lambda a, b, e: math.hypot(a, b) * (1 + e),
+            st.integers(2, 8),
+            st.integers(0, 8),
+            st.floats(-4e-6, 4e-6),
+        ),
+        st.just(math.inf),
+    ),
+)
+def test_select_lambda_equals_the_kd_tree_net(name, k, t, steps):
+    # nets move with the translation, so both sides see the same one
+    d0, h0 = NET_DOMAINS[name]
+    d, h = _moved(d0, 2.0**k, (t, t)), h0 * 2.0**k
+    x0, y0, x1, y1 = d.bbox()
+    # above the diameter: the stencil stops at the grid's size
+    delta = 2 * math.hypot(x1 - x0, y1 - y0) if steps == math.inf else steps * h
+    got = _net_or_error(select_lambda, d, delta, h)
+    assert got == _net_or_error(_old_select_lambda, d, delta, h)
+
+
 def test_select_lambda_touches_every_component():
     two = PolygonalDomain((box_region(0, 0, 1, 1), box_region(2, 0, 3, 1)))
     lam = select_lambda(two, 0.4)
@@ -529,3 +626,57 @@ def test_graph_components_are_numbered_by_lowest_node():
     firsts = [g.comp.index(c) for c in range(g.n_components)]
     assert firsts == sorted(firsts) and firsts[0] == 0
     assert all(g.comp[a] == g.comp[b] for a, nbrs in enumerate(g.adj) for b, _ in nbrs)
+
+
+def _old_adj(g):
+    """The adjacency as the build filled it before the lexsort: a list
+    per node, each kept grid edge (a, k) appended to both ends in (a, k)
+    order. The edges come from the graph's grid index, kept by the same
+    clearance rule and `segments_in_domain` batch."""
+    gi, gj = np.nonzero(g.index >= 0)
+    steps = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    nbr = np.stack([g.index[gi + di, gj + dj] for di, dj in steps], axis=1)
+    diag = g.h * math.sqrt(2.0)
+    weights = (g.h, g.h, diag, diag)
+    keep = nbr >= 0
+    clear = np.asarray(g.clearance)
+    u, k = np.nonzero(keep)
+    v = nbr[u, k]
+    near = np.minimum(clear[u], clear[v]) < np.asarray(weights)[k]
+    u, k, v = u[near], k[near], v[near]
+    pts = np.asarray(g.nodes)
+    keep[u, k] = segments_in_domain(g.domain, pts[u], pts[v])
+    adj = [[] for _ in g.nodes]
+    for a, (row, kept) in enumerate(zip(nbr.tolist(), keep.tolist())):
+        for b, w, ok in zip(row, weights, kept):
+            if ok:
+                adj[a].append((b, w))
+                adj[b].append((a, w))
+    return adj
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [
+        ("square", 0.02),
+        ("lshape", 0.02),
+        ("koch2", 0.02),
+        ("annulus", 0.02),
+        ("square-complement", 0.05),
+        ("annulus-complement", 0.05),
+        ("island-complement", 0.05),
+        ("two-parts", 0.02),
+    ],
+)
+def test_adjacency_equals_the_edge_by_edge_build(name, h):
+    if name == "island-complement":
+        d = complement_region(ISLAND, box_region(-1, -1, 5, 5))
+    else:
+        d = NET_DOMAINS[name][0]
+    g = routing_graph(d, h)
+    old = _old_adj(g)
+    assert all(type(a) is tuple for a in g.adj)
+    assert [list(a) for a in g.adj] == old
+    ref = copy.copy(g)
+    ref.adj = old
+    assert g.dijkstra([0]) == RoutingGraph.dijkstra(ref, [0])

@@ -539,6 +539,9 @@ def domain_and_field(draw):
 # from the frame's corner through its hole's vertex to the island's: its
 # ends and midpoint lie on the boundary, yet it is no boundary curve
 @example((NESTED, CurveField([PolyCurve([(-1, -1), (1, 1)], 1.0)])))
+# from the triangle's corner along the box's bottom edge: its ends and
+# midpoint lie on the boundary, but on two parts' rings
+@example((TWO_PARTS, CurveField([PolyCurve([(2, 0), (0, 0)], 1.0)])))
 @settings(max_examples=200, deadline=None)
 def test_domain_trace_equals_the_per_part_sum(case):
     d, f = case
