@@ -157,7 +157,8 @@ def _run(args) -> int:
             out_field = extend_field(f, d, cfg_out)
             payload = fileio.field_to_json(out_field)
         else:
-            out_field, punctures = extend_divfree(f, d, cfg_out)
+            connected = len(comp.parts) == 1
+            out_field, punctures = extend_divfree(f, d, cfg_out, connected)
             payload = fileio.field_to_json(out_field)
             payload["punctures"] = [list(p) for p in punctures]
         _emit(payload, args.out)

@@ -222,7 +222,10 @@ class AtomicMeasure:
         """Merge atoms whose locations are within tol of each other
         (single-linkage clusters, represented by their lexicographically
         smallest member); drop coefficients below tol. Atoms are sorted,
-        so each is tested only against the later ones in its x-window."""
+        so each is tested only against the later ones in its x-window.
+        InvalidInput unless 0 <= tol < inf."""
+        if not 0 <= tol < math.inf:
+            raise InvalidInput(f"coalescing needs 0 <= tol < inf, got {tol}")
         atoms = list(self.atoms)
         n = len(atoms)
         xs = [p[0] for p, _ in atoms]
@@ -251,7 +254,7 @@ class AtomicMeasure:
     def same_atoms(self, other: "AtomicMeasure", tol: float = 1e-9) -> bool:
         """Whether, after coalescing both sides at tol, the atoms pair
         one to one, in any order, with locations and coefficients within
-        tol of each other."""
+        tol of each other. InvalidInput unless 0 <= tol < inf."""
         a = self.coalesced(tol).atoms
         b = other.coalesced(tol).atoms
         if len(a) != len(b):

@@ -176,7 +176,8 @@ class RoutingGraph:
     classified at once, every node's clearance is measured at once, and
     the grid edges that come closer to the boundary than their length
     are checked by one `segments_in_domain` batch. The nodes are indexed
-    by a KD-tree for nearest-node queries, and by grid position:
+    by a KD-tree, which `nearest_visible` queries once for a whole batch
+    of points to hop onto the grid, and by grid position:
     `index[i, j]` is the node at (x0 + i h, y0 + j h), numbered in (i, j)
     order, or -1 off the nodes and in a one-step pad beyond ni and nj.
     `coord_max`, the largest coordinate magnitude on the grid, bounds
@@ -263,24 +264,13 @@ class RoutingGraph:
             raise InvalidInput("net points must be routing-grid nodes")
         return idx.tolist()
 
-    def nearest_visible(self, p: Point) -> int:
-        """Index of the closest of the 40 nodes nearest to p that p
-        reaches by a straight segment through the domain."""
-        if not self.nodes:
-            raise Disconnected("empty routing graph")
-        kk = min(40, len(self.nodes))
-        _, idxs = self._tree.query(p, kk)
-        for i in np.atleast_1d(idxs).tolist():
-            v = self.nodes[i]
-            if dist(p, v) <= self.domain.tol or segment_in_domain(self.domain, p, v):
-                return i
-        raise Disconnected(f"no grid node visible from {p}")
-
-    def nearest_visible_many(self, P: Sequence[Point]) -> list[int]:
-        """`nearest_visible` for each point of P: one KD-tree query for
-        all of them, then one `segments_in_domain` batch per rank over
-        the points still unresolved. A point within `domain.tol` of a
-        node (by `dist`) takes it without a visibility test."""
+    def nearest_visible(self, P: Sequence[Point]) -> list[int]:
+        """For each point of P, the index of the closest of the 40 nodes
+        nearest to it that it reaches by a straight segment through the
+        domain: one KD-tree query for all of them, then one
+        `segments_in_domain` batch per rank over the points still
+        unresolved. A point within `domain.tol` of a node (by `dist`)
+        takes it without a visibility test."""
         if not self.nodes:
             raise Disconnected("empty routing graph")
         A = np.asarray(P, dtype=float).reshape(len(P), 2)
@@ -421,8 +411,7 @@ def _route_points(d: PolygonalDomain, p: Point, q: Point, h: float) -> list[Poin
     if best is not None and _polyline_len(best) <= budget:
         return best
     # grid fallback
-    a = g.nearest_visible(p)
-    b = g.nearest_visible(q)
+    a, b = g.nearest_visible([p, q])
     if g.comp[a] != g.comp[b]:
         raise Disconnected(f"{p} and {q} lie in different components")
     dd, prev = g.dijkstra([a], b)
@@ -446,9 +435,12 @@ def route(d: PolygonalDomain, p: Point, q: Point, h: float = 0.02) -> PolyCurve:
     constants are declared and |p-q| <= delta, the length bound
     len <= |p-q|/eps is asserted (LRCViolation on failure).
     DimensionMismatch for a point off the plane, InvalidInput for an
-    endpoint that is not finite or lies beyond `MAX_COORD`."""
+    endpoint that is not finite or lies beyond `MAX_COORD`, or for a
+    grid step h outside (0, inf)."""
     if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("domains are planar")
+    if not 0.0 < h < math.inf:
+        raise InvalidInput(f"grid step h must lie in (0, inf), got {h}")
     p, q = as_point(p, MAX_COORD), as_point(q, MAX_COORD)
     # symmetric by construction: always solve the lexicographically
     # smaller orientation
@@ -570,15 +562,16 @@ def _boundary_samples(d: PolygonalDomain) -> list[Point]:
 def separation(d: PolygonalDomain, lam: Sequence[Point], h: float = 0.02) -> float:
     """Upper-biased estimate of the worst geodesic distance from the
     boundary to the net, whose points must be graph nodes: 400 evenly
-    spaced boundary samples hop, in one batch, to their nearest visible
-    grid node and continue by multi-source shortest path."""
+    spaced boundary samples hop to their nearest visible grid nodes in
+    one `nearest_visible` call and continue by multi-source shortest
+    path."""
     if not lam:
         raise Disconnected("empty net")
     g = routing_graph(d, h)
     dd, _ = g.dijkstra(g.node_ids(lam))
     samples = _boundary_samples(d)
     worst = 0.0
-    for s, i in zip(samples, g.nearest_visible_many(samples)):
+    for s, i in zip(samples, g.nearest_visible(samples)):
         if dd[i] == float("inf"):
             raise Disconnected(f"boundary sample {s} cannot reach the net")
         worst = max(worst, dist(s, g.nodes[i]) + dd[i])

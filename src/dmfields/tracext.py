@@ -33,6 +33,7 @@ from scipy.spatial import cKDTree
 from .errors import (
     AtomOffBoundary,
     InfeasibleDelta,
+    InvalidInput,
     MissingConstants,
     NonzeroNetFlux,
     NormBoundViolation,
@@ -89,20 +90,14 @@ class LiftConfig:
         return min(clearance[i] for i in self._ids)
 
     @cached_property
-    def _lam_comp(self) -> dict[int, list[Point]]:
-        comp = routing_graph(self.domain, self.h).comp
-        groups: dict[int, list[Point]] = {}
-        for q, i in zip(self.lam, self._ids):
-            groups.setdefault(comp[i], []).append(q)
-        return groups
-
-    @cached_property
     def _lam_trees(self) -> dict[int | None, tuple[list[Point], cKDTree]]:
         """A KD-tree over the whole net (key None) and, when the graph
         has more than one component, one over each component's points."""
+        g = routing_graph(self.domain, self.h)
         groups: dict[int | None, list[Point]] = {None: list(self.lam)}
-        if routing_graph(self.domain, self.h).n_components > 1:
-            groups.update(self._lam_comp)
+        if g.n_components > 1:
+            for q, i in zip(self.lam, self._ids):
+                groups.setdefault(g.comp[i], []).append(q)
         return {c: (pts, cKDTree(pts)) for c, pts in groups.items()}
 
     def sep(self) -> float:
@@ -113,10 +108,10 @@ class LiftConfig:
         Euclidean distance by `dist` with lexicographic tie-break. A
         component without a net point falls back to the whole net.
 
-        p's component is that of its nearest visible grid node; with one
-        component the candidates are the whole net and no visibility
-        query runs, so a point that sees no grid node raises
-        `Disconnected` only when `route` falls back to the grid.
+        p's component is that of the grid node it hops to, one
+        `nearest_visible` call on [p]; with one component the candidates
+        are the whole net and no hop runs, so a point that sees no grid
+        node raises `Disconnected` only when `route` falls back to the grid.
 
         The candidates' KD-tree gives the nearest distance r0, and every
         net point within r0 (1 + 1e-9) goes to `dist`. The tree's
@@ -126,7 +121,7 @@ class LiftConfig:
         So the `dist`-minimiser and every point tied with it are among
         the candidates, and the answer equals a scan over the net."""
         g = routing_graph(self.domain, self.h)
-        key = g.comp[g.nearest_visible(p)] if g.n_components > 1 else None
+        key = g.comp[g.nearest_visible([p])[0]] if g.n_components > 1 else None
         pts, tree = self._lam_trees.get(key, self._lam_trees[None])
         r0, _ = tree.query(p)
         near = tree.query_ball_point(p, r0 * (1.0 + 1e-9))
@@ -263,7 +258,10 @@ def extend_divfree(
     result is divergence-free everywhere inside the box (single exterior
     net point; all its contributions cancel); otherwise the returned
     punctures mark residual net atoms excluded from the effective
-    domain."""
+    domain. A connected complement must be a domain of one part, else
+    InvalidInput."""
+    if connected_complement and len(cfg_out.domain.parts) > 1:
+        raise InvalidInput("a complement of more than one part is not connected")
     m = AEElement(domain_trace(f, d_in))
     cfg = cfg_out
     # relative to the trace's total variation: a small trace's flux and

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from dmfields import acceptance, cli, fileio
-from dmfields.core import field_divergence
-from dmfields.regions import PolyRegion, clip_field
+from dmfields.core import CurveField, PolyCurve, field_divergence
+from dmfields.domain import complement_region, domain_preset
+from dmfields.regions import PolyRegion, box_region, clip_field
+from dmfields.tracext import extend_divfree, lift_config
 
 
 @pytest.fixture()
@@ -445,6 +447,32 @@ def test_extend_divfree_verb_leaves_no_divergence(files):
     f = fileio.field_from_json(payload)
     assert len(f.curves) > 1
     assert field_divergence(f).coalesced(1e-9).atoms == ()
+
+
+def test_extend_divfree_verb_keeps_the_punctures_of_a_complement_of_two_parts(files):
+    # the annulus's complement in [-3, 3]^2 is a frame and an island: one
+    # base point cannot serve both, so the verb extends with punctures
+    annulus, box = domain_preset("annulus"), box_region(-3, -3, 3, 3)
+    f = CurveField(
+        [
+            PolyCurve([(0.1, 0.2), (1.5, 0.4), (2.5, 0.7)], 1.0),
+            PolyCurve([(2.5, -0.7), (1.5, -0.4), (0.1, -0.2)], 1.0),
+        ]
+    )
+    write = files["write"]
+    out = str(files["dir"] / "divfree.json")
+    args = [
+        "--field", write("f.json", fileio.field_to_json(f)),
+        "--domain", write("annulus.json", fileio.domain_to_json(annulus)),
+        "--box", write("box.json", fileio.region_to_json(box)),
+        "--grid-h", "0.05",
+    ]
+    assert cli.main(["extend-divfree", *args, "--out", out]) == 0
+    cfg = lift_config(complement_region(annulus, box), 0.05, 0.3)
+    g, punctures = extend_divfree(f, annulus, cfg, connected_complement=False)
+    want = fileio.field_to_json(g)
+    want["punctures"] = [list(p) for p in punctures]
+    assert _read(out) == json.loads(fileio.dumps(want))
 
 
 def test_verify_writes_its_results(files, capsys):

@@ -209,6 +209,18 @@ def test_pair_vector_linear_gradient_matches_divergence_pairing():
     assert pair_vector(f, grad) + div_term == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_outside_0_inf_is_invalid_input(tol):
+    # under nan or inf every comparison fails or every pair matches, so
+    # different measures would match and any measure coalesce to nothing
+    a = AtomicMeasure([((0.0, 0.0), 1.0)])
+    b = AtomicMeasure([((5.0, 0.0), -2.0)])
+    with pytest.raises(InvalidInput, match="tol"):
+        a.coalesced(tol)
+    with pytest.raises(InvalidInput, match="tol"):
+        a.same_atoms(b, tol)
+
+
 def test_same_atoms_pairs_atoms_in_any_order():
     # an ulp in x reorders the atoms; zipping the sorted lists paired
     # each atom with the wrong partner

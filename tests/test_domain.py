@@ -9,6 +9,7 @@ from dmfields import (
     DimensionMismatch,
     Disconnected,
     InfeasibleDelta,
+    InvalidInput,
     LRCViolation,
     PolyRegion,
     PolygonalDomain,
@@ -35,6 +36,7 @@ from dmfields.domain import (
     segment_in_domain,
     segments_in_domain,
 )
+from test_golden import FALLBACK
 
 SQUARE = domain_preset("square")
 LSHAPE = domain_preset("lshape")
@@ -61,6 +63,13 @@ def test_route_rejects_endpoints_not_finite_or_beyond_max_coord(p):
     for a, b in ((p, (0.5, 0.5)), ((0.5, 0.5), p)):
         with pytest.raises(ValueError, match="non-finite|beyond"):
             route(SQUARE, a, b)
+
+
+@pytest.mark.parametrize("h", [math.nan, -1.0, 0.0, math.inf])
+def test_route_checks_its_grid_step_before_routing(h):
+    # a straight route never reaches the grid, yet its step is checked
+    with pytest.raises(InvalidInput, match="grid step"):
+        route(SQUARE, (0.1, 0.1), (0.2, 0.2), h)
 
 
 def _chain(prev, a, b):
@@ -485,6 +494,19 @@ def test_separation_requires_net_points_on_the_grid():
         separation(SQUARE, [(0.505, 0.5)])
 
 
+def _old_nearest_visible(g, p):
+    """The scalar hop the batched `nearest_visible` replaced: the closest
+    of the 40 nodes nearest to p that p sees, one node at a time."""
+    if not g.nodes:
+        raise Disconnected("empty routing graph")
+    _, idxs = g._tree.query(p, min(40, len(g.nodes)))
+    for i in np.atleast_1d(idxs).tolist():
+        v = g.nodes[i]
+        if dist(p, v) <= g.domain.tol or segment_in_domain(g.domain, p, v):
+            return i
+    raise Disconnected(f"no grid node visible from {p}")
+
+
 @pytest.mark.parametrize(
     "name, h",
     [
@@ -509,17 +531,28 @@ def test_batched_hops_equal_the_scalar_nearest_visible(name, h):
     pts += g.nodes[:: max(1, len(g.nodes) // 50)]
     near = [(x + 0.3 * h, y - 0.7 * d.tol) for x, y in pts[::7]]
     pts += [p for p in near if d.contains(p)]
-    assert g.nearest_visible_many(pts) == [g.nearest_visible(p) for p in pts]
+    assert g.nearest_visible(pts) == [_old_nearest_visible(g, p) for p in pts]
+
+
+def test_the_fallback_routes_hop_as_the_scalar_reference():
+    # both endpoints of each golden route that reaches the grid fallback
+    domains = {
+        "koch2": domain_preset("koch2"),
+        "square-complement": complement_region(SQUARE, box_region(-1, -1, 2, 2)),
+    }
+    for name, p, q in FALLBACK:
+        g = routing_graph(domains[name], 0.02)
+        assert g.nearest_visible([p, q]) == [_old_nearest_visible(g, x) for x in (p, q)]
 
 
 def test_a_batched_hop_that_sees_no_node_is_disconnected():
     g = routing_graph(SQUARE, 0.02)
     with pytest.raises(Disconnected):
-        g.nearest_visible((5.0, 5.0))
+        g.nearest_visible([(5.0, 5.0)])
     with pytest.raises(Disconnected):
-        g.nearest_visible_many([(0.0, 0.5), (5.0, 5.0)])
+        g.nearest_visible([(0.0, 0.5), (5.0, 5.0)])
     with pytest.raises(Disconnected):
-        routing_graph(PolygonalDomain(box_region(0, 0, 0.01, 0.01)), 0.02).nearest_visible_many([(0.0, 0.0)])
+        routing_graph(PolygonalDomain(box_region(0, 0, 0.01, 0.01)), 0.02).nearest_visible([(0.0, 0.0)])
 
 
 def test_complement_region_frame_and_islands():

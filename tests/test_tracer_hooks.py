@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 
 import dmfields
+from dmfields.domain import domain_preset, select_lambda
 from dmfields.regions import box_region
 from dmfields.smirnov import GridField, rotation
+from test_golden import FALLBACK
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import COUNTS, SPANS, Tracer  # noqa: E402
@@ -68,3 +70,25 @@ def test_a_domain_query_counts_once_through_the_inherited_predicates():
         t.uninstall()
     assert t.counts["regions.contains.other"] == 1
     assert t.counts["regions.on_boundary.other"] == 1
+
+
+def test_each_grid_hop_opens_one_nearest_visible_span():
+    # separation hops its 400 boundary samples in one call, and a route
+    # that falls back to the grid hops both endpoints in one call
+    square = domain_preset("square")
+    lam = select_lambda(square, 0.4, 0.02)
+    name, p, q = FALLBACK[0]
+    koch = domain_preset(name)
+    calls = {
+        "domain.separation": lambda: dmfields.domain.separation(square, lam, 0.02),
+        "domain.route": lambda: dmfields.domain.route(koch, p, q, 0.02),
+    }
+    for span, call in calls.items():
+        t = Tracer()
+        try:
+            t.install()
+            call()
+        finally:
+            t.uninstall()
+        assert t.counts[span] == 1
+        assert t.counts["domain.nearest_visible"] == 1

@@ -11,6 +11,7 @@ from dmfields import (
     AtomicMeasure,
     CurveField,
     Disconnected,
+    InvalidInput,
     LiftConfig,
     MissingConstants,
     NonzeroNetFlux,
@@ -164,6 +165,15 @@ def test_extend_divfree_rejects_net_flux():
         extend_divfree(src, SQUARE, cfg_out)
 
 
+def test_extend_divfree_rejects_a_connected_complement_of_two_parts():
+    annulus = domain_preset("annulus")
+    comp = complement_region(annulus, box_region(-3, -3, 3, 3))
+    assert len(comp.parts) == 2
+    f = CurveField([PolyCurve([(0.1, 0.2), (1.5, 0.4), (2.5, 0.7)], 1.0)])
+    with pytest.raises(InvalidInput, match="more than one part"):
+        extend_divfree(f, annulus, lift_config(comp, 0.05, 0.3))
+
+
 FLUX_CURVES = {
     "balanced": [(0.0, 0.3), (0.5, 0.5), (1.0, 0.7)],
     "net-flux": [(0.5, 0.5), (1.0, 0.5)],
@@ -255,7 +265,7 @@ def test_nearest_lam_stays_in_the_component_of_its_point():
     assert g.n_components == 2
 
     def component(p):
-        return g.comp[g.nearest_visible(p)]
+        return g.comp[g.nearest_visible([p])[0]]
 
     # the net is a set of grid nodes touching every component, its base
     # point the deepest node; clearances and components come off the graph
@@ -271,7 +281,8 @@ def test_nearest_lam_stays_in_the_component_of_its_point():
     grouped = {}
     for q, c in zip(cfg.lam, lam_comp):
         grouped.setdefault(c, []).append(q)
-    assert cfg._lam_comp == grouped
+    trees = {c: pts for c, (pts, _) in cfg._lam_trees.items() if c is not None}
+    assert trees == grouped
     points = [p for part in annulus.parts for ring in part.rings() for p in ring]
     points += [(-3.0, 0.7), (0.4, 3.0), (2.9, -2.9)]
     assert {component(p) for p in points} == {0, 1}
@@ -288,7 +299,8 @@ def _scan(cfg, p):
     """The scan `nearest_lam` replaced: p's component by its nearest
     visible node, then a `min` over that component's net points."""
     g = routing_graph(cfg.domain, cfg.h)
-    cands = cfg._lam_comp.get(g.comp[g.nearest_visible(p)], cfg.lam)
+    c = g.comp[g.nearest_visible([p])[0]]
+    cands = [q for q, i in zip(cfg.lam, g.node_ids(cfg.lam)) if g.comp[i] == c] or cfg.lam
     return min(cands, key=lambda q: (dist(p, q), q))
 
 
