@@ -519,7 +519,8 @@ def _old_nearest_visible(g, p):
     ],
 )
 def test_batched_hops_equal_the_scalar_nearest_visible(name, h):
-    # separation's boundary samples, grid nodes, and points near both
+    # separation's boundary samples, grid nodes, points near both, and the
+    # endpoints of the golden routes that reach the grid fallback
     if name == "square-complement":
         d = complement_region(SQUARE, box_region(-1, -1, 2, 2))
     elif name == "annulus-complement":
@@ -531,18 +532,8 @@ def test_batched_hops_equal_the_scalar_nearest_visible(name, h):
     pts += g.nodes[:: max(1, len(g.nodes) // 50)]
     near = [(x + 0.3 * h, y - 0.7 * d.tol) for x, y in pts[::7]]
     pts += [p for p in near if d.contains(p)]
+    pts += [x for n, *ends in FALLBACK if n == name for x in ends]
     assert g.nearest_visible(pts) == [_old_nearest_visible(g, p) for p in pts]
-
-
-def test_the_fallback_routes_hop_as_the_scalar_reference():
-    # both endpoints of each golden route that reaches the grid fallback
-    domains = {
-        "koch2": domain_preset("koch2"),
-        "square-complement": complement_region(SQUARE, box_region(-1, -1, 2, 2)),
-    }
-    for name, p, q in FALLBACK:
-        g = routing_graph(domains[name], 0.02)
-        assert g.nearest_visible([p, q]) == [_old_nearest_visible(g, x) for x in (p, q)]
 
 
 def test_a_batched_hop_that_sees_no_node_is_disconnected():
