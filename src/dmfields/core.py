@@ -88,8 +88,10 @@ class PolyCurve:
                 dedup.append(p)
         if len(dedup) == 1:  # degenerate point curve
             dedup = [pts[0], pts[0]]
+        if not math.isfinite(weight := float(weight)):
+            raise InvalidInput(f"non-finite curve weight {weight}")
         object.__setattr__(self, "vertices", tuple(dedup))
-        object.__setattr__(self, "weight", float(weight))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dimension(self) -> int:
@@ -183,6 +185,8 @@ class AtomicMeasure:
         for loc, coeff in atoms:
             p = as_point(loc)
             merged[p] = merged.get(p, 0.0) + float(coeff)
+        if not all(map(math.isfinite, merged.values())):
+            raise InvalidInput("non-finite coefficient in atomic measure")
         dims = {len(p) for p in merged}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed atom dimensions {sorted(dims)}")

@@ -160,10 +160,6 @@ def segments_in_domain(
     return ok
 
 
-def polyline_in_domain(d: PolygonalDomain, pts: Sequence[Point]) -> bool:
-    return all(segment_in_domain(d, u, v) for u, v in zip(pts, pts[1:]))
-
-
 def _polyline_len(pts: Sequence[Point]) -> float:
     return sum(dist(u, v) for u, v in zip(pts, pts[1:]))
 

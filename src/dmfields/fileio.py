@@ -3,7 +3,8 @@
 All writers are deterministic (sorted keys, fixed separators) and all
 floats survive the round trip exactly: json emits shortest-repr decimals
 and Python parses those back to the identical binary value. The reader
-rejects non-finite numbers (NaN, Infinity, 1e999).
+rejects non-finite numbers (NaN, Infinity, 1e999) and integers too large
+for a float; the writer never emits NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .smirnov import GridField
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False) + "\n"
 
 
 def save(path: str, obj) -> None:
@@ -51,9 +52,15 @@ def _finite(text: str) -> float:
     raise InvalidInput(f"non-finite number {text} in JSON input")
 
 
+def _int(text: str) -> int:
+    if math.isfinite(float(text)):
+        return int(text)
+    raise InvalidInput(f"integer of {len(text)} characters in JSON input is too large for a float")
+
+
 def load(path: str):
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite, parse_constant=_finite)
+        return json.load(fh, parse_float=_finite, parse_int=_int, parse_constant=_finite)
 
 
 # ---------------------------------------------------------------------------

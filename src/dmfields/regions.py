@@ -44,8 +44,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, InvalidInput
-from .core import AtomicMeasure, CurveField, Point, PolyCurve, dist
-from .lipfun import LipFunc
+from .core import AtomicMeasure, CurveField, Point, PolyCurve, dist, field_divergence, field_mass
+from .lipfun import LipFunc, lip_bound
 
 # collinearity / on-boundary threshold relative to the region's scale;
 # inputs closer to a boundary line are ambiguous and rejected, not classified
@@ -542,8 +542,7 @@ def clip_field(f: CurveField, E: PolyRegion) -> CurveField:
                 if min(dist(v, p0), dist(v, p1)) > E.tol:
                     verts.append(v)
             verts.append(p1)
-            if len(verts) >= 2:
-                out.append(PolyCurve(verts, c.weight))
+            out.append(PolyCurve(verts, c.weight))
     return CurveField(out)
 
 
@@ -633,8 +632,6 @@ def product_rule_residual(f: CurveField, phi: LipFunc, test: LipFunc) -> float:
     # so one Richardson step buys two extra orders
     pairing = (4.0 * stieltjes(10000) - stieltjes(5000)) / 3.0
 
-    from .core import field_divergence
-
     atom_term = sum(
         coeff * phi(loc) * test(loc)
         for loc, coeff in field_divergence(f).atoms
@@ -652,9 +649,6 @@ def setwise_probe(
     """Pairing values v_k = pairing_over_set(f, phi_k, E) for k = 1..K,
     plus a flag checking |v_K - v_inf| <= C_f / K with
     C_f = field_mass(f) * (uniform Lipschitz bound of the family)."""
-    from .core import field_mass
-    from .lipfun import lip_bound
-
     values = [pairing_over_set(f, phi_sequence(k), E) for k in range(1, K + 1)]
     v_inf = pairing_over_set(f, phi_limit, E)
     fam_lip = max(lip_bound(phi_sequence(K)), lip_bound(phi_limit), 1.0)

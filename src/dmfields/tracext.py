@@ -10,12 +10,10 @@ representation of m:
   both endpoints far:    each endpoint joined to its nearest net point;
   base-point terms:      the lone boundary endpoint joined to the net.
 
-A nearest net point is found by a KD-tree over the net points of the
-boundary point's routing component (one tree per component, built on
-first use; a graph with one component needs no visibility query). The
-tree only proposes: every net point within r0 (1 + 1e-9), r0 the tree's
-nearest distance, goes to `dist` and the lexicographic tie-break, so the
-answer is the exact minimiser a scan over the net would pick.
+A nearest net point is the exact minimiser of `dist` over the net
+points of the boundary point's routing component: one numpy pass over
+the net proposes every point within r0 (1 + 1e-9) of its least distance
+r0, and `dist` with the lexicographic tie-break picks among them.
 
 The same machinery extends a field across its domain boundary (the
 exterior lift cancels the boundary divergence atoms exactly) and, when
@@ -28,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from scipy.spatial import cKDTree
+import numpy as np
 
 from .errors import (
     AtomOffBoundary,
@@ -65,7 +63,7 @@ class LiftConfig:
     lam points carry the interior divergence of lifted fields; e is the
     net point standing in for the Arens-Eells base point. Net points
     are routing-grid nodes, so the net's distance to the boundary (the
-    property dist_lam) and its points of each routing component are read
+    property dist_lam) and each net point's routing component are read
     off the graph; they and the separation are cached on first use.
     """
 
@@ -90,15 +88,10 @@ class LiftConfig:
         return min(clearance[i] for i in self._ids)
 
     @cached_property
-    def _lam_trees(self) -> dict[int | None, tuple[list[Point], cKDTree]]:
-        """A KD-tree over the whole net (key None) and, when the graph
-        has more than one component, one over each component's points."""
-        g = routing_graph(self.domain, self.h)
-        groups: dict[int | None, list[Point]] = {None: list(self.lam)}
-        if g.n_components > 1:
-            for q, i in zip(self.lam, self._ids):
-                groups.setdefault(g.comp[i], []).append(q)
-        return {c: (pts, cKDTree(pts)) for c, pts in groups.items()}
+    def _lam_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The net as an (n, 2) array and each net point's component."""
+        comp = np.asarray(routing_graph(self.domain, self.h).comp)
+        return np.asarray(self.lam, dtype=float), comp[self._ids]
 
     def sep(self) -> float:
         return self._sep
@@ -113,19 +106,21 @@ class LiftConfig:
         are the whole net and no hop runs, so a point that sees no grid
         node raises `Disconnected` only when `route` falls back to the grid.
 
-        The candidates' KD-tree gives the nearest distance r0, and every
-        net point within r0 (1 + 1e-9) goes to `dist`. The tree's
-        distances and `dist` (which squares by `**`) differ by a few
-        ulps, far below the slack, wherever the squared distances are
-        normal floats; this holds under dyadic scaling and translation.
-        So the `dist`-minimiser and every point tied with it are among
-        the candidates, and the answer equals a scan over the net."""
+        Every net point within r0 (1 + 1e-9) of p, r0 the least distance
+        numpy computes, goes to `dist`. Numpy squares by `*` and `dist`
+        by `**`; their distances differ by a few ulps, far inside the
+        slack, wherever the squared distances are normal floats, so the
+        answer equals a scan over the net."""
         g = routing_graph(self.domain, self.h)
-        key = g.comp[g.nearest_visible([p])[0]] if g.n_components > 1 else None
-        pts, tree = self._lam_trees.get(key, self._lam_trees[None])
-        r0, _ = tree.query(p)
-        near = tree.query_ball_point(p, r0 * (1.0 + 1e-9))
-        return min((pts[i] for i in near), key=lambda q: (dist(p, q), q))
+        pts, comp = self._lam_arrays
+        dx, dy = pts[:, 0] - p[0], pts[:, 1] - p[1]
+        d = np.sqrt(dx * dx + dy * dy)
+        if g.n_components > 1:
+            same = comp == g.comp[g.nearest_visible([p])[0]]
+            if same.any():
+                d[~same] = np.inf
+        near = np.flatnonzero(d <= d.min() * (1.0 + 1e-9))
+        return min((self.lam[i] for i in near), key=lambda q: (dist(p, q), q))
 
 
 def lift_config(
@@ -133,8 +128,8 @@ def lift_config(
 ) -> LiftConfig:
     """Select a net for the domain, add each routing component's deepest
     grid node, and make the deepest grid node the base point. The base
-    point must sit farther from the boundary than delta (the
-    construction breaks otherwise)."""
+    point must sit farther from the boundary than min(1, delta), else
+    InfeasibleDelta."""
     if delta is None:
         delta = d.declared_delta
     if delta is None:
@@ -150,9 +145,9 @@ def lift_config(
     lam += [p for c, (_, p) in sorted(deepest.items()) if p not in lam]
     # the deepest node overall is in lam, so no net point is deeper
     (clear, _), e = max(deepest.values())
-    if clear <= min(1.0, delta):
+    if clear <= (floor := min(1.0, delta)):
         raise InfeasibleDelta(
-            f"base point clearance {clear:.4f} not above delta {delta}"
+            f"base point clearance {clear:.4f} not above min(1, delta) = {floor}"
         )
     return LiftConfig(d, tuple(lam), e, h, delta)
 

@@ -226,10 +226,14 @@ def test_decompose_rejects_a_bad_tolerance(files, capsys, value):
 
 
 @pytest.mark.parametrize("verb", ["trace", "pairing"])
-@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "number",
+    ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="10**400")],
+)
 def test_non_finite_numbers_are_invalid_input(files, capsys, verb, number):
     # json reads these literals, and 1e999 as inf: a NaN region vertex
-    # used to give one wrong atom, a NaN constant phi "value": NaN
+    # used to give one wrong atom, a NaN constant phi "value": NaN; the
+    # integer 10**400 overflowed float() in trace and read 0.0 in pairing
     path = files["dir"] / "input.json"
     if verb == "trace":
         ring = f"[[0, 0], [1, 0], [{number}, 1], [0, 1]]"
@@ -239,6 +243,39 @@ def test_non_finite_numbers_are_invalid_input(files, capsys, verb, number):
         path.write_text(f'{{"kind": "const", "c": {number}}}')
         args = ["--region", files["square"], "--phi", str(path)]
     rc = cli.main([verb, "--field", files["field"], *args])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input")
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("trace", {"curves": [{"weight": "nan", "vertices": [[-0.5, 0.3], [1.5, 0.7]]}]}),
+        ("trace", {"curves": [{"weight": "inf", "vertices": [[-0.5, 0.3], [1.5, 0.7]]}]}),
+        (
+            "ae-norm",
+            {
+                "atoms": [
+                    {"location": [0, 0], "coefficient": "nan"},
+                    {"location": [1, 0], "coefficient": -1},
+                ]
+            },
+        ),
+    ],
+    ids=["trace-nan", "trace-inf", "ae-norm-nan"],
+)
+def test_non_finite_weights_and_coefficients_are_invalid_input(files, capsys, verb, payload):
+    # float() reads the strings "nan" and "inf": trace wrote
+    # "coefficient": NaN, which its own reader rejects, and ae-norm
+    # exited 0 with "value": 0.0
+    path = files["write"]("input.json", payload)
+    if verb == "trace":
+        args = ["trace", "--field", path, "--region", files["square"]]
+    else:
+        args = ["ae-norm", "--element", path]
+    rc = cli.main(args)
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""

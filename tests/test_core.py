@@ -221,6 +221,18 @@ def test_a_tolerance_outside_0_inf_is_invalid_input(tol):
         a.same_atoms(b, tol)
 
 
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, "nan", "inf"], ids=["nan", "inf", "-inf", "'nan'", "'inf'"]
+)
+def test_a_non_finite_weight_or_coefficient_is_invalid_input(value):
+    # float() reads the strings "nan" and "inf"; a NaN weight used to
+    # reach the trace's JSON, a NaN coefficient a transport norm of 0
+    with pytest.raises(InvalidInput, match="weight"):
+        PolyCurve([(0, 0), (1, 0)], value)
+    with pytest.raises(InvalidInput, match="coefficient"):
+        AtomicMeasure([((0, 0), value), ((1, 0), -1.0)])
+
+
 def test_same_atoms_pairs_atoms_in_any_order():
     # an ulp in x reorders the atoms; zipping the sorted lists paired
     # each atom with the wrong partner

@@ -31,7 +31,6 @@ from dmfields.domain import (
     RoutingGraph,
     _boundary_samples,
     _edge_blocks,
-    polyline_in_domain,
     routing_graph,
     segment_in_domain,
     segments_in_domain,
@@ -298,7 +297,7 @@ def test_route_is_symmetric():
 def test_route_around_reentrant_corner():
     p, q = (1.5, 0.9), (0.9, 1.5)
     c = route(LSHAPE, p, q)
-    assert polyline_in_domain(LSHAPE, c.vertices)
+    assert all(segment_in_domain(LSHAPE, u, v) for u, v in c.segments())
     # certified against the declared constants: |p-q| <= 0.4 would be
     # needed for the automatic check, so verify the bound by hand
     d = math.dist(p, q)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,20 @@ def test_gridfield_roundtrip():
     assert back.shape == gf.shape
     assert np.array_equal(back.fx, gf.fx)
     assert np.array_equal(back.tau, gf.tau)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_writes_no_non_finite_number(value):
+    with pytest.raises(ValueError):
+        fileio.dumps({"value": value})
+
+
+def test_load_keeps_integers_that_fit_a_float(tmp_path):
+    path = tmp_path / "n.json"
+    path.write_text('{"nx": 3, "big": ' + "9" * 300 + "}")
+    got = fileio.load(str(path))
+    assert got == {"nx": 3, "big": int("9" * 300)}
+    assert type(got["nx"]) is int
 
 
 def test_save_load_files(tmp_path):

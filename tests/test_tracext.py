@@ -278,11 +278,9 @@ def test_nearest_lam_stays_in_the_component_of_its_point():
     )
     assert cfg.e == g.nodes[deepest]
     assert cfg.dist_lam == comp.boundary_dist_many(np.asarray(cfg.lam)).min()
-    grouped = {}
-    for q, c in zip(cfg.lam, lam_comp):
-        grouped.setdefault(c, []).append(q)
-    trees = {c: pts for c, (pts, _) in cfg._lam_trees.items() if c is not None}
-    assert trees == grouped
+    net, net_comp = cfg._lam_arrays
+    assert list(map(tuple, net)) == list(cfg.lam)
+    assert net_comp.tolist() == lam_comp
     points = [p for part in annulus.parts for ring in part.rings() for p in ring]
     points += [(-3.0, 0.7), (0.4, 3.0), (2.9, -2.9)]
     assert {component(p) for p in points} == {0, 1}
@@ -304,6 +302,38 @@ def _scan(cfg, p):
     return min(cands, key=lambda q: (dist(p, q), q))
 
 
+def test_nearest_lam_keeps_the_tie_of_dist_where_the_product_breaks_it():
+    # `dist` squares by `**` (libm pow), numpy by x*x: at these points
+    # `dist` ties q and r, while x*x puts r an ulp nearer; the slack keeps
+    # q a candidate, and the lexicographic tie-break picks it
+    q, r = (0.25, 0.375), (0.5, 0.5)
+    cfg = replace(_moved_config("square", 1.0, (0.0, 0.0)), lam=(q, r))
+    for p in [
+        (0.3839775862195392, 0.4195448275609216),
+        (0.38870667833205563, 0.41008664333588873),
+        (0.36889434397205284, 0.4497113120558943),
+    ]:
+        assert cfg.nearest_lam(p) == _scan(cfg, p)
+
+
+# two unit squares a sixteenth apart, the right one raised by half: on
+# the edges that face each other, six of the points below see the other
+# square's net nearer than their own
+TWO_SQUARES = PolygonalDomain(
+    (box_region(0, 0, 1, 1), box_region(1.0625, 0.5, 2.0625, 1.5))
+)
+
+
+def test_nearest_lam_skips_a_nearer_net_point_in_another_component():
+    cfg = _moved_config("two-squares", 1.0, (0.0, 0.0))
+    points = [(1.0, k / 16) for k in range(17)] + [(1.0625, 0.5 + k / 16) for k in range(17)]
+    crossed = 0
+    for p in points:
+        assert cfg.nearest_lam(p) == _scan(cfg, p)
+        crossed += cfg.nearest_lam(p) != min(cfg.lam, key=lambda q: (dist(p, q), q))
+    assert crossed == 6
+
+
 # (domain, grid step, delta) at unit scale; dyadic steps on dyadic boxes
 # put net points on exact midpoints, so `dist` ties are exact
 NET_DOMAINS = {
@@ -317,6 +347,7 @@ NET_DOMAINS = {
         0.125,
         0.3,
     ),
+    "two-squares": (TWO_SQUARES, 0.125, 0.4),
 }
 SHIFTS = ((1e8, -1e8), (-7.5e7, 3.3e7), (12345.678, -0.1), (0.3, 0.7))
 
