@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import fileio
 from .errors import DMFieldError
@@ -28,6 +29,132 @@ from .smirnov import graph_decompose, mollify, reconstruct_check, rotation, snap
 from .acceptance import SUITES, run_suites
 
 
+# every file flag, by the reader of its JSON
+_READERS = {
+    "field": fileio.field_from_json,
+    "region": fileio.domain_from_json,
+    "domain": fileio.domain_from_json,
+    "box": fileio.region_from_json,
+    "element": fileio.element_from_json,
+    "phi": fileio.lipfunc_from_json,
+}
+
+
+class Verb(NamedTuple):
+    help: str
+    files: tuple[str, ...]  # required, read in this order
+    flags: dict  # flag -> add_argument keywords
+    run: Callable  # args, files read -> payload
+    report: Callable | None = None  # args, payload -> exit code, after the write
+    stdout: bool = True  # the payload goes to stdout when there is no --out
+
+
+def _lift(a):
+    prov: list = []
+    f = lift_surject(lift_config(a.domain, a.grid_h, a.delta), a.element, provenance=prov)
+    return {**fileio.field_to_json(f), "provenance": prov}
+
+
+def _exterior(a):
+    return lift_config(complement_region(a.domain, a.box), a.grid_h, a.delta)
+
+
+def _extend_divfree(a):
+    g, punctures = extend_divfree(a.field, a.domain, _exterior(a))
+    return {**fileio.field_to_json(g), "punctures": [list(p) for p in punctures]}
+
+
+def _ae_norm_summary(a, payload):
+    if a.out:
+        print(f"value {payload['value']!r}")
+        for row in payload["dual"]:
+            print(f"  {row['node']}  {row['potential']!r}")
+    return 0
+
+
+def _smirnov_sim(a):
+    gf = mollify(a.field, a.eps, a.grid_h)
+    nx, ny = gf.shape
+    cx = gf.origin[0] + (nx - 1) * gf.h / 2
+    cy = gf.origin[1] + (ny - 1) * gf.h / 2
+    lhs, est, se, left = reconstruct_check(
+        gf, partial(rotation, cx, cy), a.samples, dt=a.dt, rng_seed=a.seed
+    )
+    return {
+        "lhs": lhs,
+        "estimate": est,
+        "stderr": se,
+        "truncated": left,
+        "tau_mass": gf.total_tau(),
+        "within_3_stderr": bool(abs(lhs - est) <= 3 * se),
+    }
+
+
+def _verify(a):
+    results = run_suites(a.suite)
+    for name, passed, detail in results:
+        print(f"{name}: {'PASS' if passed else 'FAIL'} - {detail}")
+    return {"results": [{"suite": n, "passed": p, "detail": d} for n, p, d in results]}
+
+
+_GRID_H = {"--grid-h": dict(type=float, default=0.02)}
+_EXTEND = {**_GRID_H, "--delta": dict(type=float, default=0.3)}
+
+VERBS = {
+    "trace": Verb(
+        "normal trace of a field on a region", ("field", "region"), {},
+        lambda a: fileio.measure_to_json(domain_trace(a.field, a.region)),
+    ),
+    "pairing": Verb(
+        "pairing of a Lipschitz function with a field over a region",
+        ("field", "phi", "region"), {},
+        lambda a: {"value": pairing_over_set(a.field, a.phi, a.region)},
+    ),
+    "ae-norm": Verb(
+        "transport norm with dipole representation and dual", ("element",), {},
+        lambda a: fileio.ae_norm_to_json(*ae_norm(a.element)), _ae_norm_summary,
+    ),
+    "lift": Verb(
+        "curve field realizing a boundary functional as its trace", ("element", "domain"),
+        {**_GRID_H, "--delta": dict(type=float)}, _lift,
+    ),
+    "extend": Verb(
+        "extend a field beyond its domain", ("field", "domain", "box"), _EXTEND,
+        lambda a: fileio.field_to_json(extend_field(a.field, a.domain, _exterior(a))),
+    ),
+    "extend-divfree": Verb(
+        "extend a field beyond its domain", ("field", "domain", "box"), _EXTEND, _extend_divfree
+    ),
+    "decompose": Verb(
+        "snap to a graph and peel paths and cycles", ("field",),
+        {"--tolerance": dict(type=float, default=1e-9)},
+        lambda a: fileio.decomposition_to_json(
+            graph_decompose(snap_to_graph(a.field, a.tolerance))
+        ),
+    ),
+    "smirnov-sim": Verb(
+        "mollify, trace flow curves, Monte-Carlo check", ("field",),
+        {
+            "--seed": dict(type=int, required=True),
+            "--eps": dict(type=float, default=0.1),
+            **_GRID_H,
+            "--dt": dict(type=float, default=1e-3),
+            "--samples": dict(type=int, default=10000),
+        },
+        _smirnov_sim,
+    ),
+    "verify": Verb(
+        "run acceptance suites", (), {"--suite": dict(action="append", choices=SUITES)}, _verify,
+        lambda a, payload: 0 if all(row["passed"] for row in payload["results"]) else 2,
+        stdout=False,
+    ),
+    "domain-preset": Verb(
+        "write a named preset domain", (), {"--name": dict(required=True)},
+        lambda a: fileio.domain_to_json(domain_preset(a.name)),
+    ),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; flag problems are validation
     # problems here, so the same report exits 1
@@ -39,182 +166,26 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dmfields")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    s = sub.add_parser("trace", help="normal trace of a field on a region")
-    s.add_argument("--field", required=True)
-    s.add_argument("--region", required=True)
-    s.add_argument("--out")
-
-    s = sub.add_parser("pairing", help="pairing of a Lipschitz function with a field over a region")
-    s.add_argument("--field", required=True)
-    s.add_argument("--phi", required=True)
-    s.add_argument("--region", required=True)
-    s.add_argument("--out")
-
-    s = sub.add_parser("ae-norm", help="transport norm with dipole representation and dual")
-    s.add_argument("--element", required=True)
-    s.add_argument("--out")
-
-    s = sub.add_parser("lift", help="curve field realizing a boundary functional as its trace")
-    s.add_argument("--element", required=True)
-    s.add_argument("--domain", required=True)
-    s.add_argument("--grid-h", type=float, default=0.02)
-    s.add_argument("--delta", type=float)
-    s.add_argument("--out")
-
-    for verb in ("extend", "extend-divfree"):
-        s = sub.add_parser(verb, help="extend a field beyond its domain")
-        s.add_argument("--field", required=True)
-        s.add_argument("--domain", required=True)
-        s.add_argument("--box", required=True)
-        s.add_argument("--grid-h", type=float, default=0.02)
-        s.add_argument("--delta", type=float, default=0.3)
+    for name, verb in VERBS.items():
+        s = sub.add_parser(name, help=verb.help)
+        for flag in verb.files:
+            s.add_argument(f"--{flag}", required=True)
+        for flag, kwargs in verb.flags.items():
+            s.add_argument(flag, **kwargs)
         s.add_argument("--out")
-
-    s = sub.add_parser("decompose", help="snap to a graph and peel paths and cycles")
-    s.add_argument("--field", required=True)
-    s.add_argument("--tolerance", type=float, default=1e-9)
-    s.add_argument("--out")
-
-    s = sub.add_parser("smirnov-sim", help="mollify, trace flow curves, Monte-Carlo check")
-    s.add_argument("--field", required=True)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--eps", type=float, default=0.1)
-    s.add_argument("--grid-h", type=float, default=0.02)
-    s.add_argument("--dt", type=float, default=1e-3)
-    s.add_argument("--samples", type=int, default=10000)
-    s.add_argument("--out")
-
-    s = sub.add_parser("verify", help="run acceptance suites")
-    s.add_argument("--suite", action="append", choices=SUITES)
-    s.add_argument("--out")
-
-    s = sub.add_parser("domain-preset", help="write a named preset domain")
-    s.add_argument("--name", required=True)
-    s.add_argument("--out")
     return p
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    if out:
-        fileio.save(out, payload)
-    else:
-        sys.stdout.write(fileio.dumps(payload))
-
-
 def _run(args) -> int:
-    if args.verb == "trace":
-        f = fileio.field_from_json(fileio.load(args.field))
-        d = fileio.domain_from_json(fileio.load(args.region))
-        m = domain_trace(f, d)
-        _emit(fileio.measure_to_json(m), args.out)
-        return 0
-
-    if args.verb == "pairing":
-        f = fileio.field_from_json(fileio.load(args.field))
-        phi = fileio.lipfunc_from_json(fileio.load(args.phi))
-        d = fileio.domain_from_json(fileio.load(args.region))
-        value = pairing_over_set(f, phi, d)
-        _emit({"value": value}, args.out)
-        return 0
-
-    if args.verb == "ae-norm":
-        m = fileio.element_from_json(fileio.load(args.element))
-        value, rep, dual = ae_norm(m)
-        payload = {
-            "value": value,
-            "dipole": fileio.dipole_to_json(rep),
-            "dual": [
-                {"node": fileio._node_to_json(k), "potential": v}
-                for k, v in sorted(dual.items(), key=lambda kv: str(kv[0]))
-            ],
-        }
-        _emit(payload, args.out)
-        if args.out:
-            print(f"value {value!r}")
-            for row in payload["dual"]:
-                print(f"  {row['node']}  {row['potential']!r}")
-        return 0
-
-    if args.verb == "lift":
-        m = fileio.element_from_json(fileio.load(args.element))
-        d = fileio.domain_from_json(fileio.load(args.domain))
-        cfg = lift_config(d, args.grid_h, args.delta)
-        prov: list = []
-        f = lift_surject(cfg, m, provenance=prov)
-        payload = fileio.field_to_json(f)
-        payload["provenance"] = prov
-        _emit(payload, args.out)
-        return 0
-
-    if args.verb in ("extend", "extend-divfree"):
-        f = fileio.field_from_json(fileio.load(args.field))
-        d = fileio.domain_from_json(fileio.load(args.domain))
-        box = fileio.region_from_json(fileio.load(args.box))
-        comp = complement_region(d, box)
-        cfg_out = lift_config(comp, args.grid_h, args.delta)
-        if args.verb == "extend":
-            out_field = extend_field(f, d, cfg_out)
-            payload = fileio.field_to_json(out_field)
-        else:
-            connected = len(comp.parts) == 1
-            out_field, punctures = extend_divfree(f, d, cfg_out, connected)
-            payload = fileio.field_to_json(out_field)
-            payload["punctures"] = [list(p) for p in punctures]
-        _emit(payload, args.out)
-        return 0
-
-    if args.verb == "decompose":
-        f = fileio.field_from_json(fileio.load(args.field))
-        dec = graph_decompose(snap_to_graph(f, args.tolerance))
-        _emit(fileio.decomposition_to_json(dec), args.out)
-        return 0
-
-    if args.verb == "smirnov-sim":
-        f = fileio.field_from_json(fileio.load(args.field))
-        gf = mollify(f, args.eps, args.grid_h)
-        nx, ny = gf.shape
-        cx = gf.origin[0] + (nx - 1) * gf.h / 2
-        cy = gf.origin[1] + (ny - 1) * gf.h / 2
-        Phi = partial(rotation, cx, cy)
-        lhs, est, se, left = reconstruct_check(
-            gf, Phi, args.samples, dt=args.dt, rng_seed=args.seed
-        )
-        _emit(
-            {
-                "lhs": lhs,
-                "estimate": est,
-                "stderr": se,
-                "truncated": left,
-                "tau_mass": gf.total_tau(),
-                "within_3_stderr": bool(abs(lhs - est) <= 3 * se),
-            },
-            args.out,
-        )
-        return 0
-
-    if args.verb == "verify":
-        results = run_suites(args.suite)
-        for name, passed, detail in results:
-            print(f"{name}: {'PASS' if passed else 'FAIL'} - {detail}")
-        if args.out:
-            _emit(
-                {
-                    "results": [
-                        {"suite": n, "passed": p, "detail": d}
-                        for n, p, d in results
-                    ]
-                },
-                args.out,
-            )
-        return 0 if all(p for _, p, _ in results) else 2
-
-    if args.verb == "domain-preset":
-        d = domain_preset(args.name)
-        _emit(fileio.domain_to_json(d), args.out)
-        return 0
-
-    raise AssertionError(args.verb)
+    verb = VERBS[args.verb]
+    for flag in verb.files:
+        setattr(args, flag, _READERS[flag](fileio.load(getattr(args, flag))))
+    payload = verb.run(args)
+    if args.out:
+        fileio.save(args.out, payload)
+    elif verb.stdout:
+        sys.stdout.write(fileio.dumps(payload))
+    return verb.report(args, payload) if verb.report else 0
 
 
 def main(argv=None) -> int:
@@ -225,8 +196,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _run(args)
-    # before DMFieldError: InvalidInput is both
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    # before DMFieldError: InvalidInput is both; a file nested past the
+    # recursion limit is bad input too
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         print(f"invalid input: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except DMFieldError as e:

@@ -4,7 +4,9 @@ All writers are deterministic (sorted keys, fixed separators) and all
 floats survive the round trip exactly: json emits shortest-repr decimals
 and Python parses those back to the identical binary value. The reader
 rejects non-finite numbers (NaN, Infinity, 1e999) and integers too large
-for a float; the writer never emits NaN or Infinity.
+for a float, and the value readers take only JSON numbers where numbers
+belong (a string or boolean is InvalidInput); the writer never emits NaN
+or Infinity.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ def load(path: str):
         return json.load(fh, parse_float=_finite, parse_int=_int, parse_constant=_finite)
 
 
+def _number(x):
+    # bool is an int subclass, so compare types exactly
+    if type(x) in (int, float):
+        return x
+    raise InvalidInput(f"expected a JSON number, got {x!r}")
+
+
+def _numbers(v) -> tuple:
+    return tuple(map(_number, v))
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -79,7 +92,7 @@ def field_to_json(f: CurveField) -> dict:
 def field_from_json(d: dict) -> CurveField:
     return CurveField(
         [
-            PolyCurve([tuple(v) for v in c["vertices"]], c["weight"])
+            PolyCurve([_numbers(v) for v in c["vertices"]], _number(c["weight"]))
             for c in d["curves"]
         ]
     )
@@ -95,7 +108,7 @@ def measure_to_json(m: AtomicMeasure) -> dict:
 
 def measure_from_json(d: dict) -> AtomicMeasure:
     return AtomicMeasure(
-        [(tuple(a["location"]), a["coefficient"]) for a in d["atoms"]]
+        [(_numbers(a["location"]), _number(a["coefficient"])) for a in d["atoms"]]
     )
 
 
@@ -112,8 +125,8 @@ def region_to_json(r: PolyRegion) -> dict:
 
 def region_from_json(d: dict) -> PolyRegion:
     return PolyRegion(
-        [tuple(v) for v in d["outer"]],
-        [[tuple(v) for v in h] for h in d.get("holes", [])],
+        [_numbers(v) for v in d["outer"]],
+        [[_numbers(v) for v in h] for h in d.get("holes", [])],
     )
 
 
@@ -131,7 +144,8 @@ def domain_from_json(d: dict) -> PolygonalDomain:
         parts = [region_from_json(r) for r in d["regions"]]
     else:  # bare region file doubles as a single-part domain
         parts = [region_from_json(d)]
-    return PolygonalDomain(tuple(parts), d.get("eps"), d.get("delta"))
+    eps, delta = (_number(d[k]) if k in d else None for k in ("eps", "delta"))
+    return PolygonalDomain(tuple(parts), eps, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +187,9 @@ def lipfunc_from_json(d: dict) -> LipFunc:
     cls = next((c for kind, c in _LIPFUNCS.items() if k == kind), None)
     if cls is None:
         raise InvalidInput(f"unknown LipFunc kind: {k!r}")
-    return cls(
-        *(
-            lipfunc_from_json(d[fld.name]) if fld.type == "LipFunc" else d[fld.name]
-            for fld in fields(cls)
-        )
-    )
+    # a field's annotation is "LipFunc", "float" or "tuple[float, ...]"
+    read = {"LipFunc": lipfunc_from_json, "float": _number}
+    return cls(*(read.get(fld.type, _numbers)(d[fld.name]) for fld in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +217,19 @@ def dipole_to_json(rep: DipoleRep) -> dict:
             for a, p, q in rep.terms
         ],
         "cost": rep.cost,
+    }
+
+
+def ae_norm_to_json(value: float, rep: DipoleRep, dual: dict) -> dict:
+    """`ae_norm`'s result: the value, the dipole representation and the
+    dual potentials as rows sorted by node."""
+    return {
+        "value": value,
+        "dipole": dipole_to_json(rep),
+        "dual": [
+            {"node": _node_to_json(k), "potential": v}
+            for k, v in sorted(dual.items(), key=lambda kv: str(kv[0]))
+        ],
     }
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     AtomOffBoundary,
     InfeasibleDelta,
-    InvalidInput,
     MissingConstants,
     NonzeroNetFlux,
     NormBoundViolation,
@@ -244,25 +243,22 @@ def extend_field(
 
 
 def extend_divfree(
-    f: CurveField,
-    d_in: PolygonalDomain,
-    cfg_out: LiftConfig,
-    connected_complement: bool = True,
+    f: CurveField, d_in: PolygonalDomain, cfg_out: LiftConfig
 ) -> tuple[CurveField, tuple[Point, ...]]:
-    """Extend a divergence-free field. With a connected complement the
+    """Extend a divergence-free field. Connectivity comes from the
+    complement's part count. A complement of one part is connected: the
     result is divergence-free everywhere inside the box (single exterior
-    net point; all its contributions cancel); otherwise the returned
-    punctures mark residual net atoms excluded from the effective
-    domain. A connected complement must be a domain of one part, else
-    InvalidInput."""
-    if connected_complement and len(cfg_out.domain.parts) > 1:
-        raise InvalidInput("a complement of more than one part is not connected")
+    net point; all its contributions cancel), and a trace of nonzero net
+    flux raises NonzeroNetFlux. Over a complement of more parts the
+    returned punctures mark residual net atoms excluded from the
+    effective domain."""
+    connected = len(cfg_out.domain.parts) == 1
     m = AEElement(domain_trace(f, d_in))
     cfg = cfg_out
     # relative to the trace's total variation: a small trace's flux and
     # punctures count
     tol = 1e-9 * min(1.0, m.support.total_mass())
-    if connected_complement:
+    if connected:
         if abs(m.support.total()) > tol:
             raise NonzeroNetFlux(
                 f"net boundary flux {m.support.total():.3e} admits no "
@@ -271,7 +267,7 @@ def extend_divfree(
         cfg = replace(cfg_out, lam=(cfg_out.e,))
     g = lift_surject(cfg, AEElement(m.support.scaled(-1.0)), check_bound=False)
     out = f.union(g)
-    if connected_complement:
+    if connected:
         return out, ()
     residual = field_divergence(out).coalesced(tol)
     punctures = tuple(residual.locations())

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,92 @@ def test_non_finite_weights_and_coefficients_are_invalid_input(files, capsys, ve
     assert err.startswith("invalid input")
 
 
+LINEAR = {"kind": "linear", "v": [1, 0]}
+SQUARE_RING = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--field", {"curves": [{"weight": True, "vertices": [[-0.5, 0.3], [1.5, 0.7]]}]}),
+        (
+            "--field",
+            {"curves": [{"weight": "2.5", "vertices": [["-0.5", 0.3], [1.5, " 0.7 "]]}]},
+        ),
+        ("--element", {"atoms": [{"location": ["0.1", 0.2], "coefficient": "1"}]}),
+        ("--region", {"outer": [[0, 0], ["1", 0], [1, 1], [0, 1]]}),
+        ("--region", {"regions": [{"outer": SQUARE_RING}], "eps": True}),
+        ("--region", {"regions": [{"outer": SQUARE_RING}], "delta": True}),
+        ("--box", {"outer": [[-1, -1], [2, -1], [2, "2"], [-1, 2]]}),
+        ("--phi", {"kind": "const", "c": True}),
+        ("--phi", {"kind": "linear", "v": [True, False]}),
+        ("--phi", {"kind": "dist", "p": ["0", 0]}),
+        ("--phi", {"kind": "scale", "s": True, "f": LINEAR}),
+        ("--phi", {"kind": "clamp", "f": LINEAR, "lo": False, "hi": 1}),
+        ("--phi", {"kind": "clamp", "f": LINEAR, "lo": 0, "hi": True}),
+        ("--phi", {"kind": "wave", "a": True, "k": 1, "d": [1, 0]}),
+        ("--phi", {"kind": "wave", "a": 1, "k": "1", "d": [1, 0]}),
+        ("--phi", {"kind": "wave", "a": 1, "k": 1, "d": ["1", 0]}),
+    ],
+    ids=[
+        "field-weight-bool",
+        "field-strings",
+        "element-strings",
+        "region-vertex",
+        "domain-eps",
+        "domain-delta",
+        "box-vertex",
+        "const-c",
+        "linear-v",
+        "dist-p",
+        "scale-s",
+        "clamp-lo",
+        "clamp-hi",
+        "wave-a",
+        "wave-k",
+        "wave-d",
+    ],
+)
+def test_numbers_must_be_json_numbers(files, capsys, flag, payload):
+    # float() read true as 1.0 and "2.5" as 2.5, and a bool passed for a
+    # number of a Lipschitz node: each of these exited 0
+    box = files["write"]("box.json", {"outer": [[-1, -1], [2, -1], [2, 2], [-1, 2]]})
+    paths = {
+        "--field": files["field"],
+        "--region": files["square"],
+        "--domain": files["square"],
+        "--phi": files["phi"],
+        "--element": files["elem"],
+        "--box": box,
+        flag: files["write"]("input.json", payload),
+    }
+    verb, flags = {
+        "--field": ("trace", ["--field", "--region"]),
+        "--region": ("trace", ["--field", "--region"]),
+        "--element": ("ae-norm", ["--element"]),
+        "--box": ("extend", ["--field", "--domain", "--box"]),
+        "--phi": ("pairing", ["--field", "--phi", "--region"]),
+    }[flag]
+    rc = cli.main([verb, *(x for f in flags for x in (f, paths[f]))])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input: InvalidInput: expected a JSON number")
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_a_phi_nested_past_the_recursion_limit_is_invalid_input(files, capsys, depth):
+    # json.load (at 5,000) or the node reader (at 600) ran out of stack:
+    # an uncaught RecursionError
+    path = files["dir"] / "deep.json"
+    path.write_text('{"kind": "neg", "f": ' * depth + '{"kind": "const", "c": 1}' + "}" * depth)
+    rc = cli.main(["pairing", "--field", files["field"], "--phi", str(path), "--region", files["square"]])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("invalid input: RecursionError")
+
+
 @pytest.mark.parametrize(
     "holes",
     [
@@ -506,7 +593,7 @@ def test_extend_divfree_verb_keeps_the_punctures_of_a_complement_of_two_parts(fi
     ]
     assert cli.main(["extend-divfree", *args, "--out", out]) == 0
     cfg = lift_config(complement_region(annulus, box), 0.05, 0.3)
-    g, punctures = extend_divfree(f, annulus, cfg, connected_complement=False)
+    g, punctures = extend_divfree(f, annulus, cfg)
     want = fileio.field_to_json(g)
     want["punctures"] = [list(p) for p in punctures]
     assert _read(out) == json.loads(fileio.dumps(want))
@@ -544,3 +631,22 @@ def test_verify_runs_every_suite_in_order(monkeypatch, capsys):
     assert [line.split(":")[0] for line in lines] == names
     for name, line in zip(names, lines):
         assert re.fullmatch(rf"{name}: PASS - {name} ok, \d+\.\ds", line)
+
+
+def test_readme_cli_lines_parse():
+    # every `dmfields ...` line in README's shell blocks names flags its
+    # verb has and gives every flag it requires, and every verb has one
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("dmfields ")
+    ]
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert {line.split()[1] for line in lines} == set(cli.VERBS)

@@ -208,9 +208,7 @@ def _extend_divfree():
         ]
     )
     cfg = _config("annulus-complement")
-    g, punctures = extend_divfree(
-        f, domain_preset("annulus"), cfg, connected_complement=False
-    )
+    g, punctures = extend_divfree(f, domain_preset("annulus"), cfg)
     return {"field": fileio.field_to_json(g), "punctures": punctures}
 
 

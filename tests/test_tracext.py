@@ -11,7 +11,6 @@ from dmfields import (
     AtomicMeasure,
     CurveField,
     Disconnected,
-    InvalidInput,
     LiftConfig,
     MissingConstants,
     NonzeroNetFlux,
@@ -21,6 +20,7 @@ from dmfields import (
     ae_norm,
     bound_constant,
     box_region,
+    clip_field,
     complement_region,
     domain_preset,
     domain_trace,
@@ -165,15 +165,6 @@ def test_extend_divfree_rejects_net_flux():
         extend_divfree(src, SQUARE, cfg_out)
 
 
-def test_extend_divfree_rejects_a_connected_complement_of_two_parts():
-    annulus = domain_preset("annulus")
-    comp = complement_region(annulus, box_region(-3, -3, 3, 3))
-    assert len(comp.parts) == 2
-    f = CurveField([PolyCurve([(0.1, 0.2), (1.5, 0.4), (2.5, 0.7)], 1.0)])
-    with pytest.raises(InvalidInput, match="more than one part"):
-        extend_divfree(f, annulus, lift_config(comp, 0.05, 0.3))
-
-
 FLUX_CURVES = {
     "balanced": [(0.0, 0.3), (0.5, 0.5), (1.0, 0.7)],
     "net-flux": [(0.5, 0.5), (1.0, 0.5)],
@@ -183,6 +174,21 @@ FLUX_CURVES = {
 @lru_cache(maxsize=None)
 def _square_complement_cfg():
     return lift_config(complement_region(SQUARE, box_region(-1, -1, 2, 2)), 0.05, 0.3)
+
+
+ANNULUS = domain_preset("annulus")
+# a chord across the annulus, inner circle to outer: its trace has flux
+# +1 and -1 on the two parts (island and frame) of the complement
+ACROSS = clip_field(
+    CurveField([PolyCurve([(0.1, 0.2), (1.5, 0.4), (2.5, 0.7)], 1.0)]), ANNULUS
+)
+
+
+@lru_cache(maxsize=None)
+def _annulus_complement_cfg():
+    comp = complement_region(ANNULUS, box_region(-3, -3, 3, 3))
+    assert len(comp.parts) == 2
+    return lift_config(comp, 0.05, 0.3)
 
 
 @given(st.sampled_from(sorted(FLUX_CURVES)), st.integers(-60, 0))
@@ -208,11 +214,9 @@ def test_extend_divfree_scales_with_the_weight(name, k):
 
 
 def test_extend_divfree_punctures_lie_on_the_exterior_net():
-    chord = CurveField([PolyCurve([(0.0, 0.3), (0.5, 0.5), (1.0, 0.7)], 1.0)])
-    comp = complement_region(SQUARE, box_region(-1, -1, 2, 2))
-    cfg_out = lift_config(comp, 0.05, 0.3)
-    g, punctures = extend_divfree(chord, SQUARE, cfg_out, connected_complement=False)
-    assert punctures
+    cfg_out = _annulus_complement_cfg()
+    g, punctures = extend_divfree(ACROSS, ANNULUS, cfg_out)
+    assert len(punctures) == 2
     assert set(punctures) <= set(cfg_out.lam)
     div = field_divergence(g).coalesced(1e-9)
     assert div.locations() == sorted(punctures)
@@ -222,14 +226,13 @@ def test_extend_divfree_punctures_lie_on_the_exterior_net():
 @example(-30)
 @settings(max_examples=30, deadline=None)
 def test_extend_divfree_keeps_the_punctures_of_small_fields(k):
-    """The chord of weight 2^k, extended with its punctures kept, leaves
-    the punctures of the chord of weight 1 and its residual divergence
-    scaled by 2^k, however small the weight."""
+    """The chord across the annulus of weight 2^k, extended over the
+    complement's two parts, leaves the punctures of the chord of weight 1
+    and its residual divergence scaled by 2^k, however small the
+    weight."""
 
     def extend(w):
-        f = CurveField([PolyCurve(FLUX_CURVES["balanced"], w)])
-        cfg_out = _square_complement_cfg()
-        g, punctures = extend_divfree(f, SQUARE, cfg_out, connected_complement=False)
+        g, punctures = extend_divfree(ACROSS.scaled(w), ANNULUS, _annulus_complement_cfg())
         return punctures, field_divergence(g).atoms
 
     s, (punctures, div) = 2.0**k, extend(1.0)
